@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .pairwise import LossValueGrad
-from .specfun import chi2_pdf_array
-from .wristband_map import WristbandBatch, validate_point_batch
+from .wristband_map import WristbandBatch, radial_pullback, validate_point_batch
 
 __all__ = [
     "EIGENVALUE_CLAMP",
@@ -99,14 +98,8 @@ def radial_w2_loss(wb: WristbandBatch) -> LossValueGrad:
     back to the raw points.
     """
     value, grad_t = _radial_value_grad_t(wb.t)
-    n, d = wb.u.shape
-    # dt/dx = pdf(s) * 2x with x reconstructed as u * sqrt(s).
     x = wb.u * np.sqrt(wb.s)[:, None]
-    pdf = chi2_pdf_array(d, wb.s)
-    grad = (grad_t * pdf * 2.0)[:, None] * x
-    if np.any(wb.norm_floored):
-        grad[wb.norm_floored] = 0.0
-    return LossValueGrad(value=value, grad=grad)
+    return LossValueGrad(value=value, grad=radial_pullback(wb, grad_t, x))
 
 
 def moment_w2_value(batch) -> float:

@@ -24,21 +24,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accelerators import (
+    _radial_value_grad_t,
     moment_w2_loss,
     moment_w2_value,
-    radial_w2_loss,
     radial_w2_value_from_wristband,
 )
 from .errors import CalibrationError, ContractViolation
 from .generators import RngStream, gaussian_batch
 from .pairwise import (
+    DEFAULT_TILE,
     KernelConfig,
     LossValueGrad,
-    pairwise_repulsion_loss,
+    _pairwise_value_cotangents,
     pairwise_value_from_wristband,
 )
-from .spectral import spectral_coefficients, spectral_loss, spectral_value_from_wristband
-from .wristband_map import validate_point_batch, wristband_forward
+from .spectral import (
+    _spectral_value_cotangents,
+    spectral_coefficients,
+    spectral_value_from_wristband,
+)
+from .wristband_map import validate_point_batch, wristband_backward, wristband_forward
 
 __all__ = ["CalibrationTable", "calibrate_null", "standardized_wristband_loss"]
 
@@ -134,7 +139,9 @@ def standardized_wristband_loss(batch, table: CalibrationTable) -> LossValueGrad
     """The calibrated statistic S / sd_numerator with its gradient.
 
     The gradient is the fixed linear combination of the component
-    gradients with coefficients w_* / (sd_* * sd_numerator).
+    gradients with coefficients w_* / (sd_* * sd_numerator).  The batch
+    is mapped once; the repulsion and radial terms combine their
+    cotangents on (u, t) and share one pullback to the raw points.
     """
     x = validate_point_batch(batch)
     if x.shape != (table.n, table.dim):
@@ -142,27 +149,26 @@ def standardized_wristband_loss(batch, table: CalibrationTable) -> LossValueGrad
             f"batch shape {x.shape} does not match the calibration table "
             f"({table.n}, {table.dim})"
         )
-    cfg = table.cfg
-    if table.loss_path == "pairwise":
-        rep = pairwise_repulsion_loss(x, cfg)
-    elif table.loss_path == "spectral":
-        rep = spectral_loss(x, cfg)
-    else:
+    if table.loss_path not in LOSS_PATHS:
         raise ContractViolation(f"table has unknown loss_path {table.loss_path!r}")
+    cfg = table.cfg
     wb = wristband_forward(x)
-    rad = radial_w2_loss(wb)
+    if table.loss_path == "pairwise":
+        rep_value, rep_grad_u, rep_grad_t = _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE)
+    else:
+        rep_value, rep_grad_u, rep_grad_t = _spectral_value_cotangents(wb, cfg)
+    rad_value, rad_grad_t = _radial_value_grad_t(wb.t)
     mom = moment_w2_loss(x)
 
     w_rep, w_rad, w_mom = cfg.weights
     s = (
-        w_rep * (rep.value - table.mu_rep) / table.sd_rep
-        + w_rad * (rad.value - table.mu_rad) / table.sd_rad
+        w_rep * (rep_value - table.mu_rep) / table.sd_rep
+        + w_rad * (rad_value - table.mu_rad) / table.sd_rad
         + w_mom * (mom.value - table.mu_mom) / table.sd_mom
     )
     value = s / table.sd_numerator
-    grad = (
-        (w_rep / (table.sd_rep * table.sd_numerator)) * rep.grad
-        + (w_rad / (table.sd_rad * table.sd_numerator)) * rad.grad
-        + (w_mom / (table.sd_mom * table.sd_numerator)) * mom.grad
-    )
+    c_rep = w_rep / (table.sd_rep * table.sd_numerator)
+    c_rad = w_rad / (table.sd_rad * table.sd_numerator)
+    grad = wristband_backward(x, wb, c_rep * rep_grad_u, c_rep * rep_grad_t + c_rad * rad_grad_t)
+    grad += (w_mom / (table.sd_mom * table.sd_numerator)) * mom.grad
     return LossValueGrad(value=value, grad=grad)

@@ -85,8 +85,7 @@ def adam_step(params, grads, state: AdamState, lr: float,
     return new_params, AdamState(m=m, v=v, step=t)
 
 
-def _make_loss_fn(opt_cfg: OptimizeConfig, kernel_cfg: KernelConfig,
-                  table: CalibrationTable | None):
+def _make_loss_fn(opt_cfg: OptimizeConfig, table: CalibrationTable | None):
     if opt_cfg.loss in ("wristband_pairwise", "wristband_spectral"):
         if table is None:
             raise ContractViolation(f"loss {opt_cfg.loss!r} requires a calibration table")
@@ -120,12 +119,20 @@ def optimize_point_cloud(initial, opt_cfg: OptimizeConfig, kernel_cfg: KernelCon
                          table: CalibrationTable | None = None):
     """Minimize the selected loss over the free points.
 
+    The wristband losses take their kernel from the calibration table,
+    and `kernel_cfg` must equal `table.cfg`; the baseline losses (mmd,
+    sliced_w2) do not read it.
+
     Returns (final_batch, trajectory), where trajectory is a list of
     (step, loss_value) pairs sampled every `log_stride` steps plus the
     final step.  A non-finite loss aborts with the failing step index.
     """
     x = validate_point_batch(initial).copy()
-    loss_fn = _make_loss_fn(opt_cfg, kernel_cfg, table)
+    loss_fn = _make_loss_fn(opt_cfg, table)
+    if opt_cfg.loss.startswith("wristband") and kernel_cfg != table.cfg:
+        raise ContractViolation(
+            f"kernel config {kernel_cfg} does not match the calibration table's {table.cfg}"
+        )
     state = AdamState.zeros(x.shape)
     trajectory: list[tuple[int, float]] = []
 

@@ -21,6 +21,15 @@ every off-diagonal pair is evaluated exactly once.  Tile traversal
 order is fixed, so results are deterministic for a given tile size;
 the tile size is an explicit argument with a fixed default and is part
 of the reproducibility contract.
+
+Value and gradient take one pass over the kernel tiles under global
+reduction and two under per-point reduction.  The gradient is a
+pair-weighted sum with weights w_i + w_j.  Under global reduction the
+weights are one constant that depends on the kernel sum only, so the
+pass runs with unit pair weights, takes the row sums from the kernel
+block it already forms, and rescales the gradient once at the end.
+Under per-point reduction w_i depends on row i's kernel sum, so the
+row sums need a pass of their own before the gradient pass.
 """
 
 from __future__ import annotations
@@ -196,35 +205,55 @@ def _row_sums(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> np.ndarray:
     return rows
 
 
+def _reduce(rows: np.ndarray, cfg: KernelConfig):
+    """Loss value and normalized kernel mass from the kernel row sums.
+
+    The mass is a scalar under global reduction and one entry per row
+    under per-point reduction; the real self-interactions are removed.
+    """
+    n = rows.shape[0]
+    if cfg.reduction == "global":
+        a = (float(np.sum(rows)) - n) / (3.0 * n * n - n)
+        return math.log(a + cfg.eps) / cfg.beta, a
+    a_i = (rows - 1.0) / (3.0 * n - 1.0)
+    return float(np.mean(np.log(a_i + cfg.eps))) / cfg.beta, a_i
+
+
 def pairwise_value_from_wristband(wb: WristbandBatch, cfg: KernelConfig,
                                   tile: int = DEFAULT_TILE) -> float:
     """Loss value only (no gradient); the cheap path used during calibration."""
-    n = wb.n
-    rows = _row_sums(wb, cfg, tile)
-    if cfg.reduction == "global":
-        a = (float(np.sum(rows)) - n) / (3.0 * n * n - n)
-        return math.log(a + cfg.eps) / cfg.beta
-    a_i = (rows - 1.0) / (3.0 * n - 1.0)
-    return float(np.mean(np.log(a_i + cfg.eps))) / cfg.beta
+    return _reduce(_row_sums(wb, cfg, tile), cfg)[0]
 
 
-def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray, tile: int):
-    """Gradients of sum_ij w-weighted kernel w.r.t. (u, t).
+def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | None, tile: int):
+    """Gradients of sum_ij w-weighted kernel w.r.t. (u, t), and weighted row sums.
 
     Uses the identity grad_k = sum_j (w_k + w_j) dK(k, j)/d(first slot),
     which is exact including the diagonal terms (the retained reflected
     self-images move with t_k at twice the one-sided rate, and the
     weight sum doubles at j = k).
+
+    w=None means unit pair weights (w_k + w_j = 1).  The weighted
+    block m is then exactly the kernel block, so the returned row sums
+    sum_j (w_k + w_j) K(k, j) are the kernel row sums, bit-identical to
+    `_row_sums`: the same products, summed in the same order.  Global
+    reduction uses this to get value and gradient from one pass.
+    Per-point reduction needs the row sums to form w, so it calls
+    `_row_sums` first and this pass second.
     """
     n = wb.n
     c_ang = 2.0 * cfg.beta * cfg.alpha**2
     grad_u = np.zeros_like(wb.u)
     grad_t = np.zeros_like(wb.t)
+    rows = np.zeros(n)
 
     def block_contrib(sl_rows, sl_cols, mirror: bool):
         z, td, ts = _exp_blocks(wb.u[sl_rows], wb.t[sl_rows], wb.u[sl_cols], wb.t[sl_cols], cfg)
-        w0 = w[sl_rows][:, None] + w[sl_cols][None, :]
-        w0 *= z[0]  # weighted angular factor, reused by every term below
+        if w is None:
+            w0 = z[0]
+        else:
+            w0 = w[sl_rows][:, None] + w[sl_cols][None, :]
+            w0 *= z[0]  # weighted angular factor, reused by every term below
         # Antisymmetric (first image) and symmetric (reflected images)
         # parts of the radial derivative, pre-weighted.
         td *= z[1]
@@ -242,18 +271,42 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray, tile
         z[1] += z[3]
         m = z[1]
         m *= w0
-        grad_u[sl_rows] += -c_ang * (wb.u[sl_rows] * m.sum(axis=1)[:, None] - m @ wb.u[sl_cols])
+        row_m = m.sum(axis=1)
+        rows[sl_rows] += row_m
+        grad_u[sl_rows] += -c_ang * (wb.u[sl_rows] * row_m[:, None] - m @ wb.u[sl_cols])
         if mirror:
-            grad_u[sl_cols] += -c_ang * (
-                wb.u[sl_cols] * m.sum(axis=0)[:, None] - m.T @ wb.u[sl_rows]
-            )
+            col_m = m.sum(axis=0)
+            rows[sl_cols] += col_m
+            grad_u[sl_cols] += -c_ang * (wb.u[sl_cols] * col_m[:, None] - m.T @ wb.u[sl_rows])
 
     for lo in range(0, n, tile):
         hi = min(lo + tile, n)
         block_contrib(slice(lo, hi), slice(lo, hi), mirror=False)
         if hi < n:
             block_contrib(slice(lo, hi), slice(hi, n), mirror=True)
-    return grad_u, grad_t
+    return grad_u, grad_t, rows
+
+
+def _pairwise_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int):
+    """Loss value and its cotangents (grad_u, grad_t) on the wristband coordinates.
+
+    Row weights w_i give grad = sum_j (w_i + w_j) dK(i, j).  Global
+    reduction has the constant w = 1 / (beta (a + eps) (3N^2 - N)), so
+    one unit-weight pass gives the row sums and a gradient that is
+    rescaled by 2w once at the end.
+    """
+    n = wb.n
+    if cfg.reduction == "global":
+        grad_u, grad_t, rows = _accumulate_grads(wb, cfg, None, tile)
+        value, a = _reduce(rows, cfg)
+        scale = 2.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n))
+        grad_u *= scale
+        grad_t *= scale
+        return value, grad_u, grad_t
+    value, a_i = _reduce(_row_sums(wb, cfg, tile), cfg)
+    w = 1.0 / (n * cfg.beta * (a_i + cfg.eps) * (3.0 * n - 1.0))
+    grad_u, grad_t, _ = _accumulate_grads(wb, cfg, w, tile)
+    return value, grad_u, grad_t
 
 
 def pairwise_repulsion_loss(batch, cfg: KernelConfig, tile: int = DEFAULT_TILE) -> LossValueGrad:
@@ -264,20 +317,5 @@ def pairwise_repulsion_loss(batch, cfg: KernelConfig, tile: int = DEFAULT_TILE) 
     the same real-self-interaction subtraction (one per row).
     """
     wb = wristband_forward(batch)
-    n = wb.n
-    rows = _row_sums(wb, cfg, tile)
-
-    # Row weights w_i such that grad = sum_j (w_i + w_j) dK(i, j); the
-    # global reduction is the constant-weight special case.
-    if cfg.reduction == "global":
-        a = (float(np.sum(rows)) - n) / (3.0 * n * n - n)
-        value = math.log(a + cfg.eps) / cfg.beta
-        w = np.full(n, 1.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n)))
-    else:
-        a_i = (rows - 1.0) / (3.0 * n - 1.0)
-        value = float(np.mean(np.log(a_i + cfg.eps))) / cfg.beta
-        w = 1.0 / (n * cfg.beta * (a_i + cfg.eps) * (3.0 * n - 1.0))
-
-    grad_u, grad_t = _accumulate_grads(wb, cfg, w, tile)
-    grad = wristband_backward(batch, wb, grad_u, grad_t)
-    return LossValueGrad(value=value, grad=grad)
+    value, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, tile)
+    return LossValueGrad(value=value, grad=wristband_backward(batch, wb, grad_u, grad_t))

@@ -139,14 +139,8 @@ def spectral_value_from_wristband(
     return math.log(e / (coeffs.lambda0 * coeffs.a[0]) + cfg.eps) / cfg.beta
 
 
-def spectral_loss(batch, cfg: KernelConfig) -> LossValueGrad:
-    """Spectral repulsion log(E / (lambda0 a0) + eps) / beta with its gradient.
-
-    lambda0 * a0 is the population value of the retained constant mode,
-    so the argument of the log is >= 1 and the loss is bounded below by
-    log(1 + eps) / beta.
-    """
-    wb = wristband_forward(batch)
+def _spectral_value_cotangents(wb: WristbandBatch, cfg: KernelConfig):
+    """Loss value and its cotangents (grad_u, grad_t) on the wristband coordinates."""
     n, d = wb.u.shape
     coeffs = spectral_coefficients(d, cfg)
     kvec = np.arange(cfg.modes, dtype=np.float64)
@@ -169,6 +163,16 @@ def spectral_loss(batch, cfg: KernelConfig) -> LossValueGrad:
     q1 = coeffs.lambda1 * coeffs.a * (np.pi * kvec)  # (K,)
     dedt = (-2.0 / n) * (q0 @ sinmat + math.sqrt(d) * np.einsum("ik,k,ki->i", proj, q1, sinmat))
     dedu = (2.0 * math.sqrt(d) * coeffs.lambda1 / n) * (cosmat.T @ (coeffs.a[:, None] * c1))
+    return value, pref * dedu, pref * dedt
 
-    grad = wristband_backward(batch, wb, pref * dedu, pref * dedt)
-    return LossValueGrad(value=value, grad=grad)
+
+def spectral_loss(batch, cfg: KernelConfig) -> LossValueGrad:
+    """Spectral repulsion log(E / (lambda0 a0) + eps) / beta with its gradient.
+
+    lambda0 * a0 is the population value of the retained constant mode,
+    so the argument of the log is >= 1 and the loss is bounded below by
+    log(1 + eps) / beta.
+    """
+    wb = wristband_forward(batch)
+    value, grad_u, grad_t = _spectral_value_cotangents(wb, cfg)
+    return LossValueGrad(value=value, grad=wristband_backward(batch, wb, grad_u, grad_t))

@@ -26,6 +26,7 @@ __all__ = [
     "validate_point_batch",
     "wristband_forward",
     "wristband_backward",
+    "radial_pullback",
 ]
 
 NORM_FLOOR = 1e-12
@@ -107,9 +108,19 @@ def wristband_backward(batch, wb: WristbandBatch, grad_u, grad_t) -> np.ndarray:
     # Direction part: project grad_u onto the tangent space, divide by the norm.
     radial = np.einsum("ij,ij->i", wb.u, grad_u)
     gx = (grad_u - radial[:, None] * wb.u) / norms[:, None]
-    # Radial part through the chi-squared CDF.
-    pdf = chi2_pdf_array(d, wb.s)
-    gx += (grad_t * pdf * 2.0)[:, None] * x
+    gx += radial_pullback(wb, grad_t, x)
+    if np.any(wb.norm_floored):
+        gx[wb.norm_floored] = 0.0
+    return gx
+
+
+def radial_pullback(wb: WristbandBatch, grad_t, x) -> np.ndarray:
+    """Pull a t-cotangent back through the chi-squared CDF to the raw points.
+
+    dt/dx = chi2_pdf(d, s) * 2x, with x the raw batch (or u * sqrt(s));
+    rows of floored points are exactly zero.
+    """
+    gx = (grad_t * chi2_pdf_array(wb.dim, wb.s) * 2.0)[:, None] * x
     if np.any(wb.norm_floored):
         gx[wb.norm_floored] = 0.0
     return gx

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from wristband.accelerators import moment_w2_loss, radial_w2_loss
 from wristband.calibration import CalibrationTable, calibrate_null, standardized_wristband_loss
 from wristband.errors import ContractViolation, FormatError
 from wristband.generators import RngStream, gaussian_batch, x_batch
-from wristband.pairwise import KernelConfig
+from wristband.pairwise import KernelConfig, pairwise_repulsion_loss
 from wristband.parity import finite_difference_check
+from wristband.spectral import spectral_loss
+from wristband.wristband_map import wristband_forward
 
 
 CFG = KernelConfig(beta=8.0, alpha=1.0)
@@ -73,11 +76,44 @@ def test_weights_linearity(small_table):
     out = standardized_wristband_loss(batch, table)
     # With weights (1, 0, 0) the statistic is the standardized repulsion
     # alone (up to its own numerator std).
-    from wristband.pairwise import pairwise_repulsion_loss
-
     rep = pairwise_repulsion_loss(batch, cfg_rep_only).value
     expected = (rep - table.mu_rep) / (table.sd_rep * table.sd_numerator)
     assert out.value == pytest.approx(expected, rel=1e-12)
+
+
+def _recomposed(x, table):
+    """The statistic and its gradient from the public component functions."""
+    cfg = table.cfg
+    rep = (pairwise_repulsion_loss if table.loss_path == "pairwise" else spectral_loss)(x, cfg)
+    rad = radial_w2_loss(wristband_forward(x))
+    mom = moment_w2_loss(x)
+    w_rep, w_rad, w_mom = cfg.weights
+    s = (
+        w_rep * (rep.value - table.mu_rep) / table.sd_rep
+        + w_rad * (rad.value - table.mu_rad) / table.sd_rad
+        + w_mom * (mom.value - table.mu_mom) / table.sd_mom
+    )
+    grad = (
+        (w_rep / (table.sd_rep * table.sd_numerator)) * rep.grad
+        + (w_rad / (table.sd_rad * table.sd_numerator)) * rad.grad
+        + (w_mom / (table.sd_mom * table.sd_numerator)) * mom.grad
+    )
+    return s / table.sd_numerator, grad
+
+
+@pytest.mark.parametrize("loss_path", ["pairwise", "spectral"])
+def test_single_forward_matches_component_functions(loss_path):
+    n, d = 96, 4
+    table = calibrate_null(n, d, CFG, reps=32, seed=7, loss_path=loss_path)
+    gauss = gaussian_batch(n, d, RngStream(8, "recompose"))
+    floored = gauss.copy()
+    floored[5] = 1e-14  # norm below NORM_FLOOR
+    assert wristband_forward(floored).norm_floored[5]
+    for x in (gauss, floored, x_batch(n, d, RngStream(9, "recompose"))):
+        out = standardized_wristband_loss(x, table)
+        value, grad = _recomposed(x, table)
+        assert out.value == value
+        assert np.max(np.abs(out.grad - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
 def test_gradient_fd(small_table):

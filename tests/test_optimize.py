@@ -110,6 +110,16 @@ class TestOptimizePointCloud:
         with pytest.raises(ContractViolation):
             optimize_point_cloud(initial, opt, cfg, table)
 
+    def test_kernel_config_must_match_table(self):
+        cfg = KernelConfig(beta=8.0, alpha=1.0)
+        table = calibrate_null(16, 3, cfg, reps=16, seed=1)
+        initial = gaussian_batch(16, 3, RngStream(19, "init"))
+        opt = OptimizeConfig(loss="wristband_pairwise", steps=2, lr=0.05)
+        with pytest.raises(ContractViolation):
+            optimize_point_cloud(initial, opt, KernelConfig.direct_benchmark(), table)
+        final, _ = optimize_point_cloud(initial, opt, cfg, table)
+        assert final.shape == (16, 3)
+
     def test_divergence_reports_step(self):
         initial = gaussian_batch(16, 3, RngStream(15, "init"))
         opt = OptimizeConfig(loss="mmd", steps=50, lr=1e12, seed=16)

@@ -7,6 +7,9 @@ from wristband.errors import ContractViolation, DomainError
 from wristband.pairwise import (
     ALPHA_UNIFORM_STD,
     KernelConfig,
+    _accumulate_grads,
+    _pairwise_value_cotangents,
+    _row_sums,
     angular_kernel,
     pairwise_repulsion_loss,
     pairwise_value_from_wristband,
@@ -222,3 +225,44 @@ class TestRepulsionLoss:
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractViolation):
             pairwise_repulsion_loss(np.empty((0, 3)), KernelConfig())
+
+
+class TestFusedGlobalPass:
+    """Global reduction takes value and gradient from one unit-weight tile pass."""
+
+    @pytest.mark.parametrize("tile", [7, 16, 128])
+    def test_value_equals_value_only_path_exactly(self, tile):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(150, 5))  # 150 is not a multiple of any tile
+        wb = wristband_forward(x)
+        for cfg in (KernelConfig(beta=8.0, alpha=ALPHA_UNIFORM_STD), KernelConfig.direct_benchmark()):
+            for reduction in ("global", "per_point"):
+                c = KernelConfig(beta=cfg.beta, alpha=cfg.alpha, reduction=reduction)
+                assert (pairwise_repulsion_loss(x, c, tile).value
+                        == pairwise_value_from_wristband(wb, c, tile))
+
+    @pytest.mark.parametrize("tile", [16, 128])
+    def test_global_gradient_matches_constant_weight_pass(self, tile):
+        rng = np.random.default_rng(31)
+        n = 150
+        x = rng.normal(size=(n, 6))
+        cfg = KernelConfig.direct_benchmark()
+        wb = wristband_forward(x)
+        rows = _row_sums(wb, cfg, tile)
+        a = (float(np.sum(rows)) - n) / (3.0 * n * n - n)
+        w = np.full(n, 1.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n)))
+        ref_u, ref_t, _ = _accumulate_grads(wb, cfg, w, tile)
+        _, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, tile)
+        assert np.max(np.abs(grad_u - ref_u)) <= 1e-12 * np.max(np.abs(ref_u))
+        assert np.max(np.abs(grad_t - ref_t)) <= 1e-12 * np.max(np.abs(ref_t))
+        # With unit pair weights the weighted row sums are the kernel row sums.
+        assert np.array_equal(_accumulate_grads(wb, cfg, None, tile)[2], rows)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_fd_direct_benchmark(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(24, 5))
+        cfg = KernelConfig.direct_benchmark()  # beta=64, alpha=0.8, global
+        report = finite_difference_check(lambda b: pairwise_repulsion_loss(b, cfg), x)
+        assert report.rel_l2_error <= 1e-5
+        assert report.cosine >= 0.99999
