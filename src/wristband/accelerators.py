@@ -66,7 +66,11 @@ def symmetric_eigen(m) -> tuple[np.ndarray, np.ndarray]:
 
 def moment_summary(batch) -> MomentSummary:
     """First and second moments of the batch with the covariance spectrum."""
-    x = validate_point_batch(batch, min_n=2)
+    return _moment_summary(validate_point_batch(batch, min_n=2))
+
+
+def _moment_summary(x: np.ndarray) -> MomentSummary:
+    """`moment_summary` of a batch validated with at least two rows."""
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / x.shape[0]
@@ -102,12 +106,15 @@ def radial_w2_loss(wb: WristbandBatch) -> LossValueGrad:
     return LossValueGrad(value=value, grad=radial_pullback(wb, grad_t, x))
 
 
+def _moment_value(ms: MomentSummary) -> tuple[float, np.ndarray]:
+    """Moment penalty of a summary, and the clamped eigenvalue roots behind it."""
+    root = np.sqrt(np.maximum(ms.eigvals, EIGENVALUE_CLAMP))
+    return float(np.dot(ms.mean, ms.mean) + np.sum((root - 1.0) ** 2)), root
+
+
 def moment_w2_value(batch) -> float:
     """Value-only path of the moment penalty."""
-    ms = moment_summary(batch)
-    lam = np.maximum(ms.eigvals, EIGENVALUE_CLAMP)
-    root = np.sqrt(lam)
-    return float(np.dot(ms.mean, ms.mean) + np.sum((root - 1.0) ** 2))
+    return _moment_value(moment_summary(batch))[0]
 
 
 def moment_w2_loss(batch) -> LossValueGrad:
@@ -117,12 +124,14 @@ def moment_w2_loss(batch) -> LossValueGrad:
     matrix derivative is V diag(1 - lambda^{-1/2}) V^T; no eigenvector
     derivative is needed, and repeated eigenvalues are unproblematic.
     """
-    x = validate_point_batch(batch, min_n=2)
+    return _moment_w2_loss(validate_point_batch(batch, min_n=2))
+
+
+def _moment_w2_loss(x: np.ndarray) -> LossValueGrad:
+    """`moment_w2_loss` of a batch validated with at least two rows."""
     n = x.shape[0]
-    ms = moment_summary(x)
-    lam = np.maximum(ms.eigvals, EIGENVALUE_CLAMP)
-    root = np.sqrt(lam)
-    value = float(np.dot(ms.mean, ms.mean) + np.sum((root - 1.0) ** 2))
+    ms = _moment_summary(x)
+    value, root = _moment_value(ms)
 
     g_spec = ms.eigvecs @ ((1.0 - 1.0 / root)[:, None] * ms.eigvecs.T)
     centered = x - ms.mean

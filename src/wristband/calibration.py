@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accelerators import (
+    _moment_summary,
+    _moment_value,
+    _moment_w2_loss,
     _radial_value_grad_t,
-    moment_w2_loss,
-    moment_w2_value,
     radial_w2_value_from_wristband,
 )
 from .errors import CalibrationError, ContractViolation
@@ -43,7 +44,7 @@ from .spectral import (
     spectral_coefficients,
     spectral_value_from_wristband,
 )
-from .wristband_map import validate_point_batch, wristband_backward, wristband_forward
+from .wristband_map import _backward, _forward, validate_point_batch, wristband_forward
 
 __all__ = ["CalibrationTable", "calibrate_null", "standardized_wristband_loss"]
 
@@ -92,6 +93,8 @@ def calibrate_null(
     """
     if reps < 2:
         raise ContractViolation(f"calibration needs reps >= 2, got {reps}")
+    if n < 2:
+        raise ContractViolation(f"calibration needs batches of n >= 2 points, got {n}")
     if loss_path not in LOSS_PATHS:
         raise ContractViolation(f"loss_path must be one of {LOSS_PATHS}, got {loss_path!r}")
     coeffs = spectral_coefficients(dim, cfg) if loss_path == "spectral" else None
@@ -105,7 +108,7 @@ def calibrate_null(
         else:
             vals[m, 0] = spectral_value_from_wristband(wb, coeffs, cfg)
         vals[m, 1] = radial_w2_value_from_wristband(wb)
-        vals[m, 2] = moment_w2_value(batch)
+        vals[m, 2] = _moment_value(_moment_summary(batch))[0]
 
     mu = vals.mean(axis=0)
     sd = vals.std(axis=0, ddof=1)
@@ -140,10 +143,10 @@ def standardized_wristband_loss(batch, table: CalibrationTable) -> LossValueGrad
 
     The gradient is the fixed linear combination of the component
     gradients with coefficients w_* / (sd_* * sd_numerator).  The batch
-    is mapped once; the repulsion and radial terms combine their
-    cotangents on (u, t) and share one pullback to the raw points.
+    is validated and mapped once; the repulsion and radial terms combine
+    their cotangents on (u, t) and share one pullback to the raw points.
     """
-    x = validate_point_batch(batch)
+    x = validate_point_batch(batch, min_n=2)
     if x.shape != (table.n, table.dim):
         raise ContractViolation(
             f"batch shape {x.shape} does not match the calibration table "
@@ -152,13 +155,13 @@ def standardized_wristband_loss(batch, table: CalibrationTable) -> LossValueGrad
     if table.loss_path not in LOSS_PATHS:
         raise ContractViolation(f"table has unknown loss_path {table.loss_path!r}")
     cfg = table.cfg
-    wb = wristband_forward(x)
+    wb = _forward(x)
     if table.loss_path == "pairwise":
         rep_value, rep_grad_u, rep_grad_t = _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE)
     else:
         rep_value, rep_grad_u, rep_grad_t = _spectral_value_cotangents(wb, cfg)
     rad_value, rad_grad_t = _radial_value_grad_t(wb.t)
-    mom = moment_w2_loss(x)
+    mom = _moment_w2_loss(x)
 
     w_rep, w_rad, w_mom = cfg.weights
     s = (
@@ -169,6 +172,6 @@ def standardized_wristband_loss(batch, table: CalibrationTable) -> LossValueGrad
     value = s / table.sd_numerator
     c_rep = w_rep / (table.sd_rep * table.sd_numerator)
     c_rad = w_rad / (table.sd_rad * table.sd_numerator)
-    grad = wristband_backward(x, wb, c_rep * rep_grad_u, c_rep * rep_grad_t + c_rad * rad_grad_t)
+    grad = _backward(x, wb, c_rep * rep_grad_u, c_rep * rep_grad_t + c_rad * rad_grad_t)
     grad += (w_mom / (table.sd_mom * table.sd_numerator)) * mom.grad
     return LossValueGrad(value=value, grad=grad)

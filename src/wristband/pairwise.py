@@ -10,9 +10,21 @@ reflected Gaussian on [0, 1]:
 The two extra radial terms are the mirror images of t' across the
 interval boundaries; they restore the kernel mass a uniform target
 would otherwise leak outside [0, 1].  The loss is the log of the
-kernel sum with the N real self-interactions (each exactly 1) removed;
-the reflected self-images are retained on purpose, as the finite-batch
+kernel sum without the N real self-interactions (each exactly 1); the
+reflected self-images are retained on purpose, as the finite-batch
 boundary correction.
+
+In augmented coordinates y = (alpha u, t) the product is one Gaussian
+with image sources: k_ang k_img = sum_m exp(-beta ||y - y'^(m)||^2),
+y'^(m) = (alpha u', t'), (alpha u', -t'), (alpha u', 2 - t').  The
+three images of each point are stored interleaved, so the images of
+points lo: are one contiguous slice; one matrix product of rows
+[2 beta y, -beta |y|^2, 1] with columns [y^(m), 1, -beta |y^(m)|^2]
+gives a block's exponent and one exp its kernel.  The gradient is two
+more matrix products on that block.  The self-interactions do not come
+from the product: the real one is set to -inf before the exp, so it is
+excluded exactly instead of subtracted from a rounded sum, and the
+reflected ones get their closed forms.
 
 The O(N^2) accumulation is tiled: each row tile evaluates its full
 within-tile square plus the strictly-right cross block, and cross-block
@@ -22,14 +34,11 @@ order is fixed, so results are deterministic for a given tile size;
 the tile size is an explicit argument with a fixed default and is part
 of the reproducibility contract.
 
-Value and gradient take one pass over the kernel tiles under global
-reduction and two under per-point reduction.  The gradient is a
-pair-weighted sum with weights w_i + w_j.  Under global reduction the
-weights are one constant that depends on the kernel sum only, so the
-pass runs with unit pair weights, takes the row sums from the kernel
-block it already forms, and rescales the gradient once at the end.
-Under per-point reduction w_i depends on row i's kernel sum, so the
-row sums need a pass of their own before the gradient pass.
+The gradient is a pair-weighted sum with weights w_i + w_j.  Under
+global reduction the weights are one constant set by the kernel sum,
+so one unit-weight pass yields the row sums and a gradient rescaled
+once at the end.  Under per-point reduction w_i depends on row i's
+sum, so the row sums take a pass of their own first.
 """
 
 from __future__ import annotations
@@ -168,54 +177,61 @@ def radial_neumann_kernel(t, t2, beta: float, images: int = 10):
     return total
 
 
-def _exp_blocks(u_rows, t_rows, u_cols, t_cols, cfg: KernelConfig):
-    """Kernel factor blocks for a row tile against a column range.
+def _images(wb: WristbandBatch, cfg: KernelConfig):
+    """Augmented coordinates y_j = (alpha u_j, t_j) and their images, img[3j + m - 1] = y_j^(m)."""
+    y = np.column_stack([cfg.alpha * wb.u, wb.t])
+    img = np.repeat(y, 3, axis=0)
+    img[1::3, -1] = -wb.t
+    img[2::3, -1] = 2.0 - wb.t
+    return y, img
 
-    Returns (z, td, ts) where z[0] is the angular factor, z[1..3] the
-    three radial image factors, and td/ts the signed coordinate sums the
-    gradient needs.  All four exponentials go through one np.exp call.
+
+def _kernel_blocks(y: np.ndarray, img: np.ndarray, beta: float, tile: int):
+    """Yield (lo, hi, e), e[i - lo, 3k + m - 1] = exp(-beta ||y_i - y_(lo+k)^(m)||^2).
+
+    Rows are i in lo:hi; the first 3 (hi - lo) columns are the within-tile
+    square, the rest the cross block.  The blocks share one buffer, so
+    each is valid only until the next is yielded.
     """
-    gram = u_rows @ u_cols.T
-    z = np.empty((4,) + gram.shape)
-    td = np.subtract(t_rows[:, None], t_cols[None, :])
-    ts = np.add(t_rows[:, None], t_cols[None, :])
-    np.multiply(td, td, out=z[1])
-    np.multiply(ts, ts, out=z[2])
-    np.multiply(ts - 2.0, ts - 2.0, out=z[3])
-    z[1:] *= -cfg.beta
-    np.subtract(gram, 1.0, out=z[0])
-    z[0] *= 2.0 * cfg.beta * cfg.alpha**2
-    np.exp(z, out=z)
-    return z, td, ts
+    n, t = y.shape[0], y[:, -1]
+    aug_rows = np.column_stack([2.0 * beta * y, -beta * np.einsum("ij,ij->i", y, y), np.ones(n)])
+    aug_cols = np.column_stack([img, np.ones(3 * n), -beta * np.einsum("ij,ij->i", img, img)])
+    self_exp = np.column_stack([np.full(n, -np.inf), -4 * beta * t**2, -4 * beta * (1 - t) ** 2])
+    buf = np.empty(min(tile, n) * 3 * n)
+    for lo in range(0, n, tile):
+        hi = min(lo + tile, n)
+        e = buf[:(hi - lo) * 3 * (n - lo)].reshape(hi - lo, -1)
+        np.matmul(aug_rows[lo:hi], aug_cols[3 * lo:].T, out=e)
+        k = np.arange(hi - lo)
+        e.reshape(hi - lo, -1, 3)[k, k] = self_exp[lo:hi]
+        np.exp(e, out=e)
+        yield lo, hi, e
+
+
+def _add_block_sums(rows: np.ndarray, lo: int, hi: int, m: np.ndarray) -> np.ndarray:
+    """Add block m's row sums and mirrored cross columns to rows; return the column sums."""
+    c = m[:, 3 * (hi - lo):].sum(axis=0)
+    rows[lo:hi] += m.sum(axis=1)
+    rows[hi:] += c.reshape(-1, 3).sum(axis=1)
+    return c
 
 
 def _row_sums(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> np.ndarray:
-    """Row sums of the full kernel matrix, each off-diagonal pair computed once."""
-    n = wb.n
-    rows = np.zeros(n)
-    for lo in range(0, n, tile):
-        hi = min(lo + tile, n)
-        z, _, _ = _exp_blocks(wb.u[lo:hi], wb.t[lo:hi], wb.u[lo:hi], wb.t[lo:hi], cfg)
-        rows[lo:hi] += np.sum(z[0] * (z[1] + z[2] + z[3]), axis=1)
-        if hi < n:
-            z, _, _ = _exp_blocks(wb.u[lo:hi], wb.t[lo:hi], wb.u[hi:], wb.t[hi:], cfg)
-            k = z[0] * (z[1] + z[2] + z[3])
-            rows[lo:hi] += k.sum(axis=1)
-            rows[hi:] += k.sum(axis=0)
+    """Kernel row sums without the real self-interactions, each off-diagonal pair computed once."""
+    y, img = _images(wb, cfg)
+    rows = np.zeros(wb.n)
+    for lo, hi, e in _kernel_blocks(y, img, cfg.beta, tile):
+        _add_block_sums(rows, lo, hi, e)
     return rows
 
 
 def _reduce(rows: np.ndarray, cfg: KernelConfig):
-    """Loss value and normalized kernel mass from the kernel row sums.
-
-    The mass is a scalar under global reduction and one entry per row
-    under per-point reduction; the real self-interactions are removed.
-    """
+    """Loss value and normalized kernel mass (per row under per-point reduction) from row sums."""
     n = rows.shape[0]
     if cfg.reduction == "global":
-        a = (float(np.sum(rows)) - n) / (3.0 * n * n - n)
+        a = float(np.sum(rows)) / (3.0 * n * n - n)
         return math.log(a + cfg.eps) / cfg.beta, a
-    a_i = (rows - 1.0) / (3.0 * n - 1.0)
+    a_i = rows / (3.0 * n - 1.0)
     return float(np.mean(np.log(a_i + cfg.eps))) / cfg.beta, a_i
 
 
@@ -228,63 +244,39 @@ def pairwise_value_from_wristband(wb: WristbandBatch, cfg: KernelConfig,
 def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | None, tile: int):
     """Gradients of sum_ij w-weighted kernel w.r.t. (u, t), and weighted row sums.
 
-    Uses the identity grad_k = sum_j (w_k + w_j) dK(k, j)/d(first slot),
-    which is exact including the diagonal terms (the retained reflected
-    self-images move with t_k at twice the one-sided rate, and the
-    weight sum doubles at j = k).
+    Uses grad_k = sum_j (w_k + w_j) dK(k, j)/d(first slot), exact also on
+    the diagonal (a reflected self-image moves with t_k at twice the
+    one-sided rate, and the weight sum doubles at j = k).  With M the
+    weighted block and r, c its row and column sums, the derivative in y
+    is -2 beta (y_i r_i - (M @ img)_i) for a row and -2 beta sum_m P_m
+    (img_j c_j - M.T @ y) for a mirrored cross column, P_m flipping the
+    t sign of the reflected images.
 
-    w=None means unit pair weights (w_k + w_j = 1).  The weighted
-    block m is then exactly the kernel block, so the returned row sums
-    sum_j (w_k + w_j) K(k, j) are the kernel row sums, bit-identical to
-    `_row_sums`: the same products, summed in the same order.  Global
-    reduction uses this to get value and gradient from one pass.
-    Per-point reduction needs the row sums to form w, so it calls
-    `_row_sums` first and this pass second.
+    w=None means unit pair weights: M is the kernel block, and the row
+    sums are bit-identical to `_row_sums` (same block, same
+    `_add_block_sums`), so global reduction gets value and gradient from
+    this one pass.  Per-point reduction runs `_row_sums` first for w.
     """
-    n = wb.n
-    c_ang = 2.0 * cfg.beta * cfg.alpha**2
-    grad_u = np.zeros_like(wb.u)
-    grad_t = np.zeros_like(wb.t)
+    n, d = wb.n, wb.dim
+    y, img = _images(wb, cfg)
     rows = np.zeros(n)
-
-    def block_contrib(sl_rows, sl_cols, mirror: bool):
-        z, td, ts = _exp_blocks(wb.u[sl_rows], wb.t[sl_rows], wb.u[sl_cols], wb.t[sl_cols], cfg)
-        if w is None:
-            w0 = z[0]
-        else:
-            w0 = w[sl_rows][:, None] + w[sl_cols][None, :]
-            w0 *= z[0]  # weighted angular factor, reused by every term below
-        # Antisymmetric (first image) and symmetric (reflected images)
-        # parts of the radial derivative, pre-weighted.
-        td *= z[1]
-        td *= w0
-        ts2 = ts - 2.0
-        ts *= z[2]
-        ts2 *= z[3]
-        ts += ts2
-        ts *= w0
-        grad_t[sl_rows] += -2.0 * cfg.beta * (np.sum(ts, axis=1) + np.sum(td, axis=1))
-        if mirror:
-            grad_t[sl_cols] += -2.0 * cfg.beta * (np.sum(ts, axis=0) - np.sum(td, axis=0))
-        # Angular part: m = (w_i + w_j) k_ang k_img.
-        z[1] += z[2]
-        z[1] += z[3]
-        m = z[1]
-        m *= w0
-        row_m = m.sum(axis=1)
-        rows[sl_rows] += row_m
-        grad_u[sl_rows] += -c_ang * (wb.u[sl_rows] * row_m[:, None] - m @ wb.u[sl_cols])
-        if mirror:
-            col_m = m.sum(axis=0)
-            rows[sl_cols] += col_m
-            grad_u[sl_cols] += -c_ang * (wb.u[sl_cols] * col_m[:, None] - m.T @ wb.u[sl_rows])
-
-    for lo in range(0, n, tile):
-        hi = min(lo + tile, n)
-        block_contrib(slice(lo, hi), slice(lo, hi), mirror=False)
-        if hi < n:
-            block_contrib(slice(lo, hi), slice(hi, n), mirror=True)
-    return grad_u, grad_t, rows
+    row_side = np.empty_like(y)  # M @ img, one row tile at a time
+    col_side = np.zeros_like(img)  # M.T @ y over the mirrored cross columns
+    col_img3 = np.zeros(n)  # cross-column sums of the third image
+    for lo, hi, m in _kernel_blocks(y, img, cfg.beta, tile):
+        if w is not None:
+            m *= w[lo:hi, None] + np.repeat(w[lo:], 3)
+        c = _add_block_sums(rows, lo, hi, m)
+        np.matmul(m, img[3 * lo:], out=row_side[lo:hi])
+        col_side[3 * hi:] += m[:, 3 * (hi - lo):].T @ y[lo:hi]
+        col_img3[hi:] += c[2::3]
+    # P_m img_j^(m) is y_j, y_j and y_j - 2 e_t, so the img_j c_j terms
+    # fold into y_j rows_j plus a t-only correction.
+    col_side[:, d] *= np.tile([1.0, -1.0, -1.0], n)
+    g = y * rows[:, None] - row_side - col_side[0::3] - col_side[1::3] - col_side[2::3]
+    g[:, d] -= 2.0 * col_img3
+    g *= -2.0 * cfg.beta
+    return cfg.alpha * g[:, :d], g[:, d], rows
 
 
 def _pairwise_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int):
@@ -312,9 +304,10 @@ def _pairwise_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int)
 def pairwise_repulsion_loss(batch, cfg: KernelConfig, tile: int = DEFAULT_TILE) -> LossValueGrad:
     """Reflected-kernel repulsion with its gradient w.r.t. the raw points.
 
-    Global reduction:    log((sum_ij K - N) / (3N^2 - N) + eps) / beta.
-    Per-point reduction: the row-wise analogue averaged over rows, with
-    the same real-self-interaction subtraction (one per row).
+    Global reduction:    log(sum_ij K / (3N^2 - N) + eps) / beta, with
+    the N real self-interactions left out of the sum.
+    Per-point reduction: the row-wise analogue averaged over rows,
+    log(sum_j K_ij / (3N - 1) + eps) / beta, with the same exclusion.
     """
     wb = wristband_forward(batch)
     value, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, tile)

@@ -7,10 +7,12 @@ from wristband.accelerators import (
     EIGENVALUE_CLAMP,
     moment_summary,
     moment_w2_loss,
+    moment_w2_value,
     radial_w2_loss,
     symmetric_eigen,
 )
-from wristband.errors import ContractViolation
+from wristband.errors import ContractViolation, UnsupportedDimension
+from wristband.pairwise import KernelConfig, pairwise_repulsion_loss
 from wristband.parity import finite_difference_check
 from wristband.wristband_map import wristband_forward
 
@@ -154,3 +156,46 @@ class TestMomentW2:
         assert np.all(np.diff(ms.eigvals) <= 1e-12)
         with pytest.raises(ContractViolation):
             moment_w2_loss(x[:1])
+
+    @pytest.mark.parametrize("batch, error", [
+        (np.ones(4), ContractViolation),
+        (np.ones((1, 3)), ContractViolation),  # one row has no covariance
+        (np.ones((5, 1)), UnsupportedDimension),
+        (np.array([[1.0, 2.0], [np.nan, 0.0], [0.0, 1.0]]), ContractViolation),
+    ])
+    def test_public_entries_validate_the_batch(self, batch, error):
+        for fn in (moment_summary, moment_w2_value, moment_w2_loss):
+            with pytest.raises(error):
+                fn(batch)
+
+    def test_value_only_path_matches_loss(self):
+        x = np.random.default_rng(9).normal(size=(40, 3))
+        assert moment_w2_value(x) == moment_w2_loss(x).value
+
+
+class TestSaturatedRadius:
+    """A point far out in the tail maps to t = 1.0, where dt/dx underflows."""
+
+    @staticmethod
+    def batch_with_point_at(norm):
+        x = np.random.default_rng(0).normal(size=(64, 8))
+        x[5] *= norm / np.linalg.norm(x[5])
+        return x
+
+    def test_only_the_moment_term_pulls_it_back(self):
+        x = self.batch_with_point_at(34.0)  # s = 1156, chi2_8 density 1.5e-244
+        wb = wristband_forward(x)
+        assert wb.t[5] == 1.0
+        assert np.max(np.abs(radial_w2_loss(wb).grad[5])) <= 1e-240
+        rep = pairwise_repulsion_loss(x, KernelConfig.direct_benchmark()).grad
+        assert np.all(np.isfinite(rep))
+        norms = np.linalg.norm(rep, axis=1)
+        assert 0.0 < norms[5] <= 1e-6 * np.median(norms)
+        # A descent step on the moment term shrinks the point's norm.
+        assert moment_w2_loss(x).grad[5] @ x[5] > 1.0
+
+    def test_radial_gradient_is_exactly_zero_once_the_density_underflows(self):
+        x = self.batch_with_point_at(40.0)
+        wb = wristband_forward(x)
+        assert wb.t[5] == 1.0
+        assert np.all(radial_w2_loss(wb).grad[5] == 0.0)

@@ -3,7 +3,7 @@ import pytest
 
 from wristband.accelerators import moment_w2_loss, radial_w2_loss
 from wristband.calibration import CalibrationTable, calibrate_null, standardized_wristband_loss
-from wristband.errors import ContractViolation, FormatError
+from wristband.errors import ContractViolation, FormatError, UnsupportedDimension
 from wristband.generators import RngStream, gaussian_batch, x_batch
 from wristband.pairwise import KernelConfig, pairwise_repulsion_loss
 from wristband.parity import finite_difference_check
@@ -132,3 +132,13 @@ def test_shape_and_path_contracts(small_table):
         calibrate_null(16, 3, CFG, reps=1, seed=0)
     with pytest.raises(ContractViolation):
         calibrate_null(16, 3, CFG, reps=8, seed=0, loss_path="fourier")
+    with pytest.raises(ContractViolation):
+        calibrate_null(1, 3, CFG, reps=8, seed=0)  # one point has no covariance
+
+
+def test_standardized_loss_validates_the_batch(small_table):
+    for bad in (np.ones(64 * 4), np.full((64, 4), np.nan), np.ones((1, 4))):
+        with pytest.raises(ContractViolation):
+            standardized_wristband_loss(bad, small_table)
+    with pytest.raises(UnsupportedDimension):
+        standardized_wristband_loss(np.ones((64, 1)), small_table)

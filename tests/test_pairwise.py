@@ -6,6 +6,7 @@ import pytest
 from wristband.errors import ContractViolation, DomainError
 from wristband.pairwise import (
     ALPHA_UNIFORM_STD,
+    DEFAULT_TILE,
     KernelConfig,
     _accumulate_grads,
     _pairwise_value_cotangents,
@@ -17,7 +18,7 @@ from wristband.pairwise import (
     radial_neumann_kernel,
 )
 from wristband.parity import finite_difference_check
-from wristband.wristband_map import wristband_forward
+from wristband.wristband_map import WristbandBatch, wristband_forward
 
 
 def unit_rows(rng, n, d):
@@ -140,6 +141,15 @@ class TestRepulsionLoss:
         out = pairwise_repulsion_loss(x, cfg)
         assert out.value == pytest.approx(-1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_lone_boundary_point_row_sum_is_exact(self, t):
+        # The real self-interaction is left out, not subtracted, and the
+        # reflected self-images take their closed forms: at a boundary
+        # one image sits on the point, so the row sum is 1 + exp(-256).
+        u = np.array([[0.6, 0.8]])
+        wb = WristbandBatch(u=u, t=np.array([t]), s=np.ones(1), norm_floored=np.zeros(1, dtype=bool))
+        assert _row_sums(wb, KernelConfig.direct_benchmark(), DEFAULT_TILE)[0] == 1.0
+
     def test_two_identical_points_hand_value(self):
         # u1 = u2, t1 = t2 = t: kernel matrix is constant
         # k = 1 + e^{-4 beta t^2} + e^{-4 beta (t-1)^2} per entry.
@@ -222,6 +232,19 @@ class TestRepulsionLoss:
         assert report.rel_l2_error <= 1e-5
         assert report.cosine >= 0.99999
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_fd_per_point_beta64(self, seed):
+        # At beta=64 most rows hold little more than their reflected
+        # self-images; the per-point mass of such a row must not be the
+        # rounding residue of subtracting the real self-term.  (Global
+        # reduction at beta=64: TestFusedGlobalPass.)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(24, 5))
+        cfg = KernelConfig.direct_benchmark(reduction="per_point")
+        report = finite_difference_check(lambda b: pairwise_repulsion_loss(b, cfg), x)
+        assert report.rel_l2_error <= 1e-5
+        assert report.cosine >= 0.99999
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractViolation):
             pairwise_repulsion_loss(np.empty((0, 3)), KernelConfig())
@@ -249,7 +272,7 @@ class TestFusedGlobalPass:
         cfg = KernelConfig.direct_benchmark()
         wb = wristband_forward(x)
         rows = _row_sums(wb, cfg, tile)
-        a = (float(np.sum(rows)) - n) / (3.0 * n * n - n)
+        a = float(np.sum(rows)) / (3.0 * n * n - n)  # rows exclude the real self-terms
         w = np.full(n, 1.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n)))
         ref_u, ref_t, _ = _accumulate_grads(wb, cfg, w, tile)
         _, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, tile)

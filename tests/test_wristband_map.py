@@ -132,3 +132,23 @@ def test_shape_contracts():
         wristband_forward(np.ones((4, 1)))
     with pytest.raises(ContractViolation):
         wristband_forward(np.array([[1.0, np.nan]]))
+
+
+BAD_BATCHES = [
+    (np.ones(4), ContractViolation),  # 1-D
+    (np.ones((2, 2, 2)), ContractViolation),  # 3-D
+    (np.empty((0, 3)), ContractViolation),  # no rows
+    (np.ones((4, 1)), UnsupportedDimension),  # d = 1
+    (np.array([[1.0, np.nan], [1.0, 2.0]]), ContractViolation),
+    (np.array([[1.0, 2.0], [np.inf, 2.0]]), ContractViolation),
+]
+
+
+@pytest.mark.parametrize("batch, error", BAD_BATCHES)
+def test_public_entries_validate_the_batch(batch, error):
+    with pytest.raises(error):
+        wristband_forward(batch)
+    good = np.ones((2, 2))
+    wb = wristband_forward(good)
+    with pytest.raises(error):
+        wristband_backward(batch, wb, np.ones_like(good), np.ones(2))
