@@ -22,7 +22,6 @@ from .calibration import CalibrationTable, calibrate_null, standardized_wristban
 from .errors import (
     CalibrationError,
     ContractViolation,
-    ConvergenceError,
     DomainError,
     FormatError,
     OptimizationFailure,
@@ -60,7 +59,6 @@ from .pairwise import (
 )
 from .parity import finite_difference_check, gradient_cosine, parity_suite, timing_sweep
 from .specfun import (
-    SpecFunResult,
     chi2_cdf,
     chi2_pdf,
     inv_norm_cdf,

@@ -72,15 +72,11 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",")]
 
 
-def _threads(args) -> int:
-    return args.threads if args.threads else (os.cpu_count() or 1)
-
-
 def _emit_report(args, subcommand: str, config: dict, seeds: dict, metrics: dict,
                  timing: dict) -> None:
     if getattr(args, "report", None):
         report = build_report(
-            subcommand, args.argv_echo, config, seeds, metrics, timing, _threads(args)
+            subcommand, args.argv_echo, config, seeds, metrics, timing, os.cpu_count() or 1
         )
         write_report(args.report, report)
         print(f"report written to {args.report}")
@@ -360,8 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p):
-        p.add_argument("--threads", type=int, default=0,
-                       help="thread cap recorded in reports (0 = machine default)")
         p.add_argument("--report", default=None, help="write a JSON run report here")
 
     p = sub.add_parser("gen", help="generate a benchmark batch")
@@ -507,15 +501,6 @@ def cli_dispatch(argv) -> int:
         return code if isinstance(code, int) else 0
     args.argv_echo = argv
     try:
-        threads = getattr(args, "threads", 0)
-        if threads and threads > 0:
-            try:
-                from threadpoolctl import threadpool_limits
-            except ImportError:
-                print(f"note: threadpoolctl unavailable; --threads {threads} recorded only")
-                return args.func(args)
-            with threadpool_limits(limits=threads):
-                return args.func(args)
         return args.func(args)
     except (WristbandError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

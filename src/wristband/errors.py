@@ -13,10 +13,6 @@ class ContractViolation(WristbandError, ValueError):
     """Inputs violate a structural precondition (shape, finiteness, config)."""
 
 
-class ConvergenceError(WristbandError, ArithmeticError):
-    """An iterative routine failed to converge within its iteration cap."""
-
-
 class CalibrationError(WristbandError, RuntimeError):
     """Null calibration produced unusable statistics (e.g. zero variance)."""
 

@@ -78,7 +78,7 @@ def angular_eigenvalues(d: int, beta: float, alpha: float) -> tuple[float, float
     log_pref = log_gamma(nu + 1.0) + nu * math.log(2.0 / c)
     lams = []
     for ell in (0, 1):
-        ib = scaled_bessel_i(nu + ell, c).value
+        ib = scaled_bessel_i(nu + ell, c)
         lams.append(math.exp(log_pref + math.log(ib)) if ib > 0.0 else 0.0)
     lam0, lam1 = lams
     return lam0, lam1

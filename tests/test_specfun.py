@@ -1,12 +1,13 @@
 """Special-function accuracy against independent oracles.
 
 Expected values marked as frozen were computed once with mpmath at 40
-digits (scripts inline in comments); the implementation never sees
-mpmath.
+digits (scripts inline in comments); the chi-squared CDF sweep evaluates
+mpmath directly.  The implementation never sees mpmath.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,10 +20,10 @@ from wristband.specfun import (
     gaussian_quantile_grid,
     inv_norm_cdf,
     log_gamma,
-    norm_cdf,
     reg_lower_gamma,
     scaled_bessel_i,
 )
+from wristband.wristband_map import NORM_FLOOR
 
 
 class TestLogGamma:
@@ -53,7 +54,7 @@ class TestLogGamma:
             assert err < 1e-12, (a, err)
 
     def test_domain_errors(self):
-        for bad in (0.0, -1.0, math.nan, math.inf):
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 log_gamma(bad)
 
@@ -61,19 +62,17 @@ class TestLogGamma:
 class TestRegLowerGamma:
     def test_exponential_special_case(self):
         # P(1, x) = 1 - exp(-x)
-        res = reg_lower_gamma(1.0, math.log(2.0))
-        assert res.converged
-        assert res.value == pytest.approx(0.5, abs=1e-14)
+        assert reg_lower_gamma(1.0, math.log(2.0)) == pytest.approx(0.5, abs=1e-14)
 
     def test_zero_argument(self):
-        assert reg_lower_gamma(3.7, 0.0).value == 0.0
+        assert reg_lower_gamma(3.7, 0.0) == 0.0
 
     def test_limit_to_one(self):
-        assert reg_lower_gamma(2.0, 200.0).value == pytest.approx(1.0, abs=1e-14)
+        assert reg_lower_gamma(2.0, 200.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_series_oracle_value(self):
         # mpmath.gammainc(2.5, 0, 2.5, regularized=True) at 40 digits.
-        assert reg_lower_gamma(2.5, 2.5).value == pytest.approx(
+        assert reg_lower_gamma(2.5, 2.5) == pytest.approx(
             0.5841198130044920797, abs=1e-13
         )
 
@@ -82,7 +81,7 @@ class TestRegLowerGamma:
         for _ in range(200):
             a = float(rng.uniform(0.2, 60.0))
             x1, x2 = sorted(rng.uniform(0.0, 100.0, size=2))
-            assert reg_lower_gamma(a, x1).value <= reg_lower_gamma(a, x2).value + 1e-15
+            assert reg_lower_gamma(a, x1) <= reg_lower_gamma(a, x2) + 1e-15
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -92,9 +91,11 @@ class TestRegLowerGamma:
         with pytest.raises(DomainError):
             reg_lower_gamma(math.nan, 1.0)
 
-    def test_iteration_budget(self):
-        res = reg_lower_gamma(128.0, 127.0)
-        assert res.converged and res.iterations <= 500
+    def test_transition_region_oracle(self):
+        # mpmath.gammainc(128, 0, 127, regularized=True) at 40 digits.
+        assert reg_lower_gamma(128.0, 127.0) == pytest.approx(
+            0.4764234594249467426, abs=1e-13
+        )
 
 
 class TestChi2:
@@ -157,9 +158,37 @@ class TestChi2:
             target = chi2_cdf(d, upper) - chi2_cdf(d, lower)
             assert simpson == pytest.approx(target, abs=1e-8), d
 
+    def test_cdf_array_matches_mpmath_over_the_map_range(self):
+        # The map evaluates F at squared norms floored at NORM_FLOOR**2, so
+        # sweep from there to 10 d, plus chi-squared draws at each d.
+        rng = np.random.default_rng(5)
+        with mpmath.workdps(40):
+            for d in (2, 3, 5, 8, 10, 16, 64, 128, 512):
+                s = np.concatenate(
+                    [np.geomspace(NORM_FLOOR**2, 10.0 * d, 40), rng.chisquare(d, size=20)]
+                )
+                ref = [
+                    float(mpmath.gammainc(mpmath.mpf(d) / 2, 0, mpmath.mpf(x) / 2, regularized=True))
+                    for x in s
+                ]
+                err = np.max(np.abs(chi2_cdf_array(d, s) - np.array(ref)))
+                assert err <= 1e-12, (d, err)
+
+    def test_cdf_domain(self):
+        for bad in (math.nan, math.inf, -math.inf, -1e-300, -1.0):
+            with pytest.raises(DomainError):
+                chi2_cdf_array(4, np.array([1.0, bad]))
+        for d in (0, -1):
+            with pytest.raises(DomainError):
+                chi2_cdf_array(d, np.array([1.0]))
+
     def test_pdf_domain(self):
         with pytest.raises(DomainError):
             chi2_pdf(3, 0.0)
+        for d in (1, 2, 3):
+            for bad in (0.0, -1.0):
+                with pytest.raises(DomainError):
+                    chi2_pdf_array(d, np.array([1.0, bad]))
 
     def test_array_paths_match_scalars(self):
         rng = np.random.default_rng(3)
@@ -175,13 +204,13 @@ class TestChi2:
 
 class TestScaledBesselI:
     def test_at_zero(self):
-        assert scaled_bessel_i(0.0, 0.0).value == 1.0
-        assert scaled_bessel_i(1.0, 0.0).value == 0.0
+        assert scaled_bessel_i(0.0, 0.0) == 1.0
+        assert scaled_bessel_i(1.0, 0.0) == 0.0
 
     def test_series_oracle_nu0_c1(self):
         # exp(-1) * I_0(1); I_0(1) from the power series sum over
         # (1/2)^{2m} / (m!)^2, frozen at 40 digits.
-        assert scaled_bessel_i(0.0, 1.0).value == pytest.approx(
+        assert scaled_bessel_i(0.0, 1.0) == pytest.approx(
             0.4657596075936404365, rel=1e-12
         )
 
@@ -197,12 +226,12 @@ class TestScaledBesselI:
             (0.0, 10000.0): 0.0039894726746047321,
         }
         for (nu, c), ref in frozen.items():
-            got = scaled_bessel_i(nu, c).value
+            got = scaled_bessel_i(nu, c)
             assert got == pytest.approx(ref, rel=1e-10), (nu, c)
 
     def test_positive_and_decreasing_in_order(self):
         for c in (0.5, 8.0, 50.0, 300.0):
-            values = [scaled_bessel_i(nu, c).value for nu in (0.0, 1.0, 2.5, 6.0)]
+            values = [scaled_bessel_i(nu, c) for nu in (0.0, 1.0, 2.5, 6.0)]
             assert all(v > 0.0 for v in values)
             assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -212,18 +241,17 @@ class TestScaledBesselI:
         for _ in range(100):
             nu = float(rng.uniform(1.0, 20.0))
             c = float(rng.uniform(0.1, 200.0))
-            lo = scaled_bessel_i(nu - 1.0, c).value
-            mid = scaled_bessel_i(nu, c).value
-            hi = scaled_bessel_i(nu + 1.0, c).value
+            lo = scaled_bessel_i(nu - 1.0, c)
+            mid = scaled_bessel_i(nu, c)
+            hi = scaled_bessel_i(nu + 1.0, c)
             lhs = lo - hi
             rhs = (2.0 * nu / c) * mid
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1e-300)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            scaled_bessel_i(-0.5, 1.0)
-        with pytest.raises(DomainError):
-            scaled_bessel_i(1.0, -1.0)
+        for nu, c in ((-0.5, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.inf), (0.0, math.nan)):
+            with pytest.raises(DomainError):
+                scaled_bessel_i(nu, c)
 
 
 class TestInvNormCdf:
@@ -243,10 +271,10 @@ class TestInvNormCdf:
             [np.geomspace(1e-12, 0.4, 50), 1.0 - np.geomspace(1e-12, 0.4, 50)]
         ):
             x = inv_norm_cdf(float(p))
-            assert abs(norm_cdf(x) - p) <= 1e-10
+            assert abs(0.5 * math.erfc(-x / math.sqrt(2.0)) - p) <= 1e-10
 
     def test_domain(self):
-        for bad in (0.0, 1.0, -0.1, 1.1, math.nan):
+        for bad in (0.0, 1.0, -0.1, 1.1, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 inv_norm_cdf(bad)
 
