@@ -9,6 +9,12 @@ Gaussian batches of the same shape.
 
 Assignment solves go through scipy's exact Jonker-Volgenant solver;
 exactness is cross-checked against a brute-force oracle in the tests.
+The solver sees squared distances in Gram form (one matmul), which
+chooses the matching; reported costs and midpoints come from the
+explicit differences of the matched pairs, so they are exact.  Only a
+near-tie, two matchings within rounding of each other, can resolve
+differently than on explicit differences, and then to an equally cheap
+matching.
 """
 
 from __future__ import annotations
@@ -112,26 +118,39 @@ def hungarian_assign(cost) -> Assignment:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Explicit differences (tiled) rather than the Gram expansion: exact
-    # zeros for coincident rows and no cancellation noise on near pairs.
-    n, d = a.shape
-    out = np.empty((n, b.shape[0]))
-    rows = max(1, int(32e6 / max(1, b.shape[0] * d)))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        diff = a[lo:hi, None, :] - b[None, :, :]
-        out[lo:hi] = np.einsum("ijk,ijk->ij", diff, diff)
-    return out
+    """Squared distances |a_i - b_j|^2 in Gram form, for choosing a matching.
+
+    Both batches are centered on m = mean(a) first, so the rounding
+    error scales with their spread rather than their common offset: at
+    most about 2 d eps (|a_i - m|^2 + |b_j - m|^2) per entry (pinned in
+    the property tests).  Matchings whose total costs differ by less
+    than that can swap, so a near-tie may resolve to a different but
+    equally cheap matching than explicit differences would.  Callers
+    recompute the matched costs from explicit differences.
+    """
+    mean = a.mean(axis=0)
+    a, b = a - mean, b - mean
+    sq = a @ (-2.0 * b).T  # every later pass is in place: one N x N allocation
+    sq += np.einsum("ij,ij->i", a, a)[:, None]
+    sq += np.einsum("ij,ij->i", b, b)[None, :]
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def w2_exact(a, b) -> float:
-    """Exact equal-weight W2 distance between two same-shape batches."""
+    """Exact equal-weight W2 distance between two same-shape batches.
+
+    The matching is solved on the Gram-form cost matrix of `_sq_dists`;
+    the reported cost comes from the explicit differences of the matched
+    pairs, so a batch against a permutation of itself gives exactly 0.0.
+    At a near-tie the matching may differ from the explicit-difference
+    one, with a cost equal to within rounding.
+    """
     a = validate_point_batch(a)
     b = validate_point_batch(b)
     if a.shape != b.shape:
         raise ContractViolation(f"batch shapes differ: {a.shape} vs {b.shape}")
-    assignment = hungarian_assign(_sq_dists(a, b))
-    return math.sqrt(assignment.cost / a.shape[0])
+    diff = a - b[hungarian_assign(_sq_dists(a, b)).perm]
+    return math.sqrt(np.einsum("ij,ij->i", diff, diff).sum() / a.shape[0])
 
 
 def barycentric_reference(n: int, d: int, num_batches: int, stream: RngStream) -> BarycentricReference:
@@ -156,8 +175,7 @@ def barycentric_reference(n: int, d: int, num_batches: int, stream: RngStream) -
         for j in range(0, len(order), 2):
             a = batches[order[j]]
             b = batches[order[j + 1]]
-            assignment = hungarian_assign(_sq_dists(a, b))
-            merged.append(0.5 * (a + b[assignment.perm]))
+            merged.append(0.5 * (a + b[hungarian_assign(_sq_dists(a, b)).perm]))
         batches = merged
         depth += 1
     return BarycentricReference(

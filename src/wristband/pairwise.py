@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .wristband_map import WristbandBatch, wristband_backward, wristband_forward
+from .wristband_map import WristbandBatch, _backward, wristband_forward
 
 __all__ = [
     "ALPHA_UNIFORM_STD",
@@ -311,4 +311,5 @@ def pairwise_repulsion_loss(batch, cfg: KernelConfig, tile: int = DEFAULT_TILE) 
     """
     wb = wristband_forward(batch)
     value, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, tile)
-    return LossValueGrad(value=value, grad=wristband_backward(batch, wb, grad_u, grad_t))
+    x = np.asarray(batch, dtype=np.float64)  # validated by wristband_forward
+    return LossValueGrad(value=value, grad=_backward(x, wb, grad_u, grad_t))

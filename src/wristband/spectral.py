@@ -17,6 +17,7 @@ parity harness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedDimension
 from .pairwise import KernelConfig, LossValueGrad
 from .specfun import log_gamma, scaled_bessel_i
-from .wristband_map import WristbandBatch, wristband_backward, wristband_forward
+from .wristband_map import WristbandBatch, _backward, wristband_forward
 
 __all__ = [
     "SpectralCoeffs",
@@ -80,8 +81,7 @@ def angular_eigenvalues(d: int, beta: float, alpha: float) -> tuple[float, float
     for ell in (0, 1):
         ib = scaled_bessel_i(nu + ell, c)
         lams.append(math.exp(log_pref + math.log(ib)) if ib > 0.0 else 0.0)
-    lam0, lam1 = lams
-    return lam0, lam1
+    return lams[0], lams[1]
 
 
 def radial_cosine_coeffs(beta: float, modes: int) -> np.ndarray:
@@ -101,10 +101,15 @@ def radial_cosine_coeffs(beta: float, modes: int) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=64)
 def spectral_coefficients(d: int, cfg: KernelConfig) -> SpectralCoeffs:
-    """All coefficients the spectral loss needs for a given dimension and config."""
+    """All coefficients the spectral loss needs for a given dimension and config.
+
+    Cached per (d, cfg), so the returned `a` array is read-only.
+    """
     lam0, lam1 = angular_eigenvalues(d, cfg.beta, cfg.alpha)
     a = radial_cosine_coeffs(cfg.beta, cfg.modes)
+    a.flags.writeable = False
     return SpectralCoeffs(
         lambda0=lam0, lambda1=lam1, a=a, nu=0.5 * (d - 2), c=2.0 * cfg.beta * cfg.alpha**2
     )
@@ -175,4 +180,5 @@ def spectral_loss(batch, cfg: KernelConfig) -> LossValueGrad:
     """
     wb = wristband_forward(batch)
     value, grad_u, grad_t = _spectral_value_cotangents(wb, cfg)
-    return LossValueGrad(value=value, grad=wristband_backward(batch, wb, grad_u, grad_t))
+    x = np.asarray(batch, dtype=np.float64)  # validated by wristband_forward
+    return LossValueGrad(value=value, grad=_backward(x, wb, grad_u, grad_t))

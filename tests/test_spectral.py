@@ -6,6 +6,7 @@ import pytest
 from wristband.errors import DomainError, UnsupportedDimension
 from wristband.pairwise import KernelConfig
 from wristband.parity import finite_difference_check
+from wristband.specfun import scaled_bessel_i
 from wristband.spectral import (
     angular_eigenvalues,
     radial_cosine_coeffs,
@@ -177,3 +178,22 @@ class TestSpectralLoss:
         assert coeffs.lambda0 > coeffs.lambda1 > 0.0
         assert coeffs.a[0] == pytest.approx(math.sqrt(math.pi / 8.0), rel=1e-15)
         assert np.all(np.diff(coeffs.a[1:]) < 0.0)
+
+    def test_coefficients_cached_per_dim_and_config(self, monkeypatch):
+        import wristband.spectral as spectral
+
+        calls = []
+
+        def counting(nu, c):
+            calls.append(nu)
+            return scaled_bessel_i(nu, c)
+
+        monkeypatch.setattr(spectral, "scaled_bessel_i", counting)
+        cfg = KernelConfig(beta=5.5, alpha=0.7, modes=7)  # used by no other test
+        first = spectral_coefficients(9, cfg)
+        assert len(calls) == 2
+        second = spectral_coefficients(9, KernelConfig(beta=5.5, alpha=0.7, modes=7))
+        assert len(calls) == 2
+        assert (second.lambda0, second.lambda1) == (first.lambda0, first.lambda1)
+        assert np.array_equal(second.a, first.a)
+        assert not second.a.flags.writeable

@@ -3,10 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from wristband import wristband_map
 from wristband.errors import ContractViolation, UnsupportedDimension
+from wristband.pairwise import (
+    DEFAULT_TILE,
+    KernelConfig,
+    _pairwise_value_cotangents,
+    pairwise_repulsion_loss,
+)
 from wristband.specfun import chi2_cdf
+from wristband.spectral import _spectral_value_cotangents, spectral_loss
 from wristband.wristband_map import (
     NORM_FLOOR,
+    validate_point_batch,
     wristband_backward,
     wristband_forward,
 )
@@ -152,3 +161,27 @@ def test_public_entries_validate_the_batch(batch, error):
     wb = wristband_forward(good)
     with pytest.raises(error):
         wristband_backward(batch, wb, np.ones_like(good), np.ones(2))
+
+
+@pytest.mark.parametrize("loss, cotangents", [
+    (pairwise_repulsion_loss, lambda wb, cfg: _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE)),
+    (spectral_loss, _spectral_value_cotangents),
+])
+def test_public_losses_validate_once(loss, cotangents, monkeypatch):
+    x = np.random.default_rng(3).normal(size=(80, 5))[::2]  # strided rows
+    cfg = KernelConfig(beta=8.0, alpha=0.8)
+    wb = wristband_forward(x)
+    value, grad_u, grad_t = cotangents(wb, cfg)
+    want = wristband_backward(x, wb, grad_u, grad_t)
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return validate_point_batch(*args, **kwargs)
+
+    monkeypatch.setattr(wristband_map, "validate_point_batch", counting)
+    got = loss(x, cfg)
+    assert len(calls) == 1
+    assert got.value == value
+    assert np.array_equal(got.grad, want)
