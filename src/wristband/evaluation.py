@@ -7,10 +7,13 @@ points.  A candidate batch is then scored by its exact equal-weight W2
 distance to the reference, standardized against the distances of fresh
 Gaussian batches of the same shape.
 
-Assignment solves go through scipy's exact Jonker-Volgenant solver;
-exactness is cross-checked against a brute-force oracle in the tests.
-The solver sees squared distances in Gram form (one matmul), which
-chooses the matching; reported costs and midpoints come from the
+Assignment solves go through scipy's `linear_sum_assignment`, Crouse's
+exact shortest-augmenting-path solver; exactness is cross-checked
+against a brute-force oracle in the tests.  To choose a matching the
+solver sees squared distances in Gram form (one matmul) after Kuhn's
+initial reduction (row minima, then column minima, subtracted), which
+leaves the optimal matchings unchanged and shortens the solver's
+augmenting-path searches.  Reported costs and midpoints come from the
 explicit differences of the matched pairs, so they are exact.  Only a
 near-tie, two matchings within rounding of each other, can resolve
 differently than on explicit differences, and then to an equally cheap
@@ -136,12 +139,30 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
+def _matching(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """An optimal matching perm of rows of `a` to rows of `b`, on squared distances.
+
+    The Gram-form matrix of `_sq_dists` gets Kuhn's initial reduction:
+    each row's minimum is subtracted, then each column's minimum of the
+    result.  Subtracting a constant from a row or a column adds the same
+    constant to every permutation's cost, so the optimal matchings are
+    unchanged; the solver gets a matrix >= 0 with a zero in every row
+    and column, and its augmenting-path searches end sooner.  Both
+    passes work in place on the matrix `_sq_dists` just made.
+    """
+    cost = _sq_dists(a, b)
+    cost -= cost.min(axis=1, keepdims=True)
+    cost -= cost.min(axis=0)
+    return hungarian_assign(cost).perm
+
+
 def w2_exact(a, b) -> float:
     """Exact equal-weight W2 distance between two same-shape batches.
 
-    The matching is solved on the Gram-form cost matrix of `_sq_dists`;
-    the reported cost comes from the explicit differences of the matched
-    pairs, so a batch against a permutation of itself gives exactly 0.0.
+    The matching is solved by `_matching` on the Kuhn-reduced Gram-form
+    cost matrix; the reported cost comes from the explicit differences
+    of the matched pairs, so a batch against a permutation of itself
+    gives exactly 0.0.
     At a near-tie the matching may differ from the explicit-difference
     one, with a cost equal to within rounding.
     """
@@ -149,7 +170,7 @@ def w2_exact(a, b) -> float:
     b = validate_point_batch(b)
     if a.shape != b.shape:
         raise ContractViolation(f"batch shapes differ: {a.shape} vs {b.shape}")
-    diff = a - b[hungarian_assign(_sq_dists(a, b)).perm]
+    diff = a - b[_matching(a, b)]
     return math.sqrt(np.einsum("ij,ij->i", diff, diff).sum() / a.shape[0])
 
 
@@ -175,7 +196,7 @@ def barycentric_reference(n: int, d: int, num_batches: int, stream: RngStream) -
         for j in range(0, len(order), 2):
             a = batches[order[j]]
             b = batches[order[j + 1]]
-            merged.append(0.5 * (a + b[hungarian_assign(_sq_dists(a, b)).perm]))
+            merged.append(0.5 * (a + b[_matching(a, b)]))
         batches = merged
         depth += 1
     return BarycentricReference(

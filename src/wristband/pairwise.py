@@ -38,7 +38,9 @@ The gradient is a pair-weighted sum with weights w_i + w_j.  Under
 global reduction the weights are one constant set by the kernel sum,
 so one unit-weight pass yields the row sums and a gradient rescaled
 once at the end.  Under per-point reduction w_i depends on row i's
-sum, so the row sums take a pass of their own first.
+sum, so the row sums take a pass of their own first; the weighted
+pass then applies w_i + w_j as a row and a column rescaling of the
+kernel block, not as a block-sized weight matrix.
 """
 
 from __future__ import annotations
@@ -256,6 +258,12 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     sums are bit-identical to `_row_sums` (same block, same
     `_add_block_sums`), so global reduction gets value and gradient from
     this one pass.  Per-point reduction runs `_row_sums` first for w.
+
+    With weights, M = diag(w) K + K diag(w3), w3 the weights repeated
+    per image, is never formed: the same two products on the kernel
+    block K, taken against [img, 1] and [y, 1] with weighted copies
+    appended, give M @ img and the row sums as w_i (K [img, 1])_i +
+    (K [w3 img, w3])_i, and the column side likewise.
     """
     n, d = wb.n, wb.dim
     y, img = _images(wb, cfg)
@@ -263,12 +271,28 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     row_side = np.empty_like(y)  # M @ img, one row tile at a time
     col_side = np.zeros_like(img)  # M.T @ y over the mirrored cross columns
     col_img3 = np.zeros(n)  # cross-column sums of the third image
+    if w is not None:
+        w3 = np.repeat(w, 3)
+        img1 = np.column_stack([img, np.ones(3 * n)])
+        y1 = np.column_stack([y, np.ones(n)])
+        row_rhs = np.hstack([img1, w3[:, None] * img1])
+        col_rhs = np.hstack([y1, w[:, None] * y1])
     for lo, hi, m in _kernel_blocks(y, img, cfg.beta, tile):
-        if w is not None:
-            m *= w[lo:hi, None] + np.repeat(w[lo:], 3)
-        c = _add_block_sums(rows, lo, hi, m)
-        np.matmul(m, img[3 * lo:], out=row_side[lo:hi])
-        col_side[3 * hi:] += m[:, 3 * (hi - lo):].T @ y[lo:hi]
+        cross = m[:, 3 * (hi - lo):]
+        if w is None:
+            c = _add_block_sums(rows, lo, hi, m)
+            np.matmul(m, img[3 * lo:], out=row_side[lo:hi])
+            col_side[3 * hi:] += cross.T @ y[lo:hi]
+        else:
+            r = m @ row_rhs[3 * lo:]
+            r = w[lo:hi, None] * r[:, :d + 2] + r[:, d + 2:]  # [M @ img, row sums]
+            k = cross.T @ col_rhs[lo:hi]
+            k = w3[3 * hi:, None] * k[:, :d + 2] + k[:, d + 2:]  # [M.T @ y, column sums]
+            row_side[lo:hi] = r[:, :-1]
+            col_side[3 * hi:] += k[:, :-1]
+            c = k[:, -1]
+            rows[lo:hi] += r[:, -1]
+            rows[hi:] += c.reshape(-1, 3).sum(axis=1)
         col_img3[hi:] += c[2::3]
     # P_m img_j^(m) is y_j, y_j and y_j - 2 e_t, so the img_j c_j terms
     # fold into y_j rows_j plus a t-only correction.

@@ -115,17 +115,23 @@ def spectral_coefficients(d: int, cfg: KernelConfig) -> SpectralCoeffs:
     )
 
 
-def spectral_summary(wb: WristbandBatch, modes: int) -> SpectralSummary:
-    """Single-pass batch summaries c0[k] = mean cos(k pi t_i) and
-    c1[k] = (sqrt(d)/N) sum_i u_i cos(k pi t_i)."""
+def _summarize(wb: WristbandBatch, modes: int):
+    """The summary plus the (K, N) angles k pi t_i and their cosines."""
     if modes < 1:
         raise DomainError(f"modes must be >= 1, got {modes}")
     n, d = wb.u.shape
     k = np.arange(modes, dtype=np.float64)
-    cosmat = np.cos(np.pi * k[:, None] * wb.t[None, :])  # (K, N)
+    angles = np.pi * k[:, None] * wb.t[None, :]  # (K, N)
+    cosmat = np.cos(angles)
     c0 = cosmat.mean(axis=1)
     c1 = (math.sqrt(d) / n) * (cosmat @ wb.u)  # (K, d)
-    return SpectralSummary(c0=c0, c1=c1)
+    return SpectralSummary(c0=c0, c1=c1), angles, cosmat
+
+
+def spectral_summary(wb: WristbandBatch, modes: int) -> SpectralSummary:
+    """Single-pass batch summaries c0[k] = mean cos(k pi t_i) and
+    c1[k] = (sqrt(d)/N) sum_i u_i cos(k pi t_i)."""
+    return _summarize(wb, modes)[0]
 
 
 def spectral_energy(summary: SpectralSummary, coeffs: SpectralCoeffs) -> float:
@@ -139,27 +145,29 @@ def spectral_value_from_wristband(
     wb: WristbandBatch, coeffs: SpectralCoeffs, cfg: KernelConfig
 ) -> float:
     """Loss value only (no gradient); the cheap path used during calibration."""
-    summary = spectral_summary(wb, cfg.modes)
-    e = spectral_energy(summary, coeffs)
-    return math.log(e / (coeffs.lambda0 * coeffs.a[0]) + cfg.eps) / cfg.beta
+    return _value(spectral_energy(spectral_summary(wb, cfg.modes), coeffs), coeffs, cfg)
+
+
+def _value(energy: float, coeffs: SpectralCoeffs, cfg: KernelConfig) -> float:
+    """log(E / (lambda0 a0) + eps) / beta."""
+    return math.log(energy / (coeffs.lambda0 * coeffs.a[0]) + cfg.eps) / cfg.beta
 
 
 def _spectral_value_cotangents(wb: WristbandBatch, cfg: KernelConfig):
-    """Loss value and its cotangents (grad_u, grad_t) on the wristband coordinates."""
+    """Loss value and its cotangents (grad_u, grad_t) on the wristband coordinates.
+
+    The value comes from the same summary, energy and log as
+    `spectral_value_from_wristband`, so the two agree exactly.
+    """
     n, d = wb.u.shape
     coeffs = spectral_coefficients(d, cfg)
+    summary, angles, cosmat = _summarize(wb, cfg.modes)
+    c0, c1 = summary.c0, summary.c1
     kvec = np.arange(cfg.modes, dtype=np.float64)
-    angles = np.pi * kvec[:, None] * wb.t[None, :]  # (K, N)
-    cosmat = np.cos(angles)
     sinmat = np.sin(angles)
-    c0 = cosmat.mean(axis=1)
-    c1 = (math.sqrt(d) / n) * (cosmat @ wb.u)
-
-    e0 = float(np.dot(coeffs.a, c0 * c0))
-    e1 = float(np.dot(coeffs.a, np.einsum("kd,kd->k", c1, c1)))
-    energy = coeffs.lambda0 * e0 + coeffs.lambda1 * e1
+    energy = spectral_energy(summary, coeffs)
     floor = coeffs.lambda0 * coeffs.a[0]
-    value = math.log(energy / floor + cfg.eps) / cfg.beta
+    value = _value(energy, coeffs, cfg)
 
     pref = 1.0 / (cfg.beta * (energy / floor + cfg.eps) * floor)
     # dE/dt_i routes through both c0 and c1; dE/du_i only through c1.

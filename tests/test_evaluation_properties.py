@@ -13,11 +13,19 @@ every run.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from wristband.evaluation import _sq_dists, barycentric_reference, hungarian_assign, w2_exact
+from wristband import evaluation
+from wristband.evaluation import (
+    _matching,
+    _sq_dists,
+    barycentric_reference,
+    hungarian_assign,
+    w2_exact,
+)
 from wristband.generators import RngStream, gaussian_batch
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -82,6 +90,35 @@ def test_matching_equals_explicit_difference_matching(pair):
     a, b = pair
     _, cols = linear_sum_assignment(explicit_sq_dists(a, b))
     assert np.array_equal(hungarian_assign(_sq_dists(a, b)).perm, cols)
+
+
+@PROPERTY_SETTINGS
+@given(batch_pairs(max_shift=1e2, duplicates=False))
+def test_reduced_matching_equals_explicit_difference_matching(pair):
+    """Kuhn's row and column reduction keeps the explicit matching."""
+    a, b = pair
+    _, cols = linear_sum_assignment(explicit_sq_dists(a, b))
+    assert np.array_equal(_matching(a, b), cols)
+
+
+@PROPERTY_SETTINGS
+@given(batch_pairs())
+def test_solver_sees_a_reduced_matrix(pair):
+    """The matrix handed to the solver is >= 0 with a zero in every row and column."""
+    a, b = pair
+    seen = []
+
+    def spy(cost):
+        seen.append(np.array(cost))
+        return linear_sum_assignment(cost)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "linear_sum_assignment", spy)
+        _matching(a, b)
+    (cost,) = seen
+    assert np.all(cost >= 0.0)
+    assert np.all(cost.min(axis=0) == 0.0)
+    assert np.all(cost.min(axis=1) == 0.0)
 
 
 @PROPERTY_SETTINGS

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from wristband.pairwise import (
     KernelConfig,
+    _accumulate_grads,
     _pairwise_value_cotangents,
     angular_kernel,
     pairwise_value_from_wristband,
@@ -118,3 +119,42 @@ def test_rotation_invariance(wb, cfg, tile, seed):
     value2, grad_u2, grad_t2 = _pairwise_value_cotangents(rotated, cfg, tile)
     assert abs(value2 - value) <= 1e-12 * abs(value)
     assert_cotangents_close((grad_u2, grad_t2), (grad_u @ q.T, grad_t))
+
+
+def dense_weighted_pass(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray):
+    """grad_k = sum_j (w_k + w_j) dK(k, j)/d(first slot) and the weighted row sums, densely.
+
+    Each image term is differentiated explicitly on the N x N grid; the
+    real self-interaction is left out, the reflected self-images kept.
+    """
+    y = np.column_stack([cfg.alpha * wb.u, wb.t])
+    pair_w = w[:, None] + w[None, :]
+    rows, g = np.zeros(wb.n), np.zeros_like(y)
+    for m, t_img in enumerate((wb.t, -wb.t, 2.0 - wb.t)):
+        diff = y[:, None, :] - np.column_stack([cfg.alpha * wb.u, t_img])[None, :, :]
+        k = np.exp(-cfg.beta * np.sum(diff * diff, axis=2))
+        if m == 0:
+            np.fill_diagonal(k, 0.0)
+        k *= pair_w
+        rows += k.sum(axis=1)
+        g -= 2.0 * cfg.beta * np.einsum("ij,ijk->ik", k, diff)
+    return cfg.alpha * g[:, :-1], g[:, -1], rows
+
+
+@PROPERTY_SETTINGS
+@given(wb=wristband_batches(), cfg=configs, tile=tiles, seed=st.integers(0, 2**32 - 1))
+def test_weighted_pass_matches_dense_oracle(wb, cfg, tile, seed):
+    """The per-point pass with arbitrary row weights, against the dense double sum.
+
+    Weights are scaled so the weighted row mass stays below about 2, the
+    regime `assert_cotangents_close` is derived for.  A kernel entry's
+    exponent comes from a Gram-form product, which errs by a few
+    eps beta (|y|^2 + |y^(m)|^2) <= a few eps beta (2 alpha^2 + 5): that
+    is the relative bound on a row sum, above the subnormal range.
+    """
+    w = np.random.default_rng(seed).uniform(0.1, 1.0, wb.n) / (3.0 * wb.n)
+    grad_u, grad_t, rows = _accumulate_grads(wb, cfg, w, tile)
+    ref_u, ref_t, ref_rows = dense_weighted_pass(wb, cfg, w)
+    rtol = 8.0 * np.finfo(np.float64).eps * cfg.beta * (cfg.alpha**2 + 4.0)
+    assert np.all(np.abs(rows - ref_rows) <= rtol * ref_rows + 1e-300)
+    assert_cotangents_close((grad_u, grad_t), (ref_u, ref_t))

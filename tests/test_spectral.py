@@ -14,6 +14,7 @@ from wristband.spectral import (
     spectral_energy,
     spectral_loss,
     spectral_summary,
+    spectral_value_from_wristband,
 )
 from wristband.wristband_map import wristband_forward
 
@@ -168,6 +169,14 @@ class TestSpectralLoss:
         report = finite_difference_check(lambda b: spectral_loss(b, cfg), x)
         assert report.rel_l2_error <= 1e-5
         assert report.cosine >= 0.99999
+
+    def test_value_equals_value_only_path_exactly(self):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(150, 5))
+        wb = wristband_forward(x)
+        for cfg in (KernelConfig(beta=8.0, alpha=math.sqrt(1.0 / 12.0)), KernelConfig.direct_benchmark()):
+            coeffs = spectral_coefficients(5, cfg)
+            assert spectral_loss(x, cfg).value == spectral_value_from_wristband(wb, coeffs, cfg)
 
     def test_d2_refused(self):
         with pytest.raises(UnsupportedDimension):
