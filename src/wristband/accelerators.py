@@ -71,11 +71,16 @@ def moment_summary(batch) -> MomentSummary:
 
 def _moment_summary(x: np.ndarray) -> MomentSummary:
     """`moment_summary` of a batch validated with at least two rows."""
+    return _centered_moment_summary(x)[0]
+
+
+def _centered_moment_summary(x: np.ndarray) -> tuple[MomentSummary, np.ndarray]:
+    """`_moment_summary` and the centered batch x - mean it was built from."""
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / x.shape[0]
     vals, vecs = symmetric_eigen(cov)
-    return MomentSummary(mean=mean, cov=cov, eigvals=vals, eigvecs=vecs)
+    return MomentSummary(mean=mean, cov=cov, eigvals=vals, eigvecs=vecs), centered
 
 
 def _radial_value_grad_t(t: np.ndarray) -> tuple[float, np.ndarray]:
@@ -130,10 +135,13 @@ def moment_w2_loss(batch) -> LossValueGrad:
 def _moment_w2_loss(x: np.ndarray) -> LossValueGrad:
     """`moment_w2_loss` of a batch validated with at least two rows."""
     n = x.shape[0]
-    ms = _moment_summary(x)
+    ms, centered = _centered_moment_summary(x)
     value, root = _moment_value(ms)
 
+    # ((2/n) (x - mean)) G + (2/n) mean, scaling the summary's centered batch
+    # in place.
     g_spec = ms.eigvecs @ ((1.0 - 1.0 / root)[:, None] * ms.eigvecs.T)
-    centered = x - ms.mean
-    grad = (2.0 / n) * ms.mean[None, :] + (2.0 / n) * centered @ g_spec
+    centered *= 2.0 / n
+    grad = centered @ g_spec
+    grad += (2.0 / n) * ms.mean
     return LossValueGrad(value=value, grad=grad)

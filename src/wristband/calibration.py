@@ -155,23 +155,25 @@ def standardized_wristband_loss(batch, table: CalibrationTable) -> LossValueGrad
     if table.loss_path not in LOSS_PATHS:
         raise ContractViolation(f"table has unknown loss_path {table.loss_path!r}")
     cfg = table.cfg
+    w_rep, w_rad, w_mom = cfg.weights
+    c_rep = w_rep / (table.sd_rep * table.sd_numerator)
+    c_rad = w_rad / (table.sd_rad * table.sd_numerator)
+    c_mom = w_mom / (table.sd_mom * table.sd_numerator)
     wb = _forward(x)
     if table.loss_path == "pairwise":
-        rep_value, rep_grad_u, rep_grad_t = _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE)
+        rep_value, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE, c_rep)
     else:
-        rep_value, rep_grad_u, rep_grad_t = _spectral_value_cotangents(wb, cfg)
+        rep_value, grad_u, grad_t = _spectral_value_cotangents(wb, cfg, c_rep)
     rad_value, rad_grad_t = _radial_value_grad_t(wb.t)
     mom = _moment_w2_loss(x)
 
-    w_rep, w_rad, w_mom = cfg.weights
     s = (
         w_rep * (rep_value - table.mu_rep) / table.sd_rep
         + w_rad * (rad_value - table.mu_rad) / table.sd_rad
         + w_mom * (mom.value - table.mu_mom) / table.sd_mom
     )
-    value = s / table.sd_numerator
-    c_rep = w_rep / (table.sd_rep * table.sd_numerator)
-    c_rad = w_rad / (table.sd_rad * table.sd_numerator)
-    grad = _backward(x, wb, c_rep * rep_grad_u, c_rep * rep_grad_t + c_rad * rad_grad_t)
-    grad += (w_mom / (table.sd_mom * table.sd_numerator)) * mom.grad
-    return LossValueGrad(value=value, grad=grad)
+    rad_grad_t *= c_rad
+    grad_t += rad_grad_t
+    grad = _backward(x, wb, grad_u, grad_t)
+    grad += np.multiply(mom.grad, c_mom, out=mom.grad)
+    return LossValueGrad(value=s / table.sd_numerator, grad=grad)

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .calibration import CalibrationTable, calibrate_null, standardized_wristband_loss
 from .errors import WristbandError
-from .evaluation import barycentric_reference, barycentric_z_score, hungarian_assign
+from .evaluation import barycentric_reference, barycentric_z_score
 from .generators import (
     PARITY_CONSTANTS,
     RngStream,
@@ -33,9 +33,9 @@ from .generators import (
 )
 from .io import build_report, read_batch, read_report, report_floats, write_batch, write_report
 from .optimize import OptimizeConfig, optimize_point_cloud
-from .pairwise import KernelConfig, pairwise_repulsion_loss, radial_image_kernel, radial_neumann_kernel
+from .pairwise import KernelConfig, pairwise_repulsion_loss
 from .parity import finite_difference_check, parity_suite, timing_sweep
-from .spectral import radial_cosine_coeffs, spectral_loss
+from .spectral import spectral_loss
 from .specfun import chi2_cdf
 
 GEN_KINDS = ("gaussian", "x", "rac", "mixture5", "two-mode", "student-t", "ring")
@@ -251,33 +251,6 @@ def _selftest_checks():
         values = [chi2_cdf(5, s) for s in np.linspace(0.0, 30.0, 200)]
         return all(b >= a for a, b in zip(values, values[1:]))
 
-    def kernel_identity():
-        u = rng.normal(size=(50, 4))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        v = rng.normal(size=(50, 4))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        from .pairwise import angular_kernel
-
-        lhs = angular_kernel(u, v, cfg)
-        c = 2.0 * cfg.beta * cfg.alpha**2
-        rhs = math.e ** (-c) * np.exp(c * np.einsum("ij,ij->i", u, v))
-        return np.allclose(lhs, rhs, rtol=1e-12, atol=0)
-
-    def truncation_gap():
-        t = np.linspace(0.0, 1.0, 50)
-        tt, uu = np.meshgrid(t, t)
-        gap = np.max(np.abs(radial_image_kernel(tt, uu, 8.0) - radial_neumann_kernel(tt, uu, 8.0, 10)))
-        return gap <= 4e-4
-
-    def cosine_series():
-        a = radial_cosine_coeffs(8.0, 64)
-        t = np.linspace(0.0, 1.0, 40)
-        k = np.arange(64)
-        basis = np.cos(np.pi * np.outer(t, k))
-        series = (basis * a) @ basis.T
-        ref = radial_neumann_kernel(t[:, None], t[None, :], 8.0, 10)
-        return np.max(np.abs(series - ref)) <= 1e-8
-
     def gradients():
         x = rng.normal(size=(12, 4))
         rep = finite_difference_check(lambda b: pairwise_repulsion_loss(b, cfg), x)
@@ -300,23 +273,11 @@ def _selftest_checks():
         lw = standardized_wristband_loss(gaussian_batch(32, 3, RngStream(9, "selftest")), t1)
         return math.isfinite(lw.value)
 
-    def hungarian_small():
-        cost = rng.random((5, 5))
-        best = hungarian_assign(cost).cost
-        from itertools import permutations
-
-        brute = min(sum(cost[i, p[i]] for i in range(5)) for p in permutations(range(5)))
-        return abs(best - brute) < 1e-12
-
     return [
         ("chi2_cdf_monotone", chi2_monotone),
-        ("angular_kernel_identity", kernel_identity),
-        ("radial_truncation_gap", truncation_gap),
-        ("radial_cosine_series", cosine_series),
         ("loss_gradients_fd", gradients),
         ("batch_file_roundtrip", batch_roundtrip),
         ("calibration_determinism", calibration_determinism),
-        ("hungarian_vs_bruteforce", hungarian_small),
     ]
 
 

@@ -23,6 +23,10 @@ __all__ = ["LOSS_KINDS", "AdamState", "OptimizeConfig", "adam_step", "optimize_p
 
 LOSS_KINDS = ("wristband_pairwise", "wristband_spectral", "mmd", "sliced_w2")
 
+# Elements per block of the in-place Adam update: 256 KiB per array, so a
+# block of x, g, m, v and the two scratch buffers stays in L2 cache.
+ADAM_BLOCK = 32768
+
 
 @dataclass(frozen=True)
 class AdamState:
@@ -70,19 +74,55 @@ class OptimizeConfig:
 def adam_step(params, grads, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
     """One bias-corrected Adam update; returns (new_params, new_state)."""
-    params = np.asarray(params, dtype=np.float64)
+    params = np.array(params, dtype=np.float64, order="C")
     grads = np.asarray(grads, dtype=np.float64)
-    if params.shape != grads.shape or state.m.shape != params.shape:
+    if not (params.shape == grads.shape == state.m.shape == state.v.shape):
         raise ContractViolation(
-            f"shape mismatch: params {params.shape}, grads {grads.shape}, state {state.m.shape}"
+            f"shape mismatch: params {params.shape}, grads {grads.shape}, "
+            f"state m {state.m.shape}, v {state.v.shape}"
         )
-    t = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grads
-    v = beta2 * state.v + (1.0 - beta2) * grads * grads
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_params, AdamState(m=m, v=v, step=t)
+    if state.step < 0:
+        raise ContractViolation(f"Adam step counter must be >= 0, got {state.step}")
+    m = np.array(state.m, dtype=np.float64, order="C")
+    v = np.array(state.v, dtype=np.float64, order="C")
+    _adam_update(params, grads, m, v, state.step + 1, lr, beta1, beta2, eps)
+    return params, AdamState(m=m, v=v, step=state.step + 1)
+
+
+def _adam_update(x, g, m, v, t: int, lr: float, beta1: float, beta2: float, eps: float):
+    """Adam step t applied in place to the C-contiguous arrays x, m and v.
+
+    Works through blocks of ADAM_BLOCK elements with two scratch buffers,
+    in the elementwise operation order of
+
+        m = beta1 m + (1 - beta1) g;   v = beta2 v + (1 - beta2) g g
+        x = x - lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+
+    so the result is bit-identical to that whole-array formula.
+    """
+    x, m, v = x.reshape(-1), m.reshape(-1), v.reshape(-1)
+    g = g.reshape(-1)
+    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+    buf = np.empty(min(ADAM_BLOCK, x.size))
+    den = np.empty_like(buf)
+    for lo in range(0, x.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, x.size)
+        xb, gb, mb, vb = x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        tmp, dn = buf[: hi - lo], den[: hi - lo]
+        mb *= beta1
+        np.multiply(gb, 1.0 - beta1, out=tmp)
+        mb += tmp
+        vb *= beta2
+        np.multiply(gb, 1.0 - beta2, out=tmp)
+        tmp *= gb
+        vb += tmp
+        np.divide(mb, c1, out=tmp)
+        tmp *= lr
+        np.divide(vb, c2, out=dn)
+        np.sqrt(dn, out=dn)
+        dn += eps
+        tmp /= dn
+        xb -= tmp
 
 
 def _make_loss_fn(opt_cfg: OptimizeConfig, table: CalibrationTable | None):
@@ -133,7 +173,7 @@ def optimize_point_cloud(initial, opt_cfg: OptimizeConfig, kernel_cfg: KernelCon
         raise ContractViolation(
             f"kernel config {kernel_cfg} does not match the calibration table's {table.cfg}"
         )
-    state = AdamState.zeros(x.shape)
+    m, v = np.zeros_like(x), np.zeros_like(x)
     trajectory: list[tuple[int, float]] = []
 
     for step in range(opt_cfg.steps):
@@ -148,9 +188,8 @@ def optimize_point_cloud(initial, opt_cfg: OptimizeConfig, kernel_cfg: KernelCon
         if opt_cfg.schedule == "cosine":
             lr = opt_cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / opt_cfg.steps))
         if opt_cfg.optimizer == "adam":
-            x, state = adam_step(
-                x, lvg.grad, state, lr, opt_cfg.beta1, opt_cfg.beta2, opt_cfg.adam_eps
-            )
+            _adam_update(x, lvg.grad, m, v, step + 1, lr,
+                         opt_cfg.beta1, opt_cfg.beta2, opt_cfg.adam_eps)
         else:
             x = x - lr * lvg.grad
     return x, trajectory

@@ -303,25 +303,30 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     return cfg.alpha * g[:, :d], g[:, d], rows
 
 
-def _pairwise_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int):
+def _pairwise_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int,
+                               scale: float = 1.0):
     """Loss value and its cotangents (grad_u, grad_t) on the wristband coordinates.
 
     Row weights w_i give grad = sum_j (w_i + w_j) dK(i, j).  Global
     reduction has the constant w = 1 / (beta (a + eps) (3N^2 - N)), so
     one unit-weight pass gives the row sums and a gradient that is
-    rescaled by 2w once at the end.
+    rescaled by 2w once at the end.  The cotangents come multiplied by
+    `scale`, applied as a separate in-place multiply.
     """
     n = wb.n
     if cfg.reduction == "global":
         grad_u, grad_t, rows = _accumulate_grads(wb, cfg, None, tile)
         value, a = _reduce(rows, cfg)
-        scale = 2.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n))
+        w2 = 2.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n))
+        grad_u *= w2
+        grad_t *= w2
+    else:
+        value, a_i = _reduce(_row_sums(wb, cfg, tile), cfg)
+        w = 1.0 / (n * cfg.beta * (a_i + cfg.eps) * (3.0 * n - 1.0))
+        grad_u, grad_t, _ = _accumulate_grads(wb, cfg, w, tile)
+    if scale != 1.0:
         grad_u *= scale
         grad_t *= scale
-        return value, grad_u, grad_t
-    value, a_i = _reduce(_row_sums(wb, cfg, tile), cfg)
-    w = 1.0 / (n * cfg.beta * (a_i + cfg.eps) * (3.0 * n - 1.0))
-    grad_u, grad_t, _ = _accumulate_grads(wb, cfg, w, tile)
     return value, grad_u, grad_t
 
 

@@ -126,7 +126,9 @@ def _backward(x: np.ndarray, wb: WristbandBatch, grad_u, grad_t) -> np.ndarray:
     norms = np.sqrt(wb.s)
     # Direction part: project grad_u onto the tangent space, divide by the norm.
     radial = np.einsum("ij,ij->i", wb.u, grad_u)
-    gx = (grad_u - radial[:, None] * wb.u) / norms[:, None]
+    gx = radial[:, None] * wb.u
+    np.subtract(grad_u, gx, out=gx)
+    gx /= norms[:, None]
     gx += radial_pullback(wb, grad_t, x)
     if np.any(wb.norm_floored):
         gx[wb.norm_floored] = 0.0

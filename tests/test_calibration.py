@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from wristband.accelerators import moment_w2_loss, radial_w2_loss
+from wristband.accelerators import _radial_value_grad_t, moment_w2_loss, radial_w2_loss
 from wristband.calibration import CalibrationTable, calibrate_null, standardized_wristband_loss
 from wristband.errors import ContractViolation, FormatError, UnsupportedDimension
 from wristband.generators import RngStream, gaussian_batch, x_batch
-from wristband.pairwise import KernelConfig, pairwise_repulsion_loss
+from wristband.pairwise import (
+    DEFAULT_TILE,
+    KernelConfig,
+    _pairwise_value_cotangents,
+    pairwise_repulsion_loss,
+)
 from wristband.parity import finite_difference_check
 from wristband.spectral import spectral_loss
-from wristband.wristband_map import wristband_forward
+from wristband.wristband_map import _backward, wristband_forward
 
 
 CFG = KernelConfig(beta=8.0, alpha=1.0)
@@ -114,6 +119,27 @@ def test_single_forward_matches_component_functions(loss_path):
         value, grad = _recomposed(x, table)
         assert out.value == value
         assert np.max(np.abs(out.grad - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+
+@pytest.mark.parametrize("reduction", ["global", "per_point"])
+def test_pairwise_gradient_is_the_written_out_combination(reduction):
+    # The cotangents are weighted in place inside the standardized loss;
+    # on the pairwise path that must give the same bytes as weighting them
+    # outside and pulling back once.
+    n, d = 77, 5
+    cfg = KernelConfig(beta=8.0, alpha=1.0, reduction=reduction)
+    table = calibrate_null(n, d, cfg, reps=16, seed=12)
+    x = x_batch(n, d, RngStream(13, "in-place"))
+    wb = wristband_forward(x)
+    _, gu, gt = _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE)
+    _, rt = _radial_value_grad_t(wb.t)
+    mom = moment_w2_loss(x)
+    w_rep, w_rad, w_mom = cfg.weights
+    c_rep = w_rep / (table.sd_rep * table.sd_numerator)
+    c_rad = w_rad / (table.sd_rad * table.sd_numerator)
+    c_mom = w_mom / (table.sd_mom * table.sd_numerator)
+    expected = _backward(x, wb, c_rep * gu, c_rep * gt + c_rad * rt) + c_mom * mom.grad
+    assert standardized_wristband_loss(x, table).grad.tobytes() == expected.tobytes()
 
 
 def test_gradient_fd(small_table):

@@ -1,10 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from wristband.calibration import calibrate_null
 from wristband.errors import ContractViolation, OptimizationFailure
 from wristband.generators import RngStream, gaussian_batch, x_batch
-from wristband.optimize import AdamState, OptimizeConfig, adam_step, optimize_point_cloud
+from wristband.baselines import mmd_loss
+from wristband.optimize import (
+    AdamState,
+    OptimizeConfig,
+    _adam_update,
+    adam_step,
+    optimize_point_cloud,
+)
 from wristband.pairwise import KernelConfig
 
 
@@ -28,6 +37,15 @@ class TestAdamStep:
         with pytest.raises(ContractViolation):
             adam_step(np.ones((2, 2)), np.ones((3, 2)), AdamState.zeros((2, 2)), 0.1)
 
+    def test_state_contract(self):
+        p = np.ones((4, 3))
+        with pytest.raises(ContractViolation):
+            # a (1, d) second moment would silently broadcast
+            adam_step(p, p, AdamState(m=np.zeros((4, 3)), v=np.zeros((1, 3)), step=0), 0.1)
+        with pytest.raises(ContractViolation):
+            # step -1 would divide by 1 - beta^0 = 0
+            adam_step(p, p, AdamState(m=np.zeros((4, 3)), v=np.zeros((4, 3)), step=-1), 0.1)
+
     def test_trajectory_reproducible(self):
         rng = np.random.default_rng(0)
         p = rng.normal(size=(8, 3))
@@ -41,6 +59,60 @@ class TestAdamStep:
             return q
 
         assert np.array_equal(run(), run())
+
+
+def _whole_array_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The Adam update written out on whole arrays, as the reference order."""
+    m = beta1 * m + (1.0 - beta1) * grads
+    v = beta2 * v + (1.0 - beta2) * grads * grads
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+class TestInPlaceAdam:
+    # With 32768-element blocks: eight whole blocks, one whole block and a
+    # partial one, and a partial block alone.
+    @pytest.mark.parametrize("shape", [(4096, 64), (1000, 33), (7, 3)])
+    @pytest.mark.parametrize("schedule", ["constant", "cosine"])
+    def test_blocked_update_equals_adam_step_loop(self, shape, schedule):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        steps = 4
+        x = rng.normal(size=shape)
+        m, v = np.zeros(shape), np.zeros(shape)
+        ref, ref_m, ref_v = x.copy(), m.copy(), v.copy()
+        q, st = x.copy(), AdamState.zeros(shape)
+        for step in range(steps):
+            g = rng.standard_t(3, size=shape)
+            lr = 0.05
+            if schedule == "cosine":
+                lr = 0.05 * 0.5 * (1.0 + math.cos(math.pi * step / steps))
+            _adam_update(x, g, m, v, step + 1, lr, 0.9, 0.999, 1e-8)
+            q, st = adam_step(q, g, st, lr)
+            ref, ref_m, ref_v = _whole_array_adam(ref, g, ref_m, ref_v, step + 1, lr)
+            for got in (x, q):
+                assert got.tobytes() == ref.tobytes()
+            assert m.tobytes() == st.m.tobytes() == ref_m.tobytes()
+            assert v.tobytes() == st.v.tobytes() == ref_v.tobytes()
+
+    def test_adam_step_leaves_its_inputs_alone(self):
+        p = np.ones((5, 2))
+        state = AdamState(m=np.full((5, 2), 0.5), v=np.full((5, 2), 0.25), step=3)
+        adam_step(p, np.full((5, 2), 2.0), state, 0.1)
+        assert np.all(p == 1.0) and np.all(state.m == 0.5) and np.all(state.v == 0.25)
+
+    @pytest.mark.parametrize("schedule", ["constant", "cosine"])
+    def test_optimizer_equals_adam_step_loop(self, schedule):
+        initial = x_batch(48, 3, RngStream(21, "init"))
+        opt = OptimizeConfig(loss="mmd", steps=12, lr=0.05, schedule=schedule, seed=22)
+        final, _ = optimize_point_cloud(initial, opt, KernelConfig(), None)
+        q, st = initial.copy(), AdamState.zeros(initial.shape)
+        for step in range(opt.steps):
+            lr = opt.lr
+            if schedule == "cosine":
+                lr = opt.lr * 0.5 * (1.0 + math.cos(math.pi * step / opt.steps))
+            q, st = adam_step(q, mmd_loss(q).grad, st, lr)
+        assert final.tobytes() == q.tobytes()
 
 
 class TestOptimizePointCloud:

@@ -8,6 +8,8 @@ from wristband.pairwise import KernelConfig
 from wristband.parity import finite_difference_check
 from wristband.specfun import scaled_bessel_i
 from wristband.spectral import (
+    _spectral_value_cotangents,
+    _summarize,
     angular_eigenvalues,
     radial_cosine_coeffs,
     spectral_coefficients,
@@ -16,7 +18,7 @@ from wristband.spectral import (
     spectral_summary,
     spectral_value_from_wristband,
 )
-from wristband.wristband_map import wristband_forward
+from wristband.wristband_map import WristbandBatch, wristband_forward
 
 
 class TestAngularEigenvalues:
@@ -177,6 +179,29 @@ class TestSpectralLoss:
         for cfg in (KernelConfig(beta=8.0, alpha=math.sqrt(1.0 / 12.0)), KernelConfig.direct_benchmark()):
             coeffs = spectral_coefficients(5, cfg)
             assert spectral_loss(x, cfg).value == spectral_value_from_wristband(wb, coeffs, cfg)
+
+    def test_mode_recurrence_matches_direct_trigonometry(self):
+        n, modes = 257, 64
+        t = np.concatenate([[0.0, 1.0], np.random.default_rng(31).uniform(size=n - 2)])
+        u = np.zeros((n, 3))
+        u[:, 0] = 1.0
+        wb = WristbandBatch(u=u, t=t, s=np.ones(n), norm_floored=np.zeros(n, dtype=bool))
+        _, cosmat, sinmat = _summarize(wb, modes)
+        angles = np.pi * np.arange(modes)[:, None] * t[None, :]
+        assert np.max(np.abs(cosmat - np.cos(angles))) <= 1e-13
+        assert np.max(np.abs(sinmat - np.sin(angles))) <= 1e-13
+
+    def test_scaled_cotangents(self):
+        x = np.random.default_rng(32).standard_t(4, size=(300, 6))
+        wb = wristband_forward(x)
+        cfg = KernelConfig(beta=8.0, alpha=math.sqrt(1.0 / 12.0), modes=6)
+        value, grad_u, grad_t = _spectral_value_cotangents(wb, cfg)
+        for scale in (0.37, 3.1e-3, 17.0):
+            value_s, grad_u_s, grad_t_s = _spectral_value_cotangents(wb, cfg, scale)
+            assert value_s == value
+            for got, unit in ((grad_u_s, grad_u), (grad_t_s, grad_t)):
+                want = scale * unit
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_d2_refused(self):
         with pytest.raises(UnsupportedDimension):
