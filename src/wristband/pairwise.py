@@ -18,7 +18,7 @@ In augmented coordinates y = (alpha u, t) the product is one Gaussian
 with image sources: k_ang k_img = sum_m exp(-beta ||y - y'^(m)||^2),
 y'^(m) = (alpha u', t'), (alpha u', -t'), (alpha u', 2 - t').  The
 three images of each point are stored interleaved, so the images of
-points lo: are one contiguous slice; one matrix product of rows
+points clo:chi are one contiguous slice; one matrix product of rows
 [2 beta y, -beta |y|^2, 1] with columns [y^(m), 1, -beta |y^(m)|^2]
 gives a block's exponent and one exp its kernel.  The gradient is two
 more matrix products on that block.  The self-interactions do not come
@@ -26,13 +26,17 @@ from the product: the real one is set to -inf before the exp, so it is
 excluded exactly instead of subtracted from a rounded sum, and the
 reflected ones get their closed forms.
 
-The O(N^2) accumulation is tiled: each row tile evaluates its full
-within-tile square plus the strictly-right cross block, and cross-block
-contributions are mirrored into both row and column accumulators, so
-every off-diagonal pair is evaluated exactly once.  Tile traversal
-order is fixed, so results are deterministic for a given tile size;
-the tile size is an explicit argument with a fixed default and is part
-of the reproducibility contract.
+The O(N^2) accumulation walks tile pairs (I, J >= I), row tile outer
+and column tile inner from the diagonal.  A block is the rows of tile I
+against the three images of the points of tile J, at most tile x 3 tile
+entries whatever N is, so it stays in cache through the exp, the sums
+and the gradient products.  A diagonal pair holds the within-tile square
+and the self-image fix-ups; an off-diagonal pair is evaluated once and
+mirrored into both row and column accumulators, so every off-diagonal
+pair of points is evaluated exactly once.  Tile traversal order is
+fixed, so results are deterministic for a given tile size; the tile
+size (an integer >= 1) is an explicit argument with a fixed default and
+is part of the reproducibility contract.
 
 The gradient is a pair-weighted sum with weights w_i + w_j.  Under
 global reduction the weights are one constant set by the kernel sum,
@@ -46,11 +50,12 @@ kernel block, not as a block-sized weight matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ContractViolation, DomainError
 from .wristband_map import WristbandBatch, _backward, wristband_forward
 
 __all__ = [
@@ -189,32 +194,46 @@ def _images(wb: WristbandBatch, cfg: KernelConfig):
 
 
 def _kernel_blocks(y: np.ndarray, img: np.ndarray, beta: float, tile: int):
-    """Yield (lo, hi, e), e[i - lo, 3k + m - 1] = exp(-beta ||y_i - y_(lo+k)^(m)||^2).
+    """Yield (lo, hi, clo, chi, e), e[i - lo, 3(j - clo) + m - 1] = exp(-beta ||y_i - y_j^(m)||^2).
 
-    Rows are i in lo:hi; the first 3 (hi - lo) columns are the within-tile
-    square, the rest the cross block.  The blocks share one buffer, so
-    each is valid only until the next is yielded.
+    Rows are i in lo:hi, columns the three images of the points j in
+    clo:chi, for tile pairs clo >= lo: row tile outer, column tile inner
+    from the diagonal.  A diagonal pair (clo == lo) is the within-tile
+    square with the self-interactions set; an off-diagonal pair is
+    evaluated once and mirrored by the caller.  The blocks share one
+    tile x 3 tile buffer, so each is valid only until the next is yielded.
     """
+    if isinstance(tile, bool) or not isinstance(tile, numbers.Integral) or tile < 1:
+        raise ContractViolation(f"tile must be an integer >= 1, got {tile!r}")
     n, t = y.shape[0], y[:, -1]
     aug_rows = np.column_stack([2.0 * beta * y, -beta * np.einsum("ij,ij->i", y, y), np.ones(n)])
     aug_cols = np.column_stack([img, np.ones(3 * n), -beta * np.einsum("ij,ij->i", img, img)])
     self_exp = np.column_stack([np.full(n, -np.inf), -4 * beta * t**2, -4 * beta * (1 - t) ** 2])
-    buf = np.empty(min(tile, n) * 3 * n)
+    buf = np.empty(3 * min(tile, n) ** 2)
     for lo in range(0, n, tile):
         hi = min(lo + tile, n)
-        e = buf[:(hi - lo) * 3 * (n - lo)].reshape(hi - lo, -1)
-        np.matmul(aug_rows[lo:hi], aug_cols[3 * lo:].T, out=e)
-        k = np.arange(hi - lo)
-        e.reshape(hi - lo, -1, 3)[k, k] = self_exp[lo:hi]
-        np.exp(e, out=e)
-        yield lo, hi, e
+        for clo in range(lo, n, tile):
+            chi = min(clo + tile, n)
+            e = buf[:(hi - lo) * 3 * (chi - clo)].reshape(hi - lo, -1)
+            np.matmul(aug_rows[lo:hi], aug_cols[3 * clo:3 * chi].T, out=e)
+            if clo == lo:
+                k = np.arange(hi - lo)
+                e.reshape(hi - lo, -1, 3)[k, k] = self_exp[lo:hi]
+            np.exp(e, out=e)
+            yield lo, hi, clo, chi, e
 
 
-def _add_block_sums(rows: np.ndarray, lo: int, hi: int, m: np.ndarray) -> np.ndarray:
-    """Add block m's row sums and mirrored cross columns to rows; return the column sums."""
-    c = m[:, 3 * (hi - lo):].sum(axis=0)
+def _add_block_sums(rows: np.ndarray, lo: int, hi: int, clo: int, chi: int,
+                    m: np.ndarray) -> np.ndarray | None:
+    """Add block m's row sums, and off the diagonal its mirrored column sums, to rows.
+
+    Returns the column sums of an off-diagonal block, None for a diagonal one.
+    """
     rows[lo:hi] += m.sum(axis=1)
-    rows[hi:] += c.reshape(-1, 3).sum(axis=1)
+    if clo == lo:
+        return None
+    c = m.sum(axis=0)
+    rows[clo:chi] += c.reshape(-1, 3).sum(axis=1)
     return c
 
 
@@ -222,8 +241,8 @@ def _row_sums(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> np.ndarray:
     """Kernel row sums without the real self-interactions, each off-diagonal pair computed once."""
     y, img = _images(wb, cfg)
     rows = np.zeros(wb.n)
-    for lo, hi, e in _kernel_blocks(y, img, cfg.beta, tile):
-        _add_block_sums(rows, lo, hi, e)
+    for lo, hi, clo, chi, e in _kernel_blocks(y, img, cfg.beta, tile):
+        _add_block_sums(rows, lo, hi, clo, chi, e)
     return rows
 
 
@@ -251,7 +270,7 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     one-sided rate, and the weight sum doubles at j = k).  With M the
     weighted block and r, c its row and column sums, the derivative in y
     is -2 beta (y_i r_i - (M @ img)_i) for a row and -2 beta sum_m P_m
-    (img_j c_j - M.T @ y) for a mirrored cross column, P_m flipping the
+    (img_j c_j - M.T @ y) for a mirrored column, P_m flipping the
     t sign of the reflected images.
 
     w=None means unit pair weights: M is the kernel block, and the row
@@ -268,32 +287,35 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     n, d = wb.n, wb.dim
     y, img = _images(wb, cfg)
     rows = np.zeros(n)
-    row_side = np.empty_like(y)  # M @ img, one row tile at a time
-    col_side = np.zeros_like(img)  # M.T @ y over the mirrored cross columns
-    col_img3 = np.zeros(n)  # cross-column sums of the third image
+    row_side = np.zeros_like(y)  # M @ img
+    col_side = np.zeros_like(img)  # M.T @ y over the mirrored off-diagonal blocks
+    col_img3 = np.zeros(n)  # mirrored column sums of the third image
     if w is not None:
         w3 = np.repeat(w, 3)
         img1 = np.column_stack([img, np.ones(3 * n)])
         y1 = np.column_stack([y, np.ones(n)])
         row_rhs = np.hstack([img1, w3[:, None] * img1])
         col_rhs = np.hstack([y1, w[:, None] * y1])
-    for lo, hi, m in _kernel_blocks(y, img, cfg.beta, tile):
-        cross = m[:, 3 * (hi - lo):]
+    for lo, hi, clo, chi, m in _kernel_blocks(y, img, cfg.beta, tile):
+        mirrored = clo != lo
         if w is None:
-            c = _add_block_sums(rows, lo, hi, m)
-            np.matmul(m, img[3 * lo:], out=row_side[lo:hi])
-            col_side[3 * hi:] += cross.T @ y[lo:hi]
+            c = _add_block_sums(rows, lo, hi, clo, chi, m)
+            row_side[lo:hi] += m @ img[3 * clo:3 * chi]
+            if mirrored:
+                col_side[3 * clo:3 * chi] += m.T @ y[lo:hi]
         else:
-            r = m @ row_rhs[3 * lo:]
+            r = m @ row_rhs[3 * clo:3 * chi]
             r = w[lo:hi, None] * r[:, :d + 2] + r[:, d + 2:]  # [M @ img, row sums]
-            k = cross.T @ col_rhs[lo:hi]
-            k = w3[3 * hi:, None] * k[:, :d + 2] + k[:, d + 2:]  # [M.T @ y, column sums]
-            row_side[lo:hi] = r[:, :-1]
-            col_side[3 * hi:] += k[:, :-1]
-            c = k[:, -1]
+            row_side[lo:hi] += r[:, :-1]
             rows[lo:hi] += r[:, -1]
-            rows[hi:] += c.reshape(-1, 3).sum(axis=1)
-        col_img3[hi:] += c[2::3]
+            if mirrored:
+                k = m.T @ col_rhs[lo:hi]
+                k = w3[3 * clo:3 * chi, None] * k[:, :d + 2] + k[:, d + 2:]  # [M.T @ y, column sums]
+                col_side[3 * clo:3 * chi] += k[:, :-1]
+                c = k[:, -1]
+                rows[clo:chi] += c.reshape(-1, 3).sum(axis=1)
+        if mirrored:
+            col_img3[clo:chi] += c[2::3]
     # P_m img_j^(m) is y_j, y_j and y_j - 2 e_t, so the img_j c_j terms
     # fold into y_j rows_j plus a t-only correction.
     col_side[:, d] *= np.tile([1.0, -1.0, -1.0], n)

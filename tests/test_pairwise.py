@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,39 @@ class TestRepulsionLoss:
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractViolation):
             pairwise_repulsion_loss(np.empty((0, 3)), KernelConfig())
+
+    @pytest.mark.parametrize("tile", [0, -1, 2.5, "128"])
+    def test_tile_must_be_a_positive_integer(self, tile):
+        # A negative tile would walk no tile pairs and silently give
+        # zero row sums, i.e. the value log(eps) / beta.
+        x = np.random.default_rng(10).normal(size=(20, 3))
+        wb = wristband_forward(x)
+        for cfg in (KernelConfig(), KernelConfig(reduction="per_point")):
+            with pytest.raises(ContractViolation):
+                pairwise_repulsion_loss(x, cfg, tile)
+            with pytest.raises(ContractViolation):
+                pairwise_value_from_wristband(wb, cfg, tile)
+            with pytest.raises(ContractViolation):
+                _pairwise_value_cotangents(wb, cfg, tile)
+
+    def test_value_pass_memory_is_bounded_by_one_tile_pair(self):
+        # Live N-sized float64 arrays of the value pass: y (N x (d+1)),
+        # its images (3N x (d+1)), the augmented rows (N x (d+3)) and
+        # columns (3N x (d+3)), the self-exponents (N x 3) and the row
+        # sums (N), 8 N (8 d + 20) bytes; the kernel block adds
+        # 3 tile^2 float64.  Twice the former leaves room for the
+        # temporaries that build them; a row-tile block alone
+        # (tile x 3N) would be 6.3 MB here.
+        n, d = 2048, 8
+        wb = wristband_forward(np.random.default_rng(11).normal(size=(n, d)))
+        bound = 2 * 8 * n * (8 * d + 20) + 8 * 3 * DEFAULT_TILE**2
+        tracemalloc.start()
+        try:
+            pairwise_value_from_wristband(wb, KernelConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestFusedGlobalPass:

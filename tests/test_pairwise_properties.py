@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from wristband.pairwise import (
     KernelConfig,
     _accumulate_grads,
+    _kernel_blocks,
     _pairwise_value_cotangents,
     angular_kernel,
     pairwise_value_from_wristband,
@@ -158,3 +159,23 @@ def test_weighted_pass_matches_dense_oracle(wb, cfg, tile, seed):
     rtol = 8.0 * np.finfo(np.float64).eps * cfg.beta * (cfg.alpha**2 + 4.0)
     assert np.all(np.abs(rows - ref_rows) <= rtol * ref_rows + 1e-300)
     assert_cotangents_close((grad_u, grad_t), (ref_u, ref_t))
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 300), tile=tiles)
+def test_tile_pairs_cover_each_pair_once(n, tile):
+    """Blocks are at most tile x 3 tile; a tile's ordered pairs and each cross-tile pair come once.
+
+    cover[i, j] counts the blocks whose rows hold i and whose columns
+    hold j's images: a diagonal pair counts both orders, an off-diagonal
+    pair one order that the caller mirrors.
+    """
+    y = np.random.default_rng(n).random((n, 2))
+    cover = np.zeros((n, n), dtype=int)
+    for lo, hi, clo, chi, e in _kernel_blocks(y, np.repeat(y, 3, axis=0), 1.0, tile):
+        assert e.shape == (hi - lo, 3 * (chi - clo))
+        assert e.shape[0] <= tile and e.shape[1] <= 3 * tile
+        cover[lo:hi, clo:chi] += 1
+    same_tile = np.arange(n)[:, None] // tile == np.arange(n)[None, :] // tile
+    assert np.all(cover[same_tile] == 1)
+    assert np.all((cover + cover.T)[~same_tile] == 1)
