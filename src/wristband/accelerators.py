@@ -74,10 +74,15 @@ def _moment_summary(x: np.ndarray) -> MomentSummary:
     return _centered_moment_summary(x)[0]
 
 
-def _centered_moment_summary(x: np.ndarray) -> tuple[MomentSummary, np.ndarray]:
-    """`_moment_summary` and the centered batch x - mean it was built from."""
+def _centered_moment_summary(x: np.ndarray, out: np.ndarray | None = None
+                             ) -> tuple[MomentSummary, np.ndarray]:
+    """`_moment_summary` and the centered batch x - mean it was built from.
+
+    The centered batch is written to `out` (not overlapping x) when it
+    is given, else to a fresh array.
+    """
     mean = x.mean(axis=0)
-    centered = x - mean
+    centered = np.subtract(x, mean, out=out)
     cov = centered.T @ centered / x.shape[0]
     vals, vecs = symmetric_eigen(cov)
     return MomentSummary(mean=mean, cov=cov, eigvals=vals, eigvecs=vecs), centered
@@ -132,16 +137,22 @@ def moment_w2_loss(batch) -> LossValueGrad:
     return _moment_w2_loss(validate_point_batch(batch, min_n=2))
 
 
-def _moment_w2_loss(x: np.ndarray) -> LossValueGrad:
-    """`moment_w2_loss` of a batch validated with at least two rows."""
+def _moment_w2_loss(x: np.ndarray, centered: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> LossValueGrad:
+    """`moment_w2_loss` of a batch validated with at least two rows.
+
+    `centered` receives the scaled centered batch, a temporary the caller
+    may reuse once this returns, and `out` the gradient; each is a fresh
+    N x d array when not given.  Neither may overlap x or the other.
+    """
     n = x.shape[0]
-    ms, centered = _centered_moment_summary(x)
+    ms, centered = _centered_moment_summary(x, out=centered)
     value, root = _moment_value(ms)
 
     # ((2/n) (x - mean)) G + (2/n) mean, scaling the summary's centered batch
     # in place.
     g_spec = ms.eigvecs @ ((1.0 - 1.0 / root)[:, None] * ms.eigvecs.T)
     centered *= 2.0 / n
-    grad = centered @ g_spec
+    grad = np.matmul(centered, g_spec, out=out)
     grad += (2.0 / n) * ms.mean
     return LossValueGrad(value=value, grad=grad)

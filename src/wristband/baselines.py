@@ -68,13 +68,15 @@ def sliced_w2_loss(batch, projections, stream: RngStream | None = None) -> LossV
     x = validate_point_batch(batch, min_n=2)
     n, d = x.shape
     if isinstance(projections, (int, np.integer)):
+        if projections < 1:
+            raise ContractViolation(f"projection count must be >= 1, got {projections}")
         if stream is None:
             raise ContractViolation("a stream is required when projections is a count")
         theta = sample_projections(d, int(projections), stream)
     else:
         theta = np.asarray(projections, dtype=np.float64)
-        if theta.ndim != 2 or theta.shape[1] != d:
-            raise ContractViolation(f"projections must be (P, {d}), got {theta.shape}")
+        if theta.ndim != 2 or theta.shape[1] != d or theta.shape[0] < 1:
+            raise ContractViolation(f"projections must be (P, {d}) with P >= 1, got {theta.shape}")
     p = theta.shape[0]
 
     v = x @ theta.T  # (N, P)

@@ -145,7 +145,14 @@ def standardized_wristband_loss(batch, table: CalibrationTable) -> LossValueGrad
     gradients with coefficients w_* / (sd_* * sd_numerator).  The batch
     is validated and mapped once; the repulsion and radial terms combine
     their cotangents on (u, t) and share one pullback to the raw points.
+    The gradient is a fresh array; the batch is not written to.
     """
+    x = _validate_for_table(batch, table)
+    return _standardized_step(x, table, _step_buffers(x.shape))
+
+
+def _validate_for_table(batch, table: CalibrationTable) -> np.ndarray:
+    """The validated batch, checked against the table's shape and path."""
     x = validate_point_batch(batch, min_n=2)
     if x.shape != (table.n, table.dim):
         raise ContractViolation(
@@ -154,26 +161,51 @@ def standardized_wristband_loss(batch, table: CalibrationTable) -> LossValueGrad
         )
     if table.loss_path not in LOSS_PATHS:
         raise ContractViolation(f"table has unknown loss_path {table.loss_path!r}")
+    return x
+
+
+def _step_buffers(shape) -> tuple[np.ndarray, ...]:
+    """Three fresh (N, d) arrays: the working set of one `_standardized_step`."""
+    return tuple(np.empty(shape) for _ in range(3))
+
+
+def _standardized_step(x: np.ndarray, table: CalibrationTable,
+                       buffers: tuple[np.ndarray, ...]) -> LossValueGrad:
+    """`standardized_wristband_loss` of a batch `_validate_for_table` returned.
+
+    buffers = (u, grad, centered) are three C-contiguous (N, d) float64
+    arrays that the caller owns and that overlap neither each other nor
+    x.  The step writes every N x d result into them: the map's
+    directions into u, which the pullback then uses as its scratch once
+    it has read them, and which finally takes the moment gradient; the
+    repulsion cotangent into grad, which the pullback overwrites with
+    the gradient; and the moment term's centered batch into centered.
+    The returned gradient is `grad` itself, valid only until the buffers
+    are passed in again.  The values written are byte-identical to those
+    of freshly allocated arrays: only the destination of each result is
+    chosen.
+    """
+    u, grad, centered = buffers
     cfg = table.cfg
     w_rep, w_rad, w_mom = cfg.weights
     c_rep = w_rep / (table.sd_rep * table.sd_numerator)
     c_rad = w_rad / (table.sd_rad * table.sd_numerator)
     c_mom = w_mom / (table.sd_mom * table.sd_numerator)
-    wb = _forward(x)
+    wb = _forward(x, u)
     if table.loss_path == "pairwise":
-        rep_value, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE, c_rep)
+        rep_value, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE, c_rep, grad)
     else:
-        rep_value, grad_u, grad_t = _spectral_value_cotangents(wb, cfg, c_rep)
+        rep_value, grad_u, grad_t = _spectral_value_cotangents(wb, cfg, c_rep, grad)
     rad_value, rad_grad_t = _radial_value_grad_t(wb.t)
-    mom = _moment_w2_loss(x)
+    rad_grad_t *= c_rad
+    grad_t += rad_grad_t
+    grad = _backward(x, wb, grad_u, grad_t, out=grad_u, scratch=u)  # u is dead after this
+    mom = _moment_w2_loss(x, centered, u)
 
     s = (
         w_rep * (rep_value - table.mu_rep) / table.sd_rep
         + w_rad * (rad_value - table.mu_rad) / table.sd_rad
         + w_mom * (mom.value - table.mu_mom) / table.sd_mom
     )
-    rad_grad_t *= c_rad
-    grad_t += rad_grad_t
-    grad = _backward(x, wb, grad_u, grad_t)
     grad += np.multiply(mom.grad, c_mom, out=mom.grad)
     return LossValueGrad(value=s / table.sd_numerator, grad=grad)

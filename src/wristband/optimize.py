@@ -13,7 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import mmd_loss, sliced_w2_loss
-from .calibration import CalibrationTable, standardized_wristband_loss
+from .calibration import (
+    CalibrationTable,
+    _standardized_step,
+    _step_buffers,
+    _validate_for_table,
+)
 from .errors import ContractViolation, OptimizationFailure
 from .generators import RngStream
 from .pairwise import KernelConfig, LossValueGrad
@@ -69,6 +74,17 @@ class OptimizeConfig:
             raise ContractViolation(f"schedule must be 'constant' or 'cosine', got {self.schedule!r}")
         if self.log_stride < 1:
             raise ContractViolation(f"log_stride must be >= 1, got {self.log_stride}")
+        # beta = 1 would divide the bias correction by 1 - beta^t = 0.
+        for name in ("beta1", "beta2"):
+            beta = getattr(self, name)
+            if not 0.0 <= beta < 1.0:
+                raise ContractViolation(f"{name} must be in [0, 1), got {beta}")
+        if not (self.adam_eps > 0.0 and math.isfinite(self.adam_eps)):
+            raise ContractViolation(f"adam_eps must be positive and finite, got {self.adam_eps}")
+        if self.sliced_projections < 1:
+            raise ContractViolation(
+                f"sliced_projections must be >= 1, got {self.sliced_projections}"
+            )
 
 
 def adam_step(params, grads, state: AdamState, lr: float,
@@ -125,7 +141,7 @@ def _adam_update(x, g, m, v, t: int, lr: float, beta1: float, beta2: float, eps:
         xb -= tmp
 
 
-def _make_loss_fn(opt_cfg: OptimizeConfig, table: CalibrationTable | None):
+def _make_loss_fn(opt_cfg: OptimizeConfig, table: CalibrationTable | None, shape):
     if opt_cfg.loss in ("wristband_pairwise", "wristband_spectral"):
         if table is None:
             raise ContractViolation(f"loss {opt_cfg.loss!r} requires a calibration table")
@@ -136,8 +152,10 @@ def _make_loss_fn(opt_cfg: OptimizeConfig, table: CalibrationTable | None):
                 f"but the optimizer requested {expected!r}"
             )
 
+        buffers = _step_buffers(shape)
+
         def loss_fn(x, step):
-            return standardized_wristband_loss(x, table)
+            return _standardized_step(_validate_for_table(x, table), table, buffers)
 
         return loss_fn
     if opt_cfg.loss == "mmd":
@@ -166,9 +184,15 @@ def optimize_point_cloud(initial, opt_cfg: OptimizeConfig, kernel_cfg: KernelCon
     Returns (final_batch, trajectory), where trajectory is a list of
     (step, loss_value) pairs sampled every `log_stride` steps plus the
     final step.  A non-finite loss aborts with the failing step index.
+
+    The call owns its N x d working set: the batch it updates, Adam's m
+    and v and, on the wristband losses, the three buffers of
+    `_standardized_step`, all allocated once here and reused by every
+    step.  A step's gradient lives in those buffers and is valid only
+    until the next step; the returned batch is the call's own array.
     """
     x = validate_point_batch(initial).copy()
-    loss_fn = _make_loss_fn(opt_cfg, table)
+    loss_fn = _make_loss_fn(opt_cfg, table, x.shape)
     if opt_cfg.loss.startswith("wristband") and kernel_cfg != table.cfg:
         raise ContractViolation(
             f"kernel config {kernel_cfg} does not match the calibration table's {table.cfg}"

@@ -262,8 +262,12 @@ def pairwise_value_from_wristband(wb: WristbandBatch, cfg: KernelConfig,
     return _reduce(_row_sums(wb, cfg, tile), cfg)[0]
 
 
-def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | None, tile: int):
+def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | None, tile: int,
+                      out: np.ndarray | None = None):
     """Gradients of sum_ij w-weighted kernel w.r.t. (u, t), and weighted row sums.
+
+    The u gradient is written to `out` (N x d, not overlapping wb.u) when
+    it is given.
 
     Uses grad_k = sum_j (w_k + w_j) dK(k, j)/d(first slot), exact also on
     the diagonal (a reflected self-image moves with t_k at twice the
@@ -322,22 +326,23 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     g = y * rows[:, None] - row_side - col_side[0::3] - col_side[1::3] - col_side[2::3]
     g[:, d] -= 2.0 * col_img3
     g *= -2.0 * cfg.beta
-    return cfg.alpha * g[:, :d], g[:, d], rows
+    return np.multiply(cfg.alpha, g[:, :d], out=out), g[:, d], rows
 
 
 def _pairwise_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int,
-                               scale: float = 1.0):
+                               scale: float = 1.0, out: np.ndarray | None = None):
     """Loss value and its cotangents (grad_u, grad_t) on the wristband coordinates.
 
     Row weights w_i give grad = sum_j (w_i + w_j) dK(i, j).  Global
     reduction has the constant w = 1 / (beta (a + eps) (3N^2 - N)), so
     one unit-weight pass gives the row sums and a gradient that is
     rescaled by 2w once at the end.  The cotangents come multiplied by
-    `scale`, applied as a separate in-place multiply.
+    `scale`, applied as a separate in-place multiply.  grad_u is written
+    to `out` (not overlapping wb.u) when it is given.
     """
     n = wb.n
     if cfg.reduction == "global":
-        grad_u, grad_t, rows = _accumulate_grads(wb, cfg, None, tile)
+        grad_u, grad_t, rows = _accumulate_grads(wb, cfg, None, tile, out)
         value, a = _reduce(rows, cfg)
         w2 = 2.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n))
         grad_u *= w2
@@ -345,7 +350,7 @@ def _pairwise_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int,
     else:
         value, a_i = _reduce(_row_sums(wb, cfg, tile), cfg)
         w = 1.0 / (n * cfg.beta * (a_i + cfg.eps) * (3.0 * n - 1.0))
-        grad_u, grad_t, _ = _accumulate_grads(wb, cfg, w, tile)
+        grad_u, grad_t, _ = _accumulate_grads(wb, cfg, w, tile, out)
     if scale != 1.0:
         grad_u *= scale
         grad_t *= scale

@@ -165,13 +165,15 @@ def _value(energy: float, coeffs: SpectralCoeffs, cfg: KernelConfig) -> float:
     return math.log(energy / (coeffs.lambda0 * coeffs.a[0]) + cfg.eps) / cfg.beta
 
 
-def _spectral_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, scale: float = 1.0):
+def _spectral_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, scale: float = 1.0,
+                               out: np.ndarray | None = None):
     """Loss value and its cotangents (grad_u, grad_t) on the wristband coordinates.
 
     The cotangents come multiplied by `scale`, which is folded into the
-    K x d factor of the one N x K @ K x d product.  The value comes from
-    the same summary, energy and log as `spectral_value_from_wristband`,
-    so the two agree exactly.
+    K x d factor of the one N x K @ K x d product; that product is
+    written to `out` (not overlapping wb.u) when it is given.  The value
+    comes from the same summary, energy and log as
+    `spectral_value_from_wristband`, so the two agree exactly.
     """
     n, d = wb.u.shape
     coeffs = spectral_coefficients(d, cfg)
@@ -190,7 +192,7 @@ def _spectral_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, scale: flo
     dedt = q0 @ sinmat + math.sqrt(d) * np.einsum("ik,k,ki->i", proj, q1, sinmat)
     grad_t = (-2.0 * pref / n) * dedt
     factor = (2.0 * math.sqrt(d) * coeffs.lambda1 * pref / n) * coeffs.a[:, None] * c1
-    return value, cosmat.T @ factor, grad_t
+    return value, np.matmul(cosmat.T, factor, out=out), grad_t
 
 
 def spectral_loss(batch, cfg: KernelConfig) -> LossValueGrad:

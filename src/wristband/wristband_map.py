@@ -87,13 +87,17 @@ def wristband_forward(batch) -> WristbandBatch:
     return _forward(validate_point_batch(batch))
 
 
-def _forward(x: np.ndarray) -> WristbandBatch:
-    """`wristband_forward` of a batch that `validate_point_batch` returned."""
+def _forward(x: np.ndarray, u: np.ndarray | None = None) -> WristbandBatch:
+    """`wristband_forward` of a batch that `validate_point_batch` returned.
+
+    The directions are written to `u` (an (N, d) float64 array that does
+    not overlap x) when it is given, else to a fresh array.
+    """
     d = x.shape[1]
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     floored = norms < NORM_FLOOR
     safe = np.maximum(norms, NORM_FLOOR)
-    u = x / safe[:, None]
+    u = np.divide(x, safe[:, None], out=u)
     if np.any(floored):
         u[floored] = 0.0
         u[floored, 0] = 1.0
@@ -121,15 +125,23 @@ def wristband_backward(batch, wb: WristbandBatch, grad_u, grad_t) -> np.ndarray:
     return _backward(x, wb, grad_u, grad_t)
 
 
-def _backward(x: np.ndarray, wb: WristbandBatch, grad_u, grad_t) -> np.ndarray:
-    """`wristband_backward` of a validated batch with cotangents of matching shapes."""
+def _backward(x: np.ndarray, wb: WristbandBatch, grad_u, grad_t,
+              out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """`wristband_backward` of a validated batch with cotangents of matching shapes.
+
+    The gradient is written to `out`, which may be grad_u itself (the
+    cotangent is then overwritten), and `scratch` holds the N x d
+    temporaries; either is a fresh array when not given.  `scratch` may
+    be wb.u itself, which is then overwritten, but must not overlap x,
+    grad_u or out.
+    """
     norms = np.sqrt(wb.s)
     # Direction part: project grad_u onto the tangent space, divide by the norm.
     radial = np.einsum("ij,ij->i", wb.u, grad_u)
-    gx = radial[:, None] * wb.u
-    np.subtract(grad_u, gx, out=gx)
+    tmp = np.multiply(radial[:, None], wb.u, out=scratch)
+    gx = np.subtract(grad_u, tmp, out=out)
     gx /= norms[:, None]
-    gx += radial_pullback(wb, grad_t, x)
+    gx += _radial_pullback(wb, grad_t, x, out=tmp)
     if np.any(wb.norm_floored):
         gx[wb.norm_floored] = 0.0
     return gx
@@ -141,7 +153,12 @@ def radial_pullback(wb: WristbandBatch, grad_t, x) -> np.ndarray:
     dt/dx = chi2_pdf(d, s) * 2x, with x the raw batch (or u * sqrt(s));
     rows of floored points are exactly zero.
     """
-    gx = (grad_t * chi2_pdf_array(wb.dim, wb.s) * 2.0)[:, None] * x
+    return _radial_pullback(wb, grad_t, x)
+
+
+def _radial_pullback(wb: WristbandBatch, grad_t, x, out: np.ndarray | None = None) -> np.ndarray:
+    """`radial_pullback` written to `out` (not overlapping x) when it is given."""
+    gx = np.multiply((grad_t * chi2_pdf_array(wb.dim, wb.s) * 2.0)[:, None], x, out=out)
     if np.any(wb.norm_floored):
         gx[wb.norm_floored] = 0.0
     return gx

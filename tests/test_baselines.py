@@ -9,6 +9,7 @@ from wristband.baselines import (
     sample_projections,
     sliced_w2_loss,
 )
+from wristband.errors import ContractViolation
 from wristband.generators import RngStream, gaussian_batch
 from wristband.parity import finite_difference_check
 from wristband.specfun import gaussian_quantile_grid
@@ -96,6 +97,12 @@ class TestSlicedW2:
         x = gaussian_batch(8000, 3, RngStream(7, "null"))
         out = sliced_w2_loss(x, 64, RngStream(8, "proj"))
         assert out.value < 0.01
+
+    def test_projections_must_be_nonempty(self):
+        x = gaussian_batch(16, 3, RngStream(9, "empty"))
+        for projections in (0, -1, np.empty((0, 3))):
+            with pytest.raises(ContractViolation, match="projection"):
+                sliced_w2_loss(x, projections, RngStream(10, "proj"))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradient_fd_frozen_projections(self, seed):

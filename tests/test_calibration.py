@@ -1,8 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wristband.accelerators import _radial_value_grad_t, moment_w2_loss, radial_w2_loss
-from wristband.calibration import CalibrationTable, calibrate_null, standardized_wristband_loss
+from wristband.calibration import (
+    CalibrationTable,
+    _standardized_step,
+    _step_buffers,
+    _validate_for_table,
+    calibrate_null,
+    standardized_wristband_loss,
+)
 from wristband.errors import ContractViolation, FormatError, UnsupportedDimension
 from wristband.generators import RngStream, gaussian_batch, x_batch
 from wristband.pairwise import (
@@ -13,7 +22,7 @@ from wristband.pairwise import (
 )
 from wristband.parity import finite_difference_check
 from wristband.spectral import spectral_loss
-from wristband.wristband_map import _backward, wristband_forward
+from wristband.wristband_map import _backward, wristband_backward, wristband_forward
 
 
 CFG = KernelConfig(beta=8.0, alpha=1.0)
@@ -168,3 +177,50 @@ def test_standardized_loss_validates_the_batch(small_table):
             standardized_wristband_loss(bad, small_table)
     with pytest.raises(UnsupportedDimension):
         standardized_wristband_loss(np.ones((64, 1)), small_table)
+
+
+class TestBufferedStep:
+    """The optimizer's step writes into caller-owned buffers; public calls never alias."""
+
+    def test_returned_gradient_survives_a_later_call(self):
+        cfg = KernelConfig(beta=8.0, alpha=0.5)
+        for path in ("pairwise", "spectral"):
+            table = calibrate_null(48, 4, cfg, reps=8, seed=30, loss_path=path)
+            x1 = x_batch(48, 4, RngStream(31, "first"))
+            x2 = gaussian_batch(48, 4, RngStream(32, "second"))
+            before = x1.copy()
+            g1 = standardized_wristband_loss(x1, table).grad
+            kept = g1.copy()
+            standardized_wristband_loss(x2, table)
+            assert g1.tobytes() == kept.tobytes()
+            assert x1.tobytes() == before.tobytes()
+
+    def test_public_pieces_leave_their_arguments_alone(self):
+        x = x_batch(40, 5, RngStream(33, "args"))
+        x[2] = 0.0  # a floored point
+        wb = wristband_forward(x)
+        grad_u = np.random.default_rng(34).normal(size=x.shape)
+        grad_t = np.random.default_rng(35).normal(size=40)
+        saved = [a.copy() for a in (x, grad_u, grad_t, wb.u, wb.t)]
+        wristband_backward(x, wb, grad_u, grad_t)
+        moment_w2_loss(x)
+        for a, b in zip((x, grad_u, grad_t, wb.u, wb.t), saved):
+            assert a.tobytes() == b.tobytes()
+
+    def test_steady_state_step_allocates_no_batch_sized_array(self):
+        # At the benchmark's d = 64, every N x d result of a spectral step
+        # goes to the buffers: the step's traced peak stays below the size
+        # of one N x d float64 array (an allocating step reaches several).
+        n, d = 1024, 64
+        cfg = KernelConfig(beta=8.0, alpha=0.5)
+        table = calibrate_null(n, d, cfg, reps=4, seed=38, loss_path="spectral")
+        x = gaussian_batch(n, d, RngStream(39, "peak"))
+        buffers = _step_buffers(x.shape)
+        _standardized_step(_validate_for_table(x, table), table, buffers)  # warm caches
+        tracemalloc.start()
+        try:
+            _standardized_step(_validate_for_table(x, table), table, buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * d

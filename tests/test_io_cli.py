@@ -133,6 +133,14 @@ class TestCli:
         z = report_floats(read_report(score_report)["metrics"])["z"]
         assert np.isfinite(z)
 
+    def test_optimize_rejects_zero_projections(self, tmp_path, capsys):
+        out = tmp_path / "opt.wbpc"
+        assert run(["optimize", "--loss", "sliced-w2", "--projections", "0",
+                    "--kind", "x", "--n", "16", "--d", "2", "--steps", "2",
+                    "--seed", "1", "--out", str(out)]) == 1
+        assert "sliced_projections must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_score_raw_x_large_z(self, tmp_path):
         raw = tmp_path / "raw.wbpc"
         report = tmp_path / "score.json"

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wristband.calibration import calibrate_null
+from wristband.calibration import calibrate_null, standardized_wristband_loss
 from wristband.errors import ContractViolation, OptimizationFailure
-from wristband.generators import RngStream, gaussian_batch, x_batch
+from wristband.generators import RngStream, gaussian_batch, parity_batch, x_batch
 from wristband.baselines import mmd_loss
 from wristband.optimize import (
     AdamState,
@@ -113,6 +113,57 @@ class TestInPlaceAdam:
                 lr = opt.lr * 0.5 * (1.0 + math.cos(math.pi * step / opt.steps))
             q, st = adam_step(q, mmd_loss(q).grad, st, lr)
         assert final.tobytes() == q.tobytes()
+
+    # The optimizer's buffered step against the public loss, which makes
+    # fresh arrays, on both paths; 2048 x 64 buffers are 1 MiB each.
+    @pytest.mark.parametrize("n, d, path, reduction", [
+        (96, 4, "pairwise", "global"),
+        (96, 4, "pairwise", "per_point"),
+        (96, 5, "spectral", "global"),
+        (2048, 64, "spectral", "global"),
+    ])
+    @pytest.mark.parametrize("schedule", ["constant", "cosine"])
+    def test_wristband_optimizer_equals_public_loss_loop(self, n, d, path, reduction, schedule):
+        cfg = KernelConfig(beta=8.0, alpha=0.5, reduction=reduction)
+        table = calibrate_null(n, d, cfg, reps=4, seed=23, loss_path=path)
+        initial = parity_batch("student_t", n, d, RngStream(24, "init"))
+        initial[1] = 0.0  # a floored point
+        opt = OptimizeConfig(loss=f"wristband_{path}", steps=6, lr=0.05, schedule=schedule,
+                             seed=25, log_stride=1)
+        final, trajectory = optimize_point_cloud(initial, opt, cfg, table)
+        q, st = initial.copy(), AdamState.zeros(initial.shape)
+        values = []
+        for step in range(opt.steps):
+            lr = opt.lr
+            if schedule == "cosine":
+                lr = opt.lr * 0.5 * (1.0 + math.cos(math.pi * step / opt.steps))
+            lvg = standardized_wristband_loss(q, table)
+            values.append(lvg.value)
+            q, st = adam_step(q, lvg.grad, st, lr)
+        assert final.tobytes() == q.tobytes()
+        assert [v for _, v in trajectory] == values
+
+
+class TestSettingsContract:
+    """Settings that would produce a NaN or a bare arithmetic error are refused up front."""
+
+    @pytest.mark.parametrize("name", ["beta1", "beta2"])
+    @pytest.mark.parametrize("value", [1.0, 1.5, -0.1, math.nan])
+    def test_adam_betas_must_lie_in_the_unit_interval(self, name, value):
+        # beta = 1 would divide the bias correction by 1 - beta^t = 0.
+        with pytest.raises(ContractViolation, match=name):
+            OptimizeConfig(**{name: value})
+        OptimizeConfig(**{name: 0.0})
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, math.inf, math.nan])
+    def test_adam_eps_must_be_positive(self, eps):
+        with pytest.raises(ContractViolation, match="adam_eps"):
+            OptimizeConfig(adam_eps=eps)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sliced_projections_must_be_positive(self, count):
+        with pytest.raises(ContractViolation, match="sliced_projections"):
+            OptimizeConfig(loss="sliced_w2", sliced_projections=count)
 
 
 class TestOptimizePointCloud:
