@@ -133,26 +133,17 @@ def moment_w2_loss(batch) -> LossValueGrad:
     The eigenvalue term is a spectral function of the covariance, so its
     matrix derivative is V diag(1 - lambda^{-1/2}) V^T; no eigenvector
     derivative is needed, and repeated eigenvalues are unproblematic.
+    The gradient is (2/n) ((x - mean) G + mean), G that derivative.
     """
-    return _moment_w2_loss(validate_point_batch(batch, min_n=2))
-
-
-def _moment_w2_loss(x: np.ndarray, centered: np.ndarray | None = None,
-                    out: np.ndarray | None = None) -> LossValueGrad:
-    """`moment_w2_loss` of a batch validated with at least two rows.
-
-    `centered` receives the scaled centered batch, a temporary the caller
-    may reuse once this returns, and `out` the gradient; each is a fresh
-    N x d array when not given.  Neither may overlap x or the other.
-    """
-    n = x.shape[0]
-    ms, centered = _centered_moment_summary(x, out=centered)
+    x = validate_point_batch(batch, min_n=2)
+    scale = 2.0 / x.shape[0]
+    ms, centered = _centered_moment_summary(x)
     value, root = _moment_value(ms)
-
-    # ((2/n) (x - mean)) G + (2/n) mean, scaling the summary's centered batch
-    # in place.
-    g_spec = ms.eigvecs @ ((1.0 - 1.0 / root)[:, None] * ms.eigvecs.T)
-    centered *= 2.0 / n
-    grad = np.matmul(centered, g_spec, out=out)
-    grad += (2.0 / n) * ms.mean
+    grad = centered @ _moment_gradient_matrix(ms, root, scale)
+    grad += scale * ms.mean
     return LossValueGrad(value=value, grad=grad)
+
+
+def _moment_gradient_matrix(ms: MomentSummary, root: np.ndarray, scale: float) -> np.ndarray:
+    """scale * V diag(1 - 1/root) V^T, the moment penalty's covariance derivative scaled."""
+    return ms.eigvecs @ ((scale * (1.0 - 1.0 / root))[:, None] * ms.eigvecs.T)

@@ -14,23 +14,30 @@ independence.
 A table remembers which repulsion path (pairwise or spectral) it
 calibrated; scoring through the other path is refused because the two
 have different null means.
+
+Tables serialize to versioned JSON with floats as full-precision decimal
+strings (shortest round-trip repr), so a save/load cycle reproduces the
+table bit for bit; unknown versions are rejected.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .accelerators import (
+    _centered_moment_summary,
+    _moment_gradient_matrix,
     _moment_summary,
     _moment_value,
-    _moment_w2_loss,
     _radial_value_grad_t,
     radial_w2_value_from_wristband,
 )
-from .errors import CalibrationError, ContractViolation
+from .errors import CalibrationError, ContractViolation, FormatError
 from .generators import RngStream, gaussian_batch
 from .pairwise import (
     DEFAULT_TILE,
@@ -49,6 +56,10 @@ from .wristband_map import _backward, _forward, validate_point_batch, wristband_
 __all__ = ["CalibrationTable", "calibrate_null", "standardized_wristband_loss"]
 
 LOSS_PATHS = ("pairwise", "spectral")
+
+FORMAT_VERSION = 1
+
+_FLOAT_FIELDS = ("mu_rep", "mu_rad", "mu_mom", "sd_rep", "sd_rad", "sd_mom", "sd_numerator")
 
 
 @dataclass(frozen=True)
@@ -71,15 +82,42 @@ class CalibrationTable:
 
     def to_json(self) -> str:
         """Versioned JSON with floats as full-precision decimal strings."""
-        from .calibration_io import table_to_json
-
-        return table_to_json(self)
+        doc = {
+            "format_version": FORMAT_VERSION,
+            "n": self.n,
+            "dim": self.dim,
+            "cfg": self.cfg.to_dict(),
+            "reps": self.reps,
+            "seed": self.seed,
+            "loss_path": self.loss_path,
+        }
+        for name in _FLOAT_FIELDS:
+            doc[name] = repr(getattr(self, name))
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationTable":
-        from .calibration_io import table_from_json
-
-        return table_from_json(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"calibration table is not valid JSON: {exc}") from exc
+        version = doc.get("format_version")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported calibration table format_version {version!r}")
+        try:
+            return cls(
+                n=int(doc["n"]),
+                dim=int(doc["dim"]),
+                cfg=KernelConfig.from_dict(doc["cfg"]),
+                reps=int(doc["reps"]),
+                seed=int(doc["seed"]),
+                loss_path=doc["loss_path"],
+                **{name: float(doc[name]) for name in _FLOAT_FIELDS},
+            )
+        except (KeyError, ValueError) as exc:
+            raise FormatError(
+                f"calibration table is missing or has malformed fields: {exc}"
+            ) from exc
 
 
 def calibrate_null(
@@ -165,27 +203,29 @@ def _validate_for_table(batch, table: CalibrationTable) -> np.ndarray:
 
 
 def _step_buffers(shape) -> tuple[np.ndarray, ...]:
-    """Three fresh (N, d) arrays: the working set of one `_standardized_step`."""
-    return tuple(np.empty(shape) for _ in range(3))
+    """Two fresh (N, d) arrays: the working set of one `_standardized_step`."""
+    return np.empty(shape), np.empty(shape)
 
 
 def _standardized_step(x: np.ndarray, table: CalibrationTable,
                        buffers: tuple[np.ndarray, ...]) -> LossValueGrad:
     """`standardized_wristband_loss` of a batch `_validate_for_table` returned.
 
-    buffers = (u, grad, centered) are three C-contiguous (N, d) float64
-    arrays that the caller owns and that overlap neither each other nor
-    x.  The step writes every N x d result into them: the map's
-    directions into u, which the pullback then uses as its scratch once
-    it has read them, and which finally takes the moment gradient; the
-    repulsion cotangent into grad, which the pullback overwrites with
-    the gradient; and the moment term's centered batch into centered.
-    The returned gradient is `grad` itself, valid only until the buffers
-    are passed in again.  The values written are byte-identical to those
-    of freshly allocated arrays: only the destination of each result is
-    chosen.
+    buffers = (u, grad) are two C-contiguous (N, d) float64 arrays that
+    the caller owns and that overlap neither each other nor x.  u takes
+    the map's directions, then serves as the adjoint's scratch once it
+    has read them, then takes the moment term's centered batch.  grad
+    takes the repulsion cotangent, which the adjoint overwrites with the
+    pulled-back gradient, and then accumulates the moment gradient:
+
+        grad += (x - mean) (c_mom (2/n) G) + c_mom (2/n) mean,
+
+    G = V diag(1 - lambda^{-1/2}) V^T, the product added by one BLAS
+    call with beta = 1 on the transposed (Fortran-ordered) views.  The
+    returned gradient is `grad` itself, valid only until the buffers are
+    passed in again.
     """
-    u, grad, centered = buffers
+    u, grad = buffers
     cfg = table.cfg
     w_rep, w_rad, w_mom = cfg.weights
     c_rep = w_rep / (table.sd_rep * table.sd_numerator)
@@ -199,13 +239,18 @@ def _standardized_step(x: np.ndarray, table: CalibrationTable,
     rad_value, rad_grad_t = _radial_value_grad_t(wb.t)
     rad_grad_t *= c_rad
     grad_t += rad_grad_t
-    grad = _backward(x, wb, grad_u, grad_t, out=grad_u, scratch=u)  # u is dead after this
-    mom = _moment_w2_loss(x, centered, u)
+    _backward(x, wb, grad_u, grad_t, out=grad, scratch=u)  # u is dead after this
+
+    ms, centered = _centered_moment_summary(x, out=u)
+    mom_value, root = _moment_value(ms)
+    scale = c_mom * 2.0 / x.shape[0]
+    dgemm(1.0, _moment_gradient_matrix(ms, root, scale).T, centered.T,
+          beta=1.0, c=grad.T, overwrite_c=True)
+    grad += scale * ms.mean
 
     s = (
         w_rep * (rep_value - table.mu_rep) / table.sd_rep
         + w_rad * (rad_value - table.mu_rad) / table.sd_rad
-        + w_mom * (mom.value - table.mu_mom) / table.sd_mom
+        + w_mom * (mom_value - table.mu_mom) / table.sd_mom
     )
-    grad += np.multiply(mom.grad, c_mom, out=mom.grad)
     return LossValueGrad(value=s / table.sd_numerator, grad=grad)

@@ -186,7 +186,7 @@ def optimize_point_cloud(initial, opt_cfg: OptimizeConfig, kernel_cfg: KernelCon
     final step.  A non-finite loss aborts with the failing step index.
 
     The call owns its N x d working set: the batch it updates, Adam's m
-    and v and, on the wristband losses, the three buffers of
+    and v and, on the wristband losses, the two buffers of
     `_standardized_step`, all allocated once here and reused by every
     step.  A step's gradient lives in those buffers and is valid only
     until the next step; the returned batch is the call's own array.

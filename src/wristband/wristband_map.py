@@ -10,6 +10,13 @@ clamped: the direction is pinned to e_1 (deterministic, reproducible),
 the squared norm is floored, the point is flagged, and its gradient is
 zeroed in the adjoint.
 
+The adjoint pulls cotangents (g_u, g_t) back to the raw points as
+
+    g_x = (I - u u^T) g_u / |x| + 2 f(s) g_t x,   f the chi-squared density,
+
+evaluated as g_u / |x| + x (2 f(s) g_t - (u . g_u) / |x|^2): one row
+dot, two batch scalings and one add.
+
 Far in the tail the radius saturates: t rounds to exactly 1.0 (d=8 at
 norm 34, where the chi-squared density is 1.5e-244; the density
 underflows to 0 from norm ~39).  dt/dx is then negligible or exactly
@@ -129,19 +136,17 @@ def _backward(x: np.ndarray, wb: WristbandBatch, grad_u, grad_t,
               out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """`wristband_backward` of a validated batch with cotangents of matching shapes.
 
-    The gradient is written to `out`, which may be grad_u itself (the
-    cotangent is then overwritten), and `scratch` holds the N x d
-    temporaries; either is a fresh array when not given.  `scratch` may
-    be wb.u itself, which is then overwritten, but must not overlap x,
-    grad_u or out.
+    Evaluates the algebraic form of the module docstring.  The gradient
+    is written to `out`, which may be grad_u itself (the cotangent is
+    then overwritten), and `scratch` holds the x-proportional term;
+    either is a fresh array when not given.  `scratch` may be wb.u
+    itself, which is then overwritten, but must not overlap x, grad_u
+    or out.
     """
-    norms = np.sqrt(wb.s)
-    # Direction part: project grad_u onto the tangent space, divide by the norm.
-    radial = np.einsum("ij,ij->i", wb.u, grad_u)
-    tmp = np.multiply(radial[:, None], wb.u, out=scratch)
-    gx = np.subtract(grad_u, tmp, out=out)
-    gx /= norms[:, None]
-    gx += _radial_pullback(wb, grad_t, x, out=tmp)
+    coef = 2.0 * grad_t * chi2_pdf_array(wb.dim, wb.s) - np.einsum("ij,ij->i", wb.u, grad_u) / wb.s
+    tmp = np.multiply(x, coef[:, None], out=scratch)
+    gx = np.divide(grad_u, np.sqrt(wb.s)[:, None], out=out)
+    gx += tmp
     if np.any(wb.norm_floored):
         gx[wb.norm_floored] = 0.0
     return gx
@@ -153,12 +158,7 @@ def radial_pullback(wb: WristbandBatch, grad_t, x) -> np.ndarray:
     dt/dx = chi2_pdf(d, s) * 2x, with x the raw batch (or u * sqrt(s));
     rows of floored points are exactly zero.
     """
-    return _radial_pullback(wb, grad_t, x)
-
-
-def _radial_pullback(wb: WristbandBatch, grad_t, x, out: np.ndarray | None = None) -> np.ndarray:
-    """`radial_pullback` written to `out` (not overlapping x) when it is given."""
-    gx = np.multiply((grad_t * chi2_pdf_array(wb.dim, wb.s) * 2.0)[:, None], x, out=out)
+    gx = (grad_t * chi2_pdf_array(wb.dim, wb.s) * 2.0)[:, None] * x
     if np.any(wb.norm_floored):
         gx[wb.norm_floored] = 0.0
     return gx

@@ -3,7 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wristband.accelerators import _radial_value_grad_t, moment_w2_loss, radial_w2_loss
+from wristband import calibration
+from wristband.accelerators import (
+    _centered_moment_summary,
+    _moment_gradient_matrix,
+    _moment_value,
+    _radial_value_grad_t,
+    moment_w2_loss,
+    radial_w2_loss,
+)
 from wristband.calibration import (
     CalibrationTable,
     _standardized_step,
@@ -132,9 +140,11 @@ def test_single_forward_matches_component_functions(loss_path):
 
 @pytest.mark.parametrize("reduction", ["global", "per_point"])
 def test_pairwise_gradient_is_the_written_out_combination(reduction):
-    # The cotangents are weighted in place inside the standardized loss;
-    # on the pairwise path that must give the same bytes as weighting them
-    # outside and pulling back once.
+    # The cotangents are weighted in place inside the standardized loss and
+    # the moment term is accumulated into the pulled-back gradient; on the
+    # pairwise path that must give the same bytes as weighting the
+    # cotangents outside, pulling back once and adding the scaled moment
+    # product and mean row.
     n, d = 77, 5
     cfg = KernelConfig(beta=8.0, alpha=1.0, reduction=reduction)
     table = calibrate_null(n, d, cfg, reps=16, seed=12)
@@ -142,12 +152,15 @@ def test_pairwise_gradient_is_the_written_out_combination(reduction):
     wb = wristband_forward(x)
     _, gu, gt = _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE)
     _, rt = _radial_value_grad_t(wb.t)
-    mom = moment_w2_loss(x)
+    ms, centered = _centered_moment_summary(x)
     w_rep, w_rad, w_mom = cfg.weights
     c_rep = w_rep / (table.sd_rep * table.sd_numerator)
     c_rad = w_rad / (table.sd_rad * table.sd_numerator)
     c_mom = w_mom / (table.sd_mom * table.sd_numerator)
-    expected = _backward(x, wb, c_rep * gu, c_rep * gt + c_rad * rt) + c_mom * mom.grad
+    scale = c_mom * 2.0 / n
+    expected = _backward(x, wb, c_rep * gu, c_rep * gt + c_rad * rt)
+    expected += centered @ _moment_gradient_matrix(ms, _moment_value(ms)[1], scale)
+    expected += scale * ms.mean
     assert standardized_wristband_loss(x, table).grad.tobytes() == expected.tobytes()
 
 
@@ -207,20 +220,39 @@ class TestBufferedStep:
         for a, b in zip((x, grad_u, grad_t, wb.u, wb.t), saved):
             assert a.tobytes() == b.tobytes()
 
-    def test_steady_state_step_allocates_no_batch_sized_array(self):
-        # At the benchmark's d = 64, every N x d result of a spectral step
-        # goes to the buffers: the step's traced peak stays below the size
-        # of one N x d float64 array (an allocating step reaches several).
+    def test_steady_state_step_allocates_no_batch_sized_array(self, monkeypatch):
+        # At the benchmark's d = 64, every N x d result of a step goes to
+        # the buffers, and the returned gradient is the second buffer itself
+        # (a copy made by the accumulating product would not be).  The
+        # spectral step's traced peak stays below the size of one N x d
+        # float64 array (an allocating step reaches several).  The pairwise
+        # kernel pass holds image arrays wider than the batch, so on that
+        # path the peak is taken from the end of the pass, above what the
+        # pass leaves allocated: the pullback and the moment term after it
+        # must stay below one N x d array too.
         n, d = 1024, 64
         cfg = KernelConfig(beta=8.0, alpha=0.5)
-        table = calibrate_null(n, d, cfg, reps=4, seed=38, loss_path="spectral")
         x = gaussian_batch(n, d, RngStream(39, "peak"))
-        buffers = _step_buffers(x.shape)
-        _standardized_step(_validate_for_table(x, table), table, buffers)  # warm caches
-        tracemalloc.start()
-        try:
-            _standardized_step(_validate_for_table(x, table), table, buffers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * n * d
+        kernel_pass = calibration._pairwise_value_cotangents
+        held = [0]
+
+        def reset_peak_after(*args):
+            result = kernel_pass(*args)
+            tracemalloc.reset_peak()
+            held[0] = tracemalloc.get_traced_memory()[0]
+            return result
+
+        for loss_path in ("spectral", "pairwise"):
+            table = calibrate_null(n, d, cfg, reps=4, seed=38, loss_path=loss_path)
+            buffers = _step_buffers(x.shape)
+            _standardized_step(_validate_for_table(x, table), table, buffers)  # warm caches
+            if loss_path == "pairwise":
+                monkeypatch.setattr(calibration, "_pairwise_value_cotangents", reset_peak_after)
+            tracemalloc.start()
+            try:
+                out = _standardized_step(_validate_for_table(x, table), table, buffers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.grad is buffers[1]
+            assert peak - held[0] < 8 * n * d, loss_path
