@@ -34,8 +34,6 @@ from .evaluation import (
     barycentric_reference,
     barycentric_z_score,
     hungarian_assign,
-    load_reference,
-    save_reference,
     w2_exact,
 )
 from .generators import (
@@ -58,14 +56,7 @@ from .pairwise import (
     radial_neumann_kernel,
 )
 from .parity import finite_difference_check, gradient_cosine, parity_suite, timing_sweep
-from .specfun import (
-    chi2_cdf,
-    chi2_pdf,
-    inv_norm_cdf,
-    log_gamma,
-    reg_lower_gamma,
-    scaled_bessel_i,
-)
+from .specfun import chi2_cdf, chi2_pdf, log_gamma, scaled_bessel_i
 from .spectral import (
     SpectralCoeffs,
     SpectralSummary,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .pairwise import LossValueGrad
-from .wristband_map import WristbandBatch, radial_pullback, validate_point_batch
+from .wristband_map import WristbandBatch, _backward, validate_point_batch
 
 __all__ = [
     "EIGENVALUE_CLAMP",
@@ -66,17 +66,13 @@ def symmetric_eigen(m) -> tuple[np.ndarray, np.ndarray]:
 
 def moment_summary(batch) -> MomentSummary:
     """First and second moments of the batch with the covariance spectrum."""
-    return _moment_summary(validate_point_batch(batch, min_n=2))
-
-
-def _moment_summary(x: np.ndarray) -> MomentSummary:
-    """`moment_summary` of a batch validated with at least two rows."""
-    return _centered_moment_summary(x)[0]
+    return _centered_moment_summary(validate_point_batch(batch, min_n=2))[0]
 
 
 def _centered_moment_summary(x: np.ndarray, out: np.ndarray | None = None
                              ) -> tuple[MomentSummary, np.ndarray]:
-    """`_moment_summary` and the centered batch x - mean it was built from.
+    """`moment_summary` of a batch validated with at least two rows, and the
+    centered batch x - mean it was built from.
 
     The centered batch is written to `out` (not overlapping x) when it
     is given, else to a fresh array.
@@ -108,12 +104,12 @@ def radial_w2_loss(wb: WristbandBatch) -> LossValueGrad:
     """Order-statistics penalty (1/N) sum (t_(i) - (i - 1/2)/N)^2 with gradient.
 
     The gradient is routed through the stable sort permutation (ties
-    broken by index) and then chained through the radial quantile map
-    back to the raw points.
+    broken by index) and then pulled back through the map's adjoint with
+    a zero direction cotangent, to the points u sqrt(s) that wb encodes.
     """
     value, grad_t = _radial_value_grad_t(wb.t)
     x = wb.u * np.sqrt(wb.s)[:, None]
-    return LossValueGrad(value=value, grad=radial_pullback(wb, grad_t, x))
+    return LossValueGrad(value=value, grad=_backward(x, wb, np.zeros_like(wb.u), grad_t))
 
 
 def _moment_value(ms: MomentSummary) -> tuple[float, np.ndarray]:

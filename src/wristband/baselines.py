@@ -22,8 +22,9 @@ __all__ = ["MMD_BANDWIDTH_MULTIPLIERS", "mmd_loss", "sliced_w2_loss", "sample_pr
 MMD_BANDWIDTH_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-def mmd_loss(batch, bandwidth_multipliers=MMD_BANDWIDTH_MULTIPLIERS) -> LossValueGrad:
-    """Squared MMD to N(0, I_d), summed over bandwidths sigma = sqrt(d) * m.
+def mmd_loss(batch) -> LossValueGrad:
+    """Squared MMD to N(0, I_d), summed over bandwidths sigma = sqrt(d) * m,
+    m in MMD_BANDWIDTH_MULTIPLIERS.
 
     The empirical term is the V-statistic; the cross term uses
     E_{y~N}[k(x, y)] = (s^2/(s^2+1))^{d/2} exp(-||x||^2 / (2(s^2+1)))
@@ -38,7 +39,7 @@ def mmd_loss(batch, bandwidth_multipliers=MMD_BANDWIDTH_MULTIPLIERS) -> LossValu
 
     value = 0.0
     grad = np.zeros_like(x)
-    for mult in bandwidth_multipliers:
+    for mult in MMD_BANDWIDTH_MULTIPLIERS:
         s2 = d * mult * mult
         k = np.exp(-dists / (2.0 * s2))
         cross = (s2 / (s2 + 1.0)) ** (0.5 * d) * np.exp(-sq_norms / (2.0 * (s2 + 1.0)))

@@ -32,7 +32,6 @@ from scipy.linalg.blas import dgemm
 from .accelerators import (
     _centered_moment_summary,
     _moment_gradient_matrix,
-    _moment_summary,
     _moment_value,
     _radial_value_grad_t,
     radial_w2_value_from_wristband,
@@ -146,7 +145,7 @@ def calibrate_null(
         else:
             vals[m, 0] = spectral_value_from_wristband(wb, coeffs, cfg)
         vals[m, 1] = radial_w2_value_from_wristband(wb)
-        vals[m, 2] = _moment_value(_moment_summary(batch))[0]
+        vals[m, 2] = _moment_value(_centered_moment_summary(batch)[0])[0]
 
     mu = vals.mean(axis=0)
     sd = vals.std(axis=0, ddof=1)

@@ -25,6 +25,7 @@ from .errors import WristbandError
 from .evaluation import barycentric_reference, barycentric_z_score
 from .generators import (
     PARITY_CONSTANTS,
+    PARITY_KINDS,
     RngStream,
     gaussian_batch,
     parity_batch,
@@ -32,33 +33,36 @@ from .generators import (
     x_batch,
 )
 from .io import build_report, read_batch, read_report, report_floats, write_batch, write_report
-from .optimize import OptimizeConfig, optimize_point_cloud
+from .optimize import LOSS_KINDS, OptimizeConfig, optimize_point_cloud
 from .pairwise import KernelConfig, pairwise_repulsion_loss
 from .parity import finite_difference_check, parity_suite, timing_sweep
 from .spectral import spectral_loss
 from .specfun import chi2_cdf
 
-GEN_KINDS = ("gaussian", "x", "rac", "mixture5", "two-mode", "student-t", "ring")
 
-_KIND_ALIASES = {"two-mode": "two_mode", "student-t": "student_t"}
-_LOSS_ALIASES = {
-    "wristband-pairwise": "wristband_pairwise",
-    "wristband-spectral": "wristband_spectral",
-    "mmd": "mmd",
-    "sliced-w2": "sliced_w2",
-}
+def _cli_name(name: str) -> str:
+    """The command-line spelling of a library name: '_' becomes '-'."""
+    return name.replace("_", "-")
+
+
+def _library_name(name: str) -> str:
+    """The library name of a command-line spelling: '-' becomes '_'."""
+    return name.replace("-", "_")
+
+
+_CLI_PARITY_KINDS = tuple(_cli_name(k) for k in PARITY_KINDS)
+GEN_KINDS = ("gaussian", "x", "rac") + _CLI_PARITY_KINDS
 
 
 def _generate(kind: str, n: int, d: int, seed: int) -> np.ndarray:
     stream = RngStream(seed, f"gen/{kind}")
-    internal = _KIND_ALIASES.get(kind, kind)
     if kind == "gaussian":
         return gaussian_batch(n, d, stream)
     if kind == "x":
         return x_batch(n, d, stream)
     if kind == "rac":
         return rac_batch(n, d, stream)
-    return parity_batch(internal, n, d, stream)
+    return parity_batch(_library_name(kind), n, d, stream)
 
 
 def _parse_weights(text: str) -> tuple[float, float, float]:
@@ -95,7 +99,7 @@ def _cmd_gen(args) -> int:
         "mean_norm": float(norms.mean()),
         "max_abs": float(np.max(np.abs(batch))),
     }
-    if args.kind in ("mixture5", "two-mode", "student-t", "ring"):
+    if args.kind in _CLI_PARITY_KINDS:
         metrics["generator_constants"] = dict(PARITY_CONSTANTS)
     print(f"gen: wrote {args.n}x{args.d} {args.kind} batch to {args.out}")
     _emit_report(args, "gen", _config_echo(args), {"seed": args.seed}, metrics,
@@ -149,7 +153,7 @@ def _cmd_optimize(args) -> int:
         if args.kind is None or args.n is None or args.d is None:
             raise WristbandError("optimize needs either --in or --kind with --n and --d")
         initial = _generate(args.kind, args.n, args.d, args.seed)
-    loss = _LOSS_ALIASES[args.loss]
+    loss = _library_name(args.loss)
 
     table = None
     if loss.startswith("wristband"):
@@ -165,12 +169,10 @@ def _cmd_optimize(args) -> int:
         loss=loss,
         steps=args.steps,
         lr=args.lr,
-        optimizer=args.optimizer,
         schedule=args.schedule,
         seed=args.seed,
         log_stride=args.log_stride,
         sliced_projections=args.projections,
-        freeze_projections=args.freeze_projections,
     )
     final, trajectory = optimize_point_cloud(initial, opt_cfg, kernel_cfg, table)
     write_batch(args.out, final)
@@ -347,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("optimize", help="direct point-cloud optimization")
-    p.add_argument("--loss", choices=tuple(_LOSS_ALIASES), required=True)
+    p.add_argument("--loss", choices=tuple(_cli_name(k) for k in LOSS_KINDS), required=True)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--calib", default=None, help="calibration table (wristband losses)")
@@ -357,11 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p.add_argument("--schedule", choices=("constant", "cosine"), default="constant")
     p.add_argument("--log-stride", dest="log_stride", type=int, default=10)
     p.add_argument("--projections", type=int, default=128)
-    p.add_argument("--freeze-projections", dest="freeze_projections", action="store_true")
     p.add_argument("--out", required=True)
     add_common(p)
     p.set_defaults(func=_cmd_optimize)

@@ -39,8 +39,6 @@ __all__ = [
     "w2_exact",
     "barycentric_reference",
     "barycentric_z_score",
-    "save_reference",
-    "load_reference",
 ]
 
 
@@ -73,38 +71,6 @@ class BarycentricReference:
             "depth": self.depth,
             "stream_label": self.stream_label,
         }
-
-
-def save_reference(path, ref: BarycentricReference) -> None:
-    """Write the reference batch plus a provenance JSON sidecar."""
-    import json
-
-    from .io import write_batch
-
-    write_batch(path, ref.batch)
-    with open(f"{path}.provenance.json", "w") as fh:
-        json.dump(ref.provenance(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_reference(path) -> BarycentricReference:
-    """Load a reference batch written by :func:`save_reference`."""
-    import json
-
-    from .io import read_batch
-
-    batch = read_batch(path)
-    with open(f"{path}.provenance.json") as fh:
-        prov = json.load(fh)
-    return BarycentricReference(
-        batch=batch,
-        num_batches=int(prov["num_batches"]),
-        n=int(prov["n"]),
-        dim=int(prov["dim"]),
-        seed=int(prov["seed"]),
-        depth=int(prov["depth"]),
-        stream_label=prov["stream_label"],
-    )
 
 
 def hungarian_assign(cost) -> Assignment:

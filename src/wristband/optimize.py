@@ -1,8 +1,8 @@
 """Direct point-cloud Gaussianization: the batch itself is the parameter.
 
 The N x d matrix is treated as free variables and a selected batch loss
-is minimized with Adam (or plain SGD).  Everything is seeded, so a
-(seed, config) pair reproduces the trajectory bit for bit.
+is minimized with Adam.  Everything is seeded, so a (seed, config) pair
+reproduces the trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ __all__ = ["LOSS_KINDS", "AdamState", "OptimizeConfig", "adam_step", "optimize_p
 
 LOSS_KINDS = ("wristband_pairwise", "wristband_spectral", "mmd", "sliced_w2")
 
+# Adam's decay rates and denominator offset (the usual defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # Elements per block of the in-place Adam update: 256 KiB per array, so a
 # block of x, g, m, v and the two scratch buffers stays in L2 cache.
 ADAM_BLOCK = 32768
@@ -51,15 +56,10 @@ class OptimizeConfig:
     loss: str = "wristband_pairwise"
     steps: int = 2000
     lr: float = 0.05
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     schedule: str = "constant"
     seed: int = 0
     log_stride: int = 10
     sliced_projections: int = 128
-    freeze_projections: bool = False
 
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
@@ -68,27 +68,17 @@ class OptimizeConfig:
             raise ContractViolation(f"steps must be >= 1, got {self.steps}")
         if not (self.lr > 0.0 and math.isfinite(self.lr)):
             raise ContractViolation(f"lr must be positive, got {self.lr}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ContractViolation(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.schedule not in ("constant", "cosine"):
             raise ContractViolation(f"schedule must be 'constant' or 'cosine', got {self.schedule!r}")
         if self.log_stride < 1:
             raise ContractViolation(f"log_stride must be >= 1, got {self.log_stride}")
-        # beta = 1 would divide the bias correction by 1 - beta^t = 0.
-        for name in ("beta1", "beta2"):
-            beta = getattr(self, name)
-            if not 0.0 <= beta < 1.0:
-                raise ContractViolation(f"{name} must be in [0, 1), got {beta}")
-        if not (self.adam_eps > 0.0 and math.isfinite(self.adam_eps)):
-            raise ContractViolation(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if self.sliced_projections < 1:
             raise ContractViolation(
                 f"sliced_projections must be >= 1, got {self.sliced_projections}"
             )
 
 
-def adam_step(params, grads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params, grads, state: AdamState, lr: float):
     """One bias-corrected Adam update; returns (new_params, new_state)."""
     params = np.array(params, dtype=np.float64, order="C")
     grads = np.asarray(grads, dtype=np.float64)
@@ -101,42 +91,43 @@ def adam_step(params, grads, state: AdamState, lr: float,
         raise ContractViolation(f"Adam step counter must be >= 0, got {state.step}")
     m = np.array(state.m, dtype=np.float64, order="C")
     v = np.array(state.v, dtype=np.float64, order="C")
-    _adam_update(params, grads, m, v, state.step + 1, lr, beta1, beta2, eps)
+    _adam_update(params, grads, m, v, state.step + 1, lr)
     return params, AdamState(m=m, v=v, step=state.step + 1)
 
 
-def _adam_update(x, g, m, v, t: int, lr: float, beta1: float, beta2: float, eps: float):
+def _adam_update(x, g, m, v, t: int, lr: float):
     """Adam step t applied in place to the C-contiguous arrays x, m and v.
 
     Works through blocks of ADAM_BLOCK elements with two scratch buffers,
     in the elementwise operation order of
 
-        m = beta1 m + (1 - beta1) g;   v = beta2 v + (1 - beta2) g g
-        x = x - lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+        m = b1 m + (1 - b1) g;   v = b2 v + (1 - b2) g g
+        x = x - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
 
-    so the result is bit-identical to that whole-array formula.
+    with b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, so the result is
+    bit-identical to that whole-array formula.
     """
     x, m, v = x.reshape(-1), m.reshape(-1), v.reshape(-1)
     g = g.reshape(-1)
-    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
     buf = np.empty(min(ADAM_BLOCK, x.size))
     den = np.empty_like(buf)
     for lo in range(0, x.size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, x.size)
         xb, gb, mb, vb = x[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
         tmp, dn = buf[: hi - lo], den[: hi - lo]
-        mb *= beta1
-        np.multiply(gb, 1.0 - beta1, out=tmp)
+        mb *= ADAM_BETA1
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=tmp)
         mb += tmp
-        vb *= beta2
-        np.multiply(gb, 1.0 - beta2, out=tmp)
+        vb *= ADAM_BETA2
+        np.multiply(gb, 1.0 - ADAM_BETA2, out=tmp)
         tmp *= gb
         vb += tmp
         np.divide(mb, c1, out=tmp)
         tmp *= lr
         np.divide(vb, c2, out=dn)
         np.sqrt(dn, out=dn)
-        dn += eps
+        dn += ADAM_EPS
         tmp /= dn
         xb -= tmp
 
@@ -163,12 +154,11 @@ def _make_loss_fn(opt_cfg: OptimizeConfig, table: CalibrationTable | None, shape
             return mmd_loss(x)
 
         return loss_fn
-    # sliced_w2: fresh seeded projections each step unless frozen.
+    # sliced_w2: fresh seeded projections each step.
     root = RngStream(opt_cfg.seed, "sliced_w2/projections")
 
     def loss_fn(x, step):
-        label = "frozen" if opt_cfg.freeze_projections else f"step{step:06d}"
-        return sliced_w2_loss(x, opt_cfg.sliced_projections, root.child(label))
+        return sliced_w2_loss(x, opt_cfg.sliced_projections, root.child(f"step{step:06d}"))
 
     return loss_fn
 
@@ -211,9 +201,5 @@ def optimize_point_cloud(initial, opt_cfg: OptimizeConfig, kernel_cfg: KernelCon
         lr = opt_cfg.lr
         if opt_cfg.schedule == "cosine":
             lr = opt_cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / opt_cfg.steps))
-        if opt_cfg.optimizer == "adam":
-            _adam_update(x, lvg.grad, m, v, step + 1, lr,
-                         opt_cfg.beta1, opt_cfg.beta2, opt_cfg.adam_eps)
-        else:
-            x = x - lr * lvg.grad
+        _adam_update(x, lvg.grad, m, v, step + 1, lr)
     return x, trajectory

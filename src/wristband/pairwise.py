@@ -271,7 +271,8 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     """Gradients of sum_ij w-weighted kernel w.r.t. (u, t), and weighted row sums.
 
     The u gradient is written to `out` (N x d, not overlapping wb.u) when
-    it is given.
+    it is given.  The t gradient is an owned copy of its column, so the
+    N x (d + 1) working array is freed on return.
 
     Uses grad_k = sum_j (w_k + w_j) dK(k, j)/d(first slot), exact also on
     the diagonal (a reflected self-image moves with t_k at twice the
@@ -331,7 +332,7 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     g = y * rows[:, None] - row_side - col_side[0::3] - col_side[1::3] - col_side[2::3]
     g[:, d] -= 2.0 * col_img3
     g *= -2.0 * cfg.beta
-    return np.multiply(cfg.alpha, g[:, :d], out=out), g[:, d], rows
+    return np.multiply(cfg.alpha, g[:, :d], out=out), g[:, d].copy(), rows
 
 
 def _pairwise_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int,

@@ -43,17 +43,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralCoeffs:
-    """Angular eigenvalues (degrees 0 and 1) and radial cosine coefficients.
-
-    nu = (d - 2) / 2 is the sphere parameter and c = 2 beta alpha^2 the
-    Bessel argument of the angular eigenvalue formula.
-    """
+    """Angular eigenvalues (degrees 0 and 1) and radial cosine coefficients."""
 
     lambda0: float
     lambda1: float
     a: np.ndarray
-    nu: float
-    c: float
 
 
 @dataclass(frozen=True)
@@ -110,9 +104,7 @@ def spectral_coefficients(d: int, cfg: KernelConfig) -> SpectralCoeffs:
     lam0, lam1 = angular_eigenvalues(d, cfg.beta, cfg.alpha)
     a = radial_cosine_coeffs(cfg.beta, cfg.modes)
     a.flags.writeable = False
-    return SpectralCoeffs(
-        lambda0=lam0, lambda1=lam1, a=a, nu=0.5 * (d - 2), c=2.0 * cfg.beta * cfg.alpha**2
-    )
+    return SpectralCoeffs(lambda0=lam0, lambda1=lam1, a=a)
 
 
 def _summarize(wb: WristbandBatch, modes: int):

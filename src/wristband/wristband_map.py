@@ -44,7 +44,6 @@ __all__ = [
     "validate_point_batch",
     "wristband_forward",
     "wristband_backward",
-    "radial_pullback",
 ]
 
 NORM_FLOOR = 1e-12
@@ -147,18 +146,6 @@ def _backward(x: np.ndarray, wb: WristbandBatch, grad_u, grad_t,
     tmp = np.multiply(x, coef[:, None], out=scratch)
     gx = np.divide(grad_u, np.sqrt(wb.s)[:, None], out=out)
     gx += tmp
-    if np.any(wb.norm_floored):
-        gx[wb.norm_floored] = 0.0
-    return gx
-
-
-def radial_pullback(wb: WristbandBatch, grad_t, x) -> np.ndarray:
-    """Pull a t-cotangent back through the chi-squared CDF to the raw points.
-
-    dt/dx = chi2_pdf(d, s) * 2x, with x the raw batch (or u * sqrt(s));
-    rows of floored points are exactly zero.
-    """
-    gx = (grad_t * chi2_pdf_array(wb.dim, wb.s) * 2.0)[:, None] * x
     if np.any(wb.norm_floored):
         gx[wb.norm_floored] = 0.0
     return gx

@@ -132,17 +132,6 @@ class TestBarycentricReference:
         with pytest.raises(ContractViolation):
             barycentric_reference(16, 3, 256, RngStream(8, "ref"))
 
-    def test_save_load_roundtrip(self, tmp_path):
-        from wristband.evaluation import load_reference, save_reference
-
-        ref = barycentric_reference(24, 3, 4, RngStream(9, "refio"))
-        path = tmp_path / "ref.wbpc"
-        save_reference(path, ref)
-        assert (tmp_path / "ref.wbpc.provenance.json").exists()
-        back = load_reference(path)
-        assert np.array_equal(back.batch, ref.batch)
-        assert back.provenance() == ref.provenance()
-
 
 class TestZScore:
     def test_null_candidate_in_band(self):

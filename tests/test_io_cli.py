@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -7,6 +8,14 @@ import pytest
 from wristband.calibration import CalibrationTable
 from wristband.cli import cli_dispatch
 from wristband.errors import FormatError
+from wristband.generators import (
+    PARITY_CONSTANTS,
+    RngStream,
+    gaussian_batch,
+    parity_batch,
+    rac_batch,
+    x_batch,
+)
 from wristband.io import (
     jsonify,
     read_batch,
@@ -80,6 +89,75 @@ class TestReportEncoding:
 
 def run(argv):
     return cli_dispatch(argv)
+
+
+# The command-line spellings, written out: the CLI derives them from the
+# library's name lists and must accept exactly these.
+CLI_KINDS = {
+    "gaussian": gaussian_batch,
+    "x": x_batch,
+    "rac": rac_batch,
+    "mixture5": None,  # None: parity_batch under the library name
+    "two-mode": None,
+    "student-t": None,
+    "ring": None,
+}
+CLI_LOSSES = {
+    "wristband-pairwise": "pairwise",  # the calibration path it needs
+    "wristband-spectral": "spectral",
+    "mmd": None,
+    "sliced-w2": None,
+}
+
+
+class TestCliSpellings:
+    @pytest.mark.parametrize("kind", CLI_KINDS)
+    def test_gen_kind(self, kind, tmp_path):
+        out, rpt = tmp_path / "g.wbpc", tmp_path / "g.json"
+        assert run(["gen", "--kind", kind, "--n", "16", "--d", "3", "--seed", "4",
+                    "--out", str(out), "--report", str(rpt)]) == 0
+        stream = RngStream(4, f"gen/{kind}")
+        gen = CLI_KINDS[kind]
+        if gen is None:
+            want = parity_batch(kind.replace("-", "_"), 16, 3, stream)
+        else:
+            want = gen(16, 3, stream)
+        assert read_batch(out).tobytes() == want.tobytes()
+        report = read_report(rpt)
+        assert report["config"]["kind"] == report["metrics"]["kind"] == kind
+        constants = report_floats(report["metrics"]).get("generator_constants")
+        assert constants == (dict(PARITY_CONSTANTS) if gen is None else None)
+        if "-" in kind:
+            assert run(["gen", "--kind", kind.replace("-", "_"), "--n", "16", "--d", "3",
+                        "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("loss", CLI_LOSSES)
+    def test_optimize_loss(self, loss, tmp_path):
+        out, rpt = tmp_path / "o.wbpc", tmp_path / "o.json"
+        argv = ["optimize", "--loss", loss, "--kind", "gaussian", "--n", "16", "--d", "3",
+                "--steps", "2", "--seed", "1", "--out", str(out), "--report", str(rpt)]
+        path = CLI_LOSSES[loss]
+        if path is not None:
+            calib = tmp_path / "calib.json"
+            assert run(["calibrate", "--n", "16", "--d", "3", "--reps", "4",
+                        "--loss-path", path, "--out", str(calib)]) == 0
+            argv += ["--calib", str(calib)]
+        assert run(argv) == 0
+        report = read_report(rpt)
+        assert report["config"]["loss"] == loss
+        assert report_floats(report["metrics"])["steps"] == 2
+        if "-" in loss:
+            assert run([a.replace(loss, loss.replace("-", "_")) for a in argv]) == 2
+
+    def test_optimize_flags(self, capsys):
+        assert run(["optimize", "--help"]) == 0
+        text = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z][a-z-]*", text)) == {
+            "--help", "--loss", "--steps", "--lr", "--calib", "--in", "--kind", "--n", "--d",
+            "--seed", "--schedule", "--log-stride", "--projections", "--out", "--report",
+        }
+        for spelling in CLI_LOSSES:
+            assert spelling in text
 
 
 class TestCli:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,12 +62,12 @@ class TestAdamStep:
         assert np.array_equal(run(), run())
 
 
-def _whole_array_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def _whole_array_adam(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     """The Adam update written out on whole arrays, as the reference order."""
-    m = beta1 * m + (1.0 - beta1) * grads
-    v = beta2 * v + (1.0 - beta2) * grads * grads
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
+    m = b1 * m + (1.0 - b1) * grads
+    v = b2 * v + (1.0 - b2) * grads * grads
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
     return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
@@ -87,7 +88,7 @@ class TestInPlaceAdam:
             lr = 0.05
             if schedule == "cosine":
                 lr = 0.05 * 0.5 * (1.0 + math.cos(math.pi * step / steps))
-            _adam_update(x, g, m, v, step + 1, lr, 0.9, 0.999, 1e-8)
+            _adam_update(x, g, m, v, step + 1, lr)
             q, st = adam_step(q, g, st, lr)
             ref, ref_m, ref_v = _whole_array_adam(ref, g, ref_m, ref_v, step + 1, lr)
             for got in (x, q):
@@ -145,20 +146,14 @@ class TestInPlaceAdam:
 
 
 class TestSettingsContract:
-    """Settings that would produce a NaN or a bare arithmetic error are refused up front."""
+    """The seven settings; values that would produce a NaN or a bare arithmetic
+    error are refused up front."""
 
-    @pytest.mark.parametrize("name", ["beta1", "beta2"])
-    @pytest.mark.parametrize("value", [1.0, 1.5, -0.1, math.nan])
-    def test_adam_betas_must_lie_in_the_unit_interval(self, name, value):
-        # beta = 1 would divide the bias correction by 1 - beta^t = 0.
-        with pytest.raises(ContractViolation, match=name):
-            OptimizeConfig(**{name: value})
-        OptimizeConfig(**{name: 0.0})
-
-    @pytest.mark.parametrize("eps", [0.0, -1e-8, math.inf, math.nan])
-    def test_adam_eps_must_be_positive(self, eps):
-        with pytest.raises(ContractViolation, match="adam_eps"):
-            OptimizeConfig(adam_eps=eps)
+    def test_settings_are_the_seven_fields(self):
+        # Adam's decay rates and offset are module constants, not settings.
+        assert [f.name for f in dataclasses.fields(OptimizeConfig)] == [
+            "loss", "steps", "lr", "schedule", "seed", "log_stride", "sliced_projections"
+        ]
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_sliced_projections_must_be_positive(self, count):

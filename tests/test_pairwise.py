@@ -283,6 +283,15 @@ class TestRepulsionLoss:
             tracemalloc.stop()
         assert peak <= bound
 
+    @pytest.mark.parametrize("reduction", ["global", "per_point"])
+    def test_cotangents_own_their_memory(self, reduction):
+        # A view into the pass's N x (d + 1) gradient array would keep that
+        # array alive for the rest of a standardized step.
+        wb = wristband_forward(np.random.default_rng(12).normal(size=(40, 5)))
+        cfg = KernelConfig(beta=8.0, alpha=1.0, reduction=reduction)
+        _, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, 16)
+        assert grad_u.base is None and grad_t.base is None
+
 
 class TestFusedGlobalPass:
     """Global reduction takes value and gradient from one unit-weight tile pass."""

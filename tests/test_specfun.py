@@ -6,6 +6,7 @@ mpmath directly.  The implementation never sees mpmath.
 """
 
 import math
+from statistics import NormalDist
 
 import mpmath
 import numpy as np
@@ -18,9 +19,7 @@ from wristband.specfun import (
     chi2_pdf,
     chi2_pdf_array,
     gaussian_quantile_grid,
-    inv_norm_cdf,
     log_gamma,
-    reg_lower_gamma,
     scaled_bessel_i,
 )
 from wristband.wristband_map import NORM_FLOOR
@@ -60,42 +59,20 @@ class TestLogGamma:
 
 
 class TestRegLowerGamma:
-    def test_exponential_special_case(self):
-        # P(1, x) = 1 - exp(-x)
-        assert reg_lower_gamma(1.0, math.log(2.0)) == pytest.approx(0.5, abs=1e-14)
-
-    def test_zero_argument(self):
-        assert reg_lower_gamma(3.7, 0.0) == 0.0
+    # The regularized lower incomplete gamma P(a, x) survives as the
+    # chi-squared CDF: P(a, x) = F_{2a}(2x), evaluated by chi2_cdf_array.
 
     def test_limit_to_one(self):
-        assert reg_lower_gamma(2.0, 200.0) == pytest.approx(1.0, abs=1e-14)
+        # P(2, 200) = 1 - 201 e^-200 rounds to 1.
+        assert chi2_cdf_array(4, 400.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_series_oracle_value(self):
         # mpmath.gammainc(2.5, 0, 2.5, regularized=True) at 40 digits.
-        assert reg_lower_gamma(2.5, 2.5) == pytest.approx(
-            0.5841198130044920797, abs=1e-13
-        )
-
-    def test_monotone_in_x(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            a = float(rng.uniform(0.2, 60.0))
-            x1, x2 = sorted(rng.uniform(0.0, 100.0, size=2))
-            assert reg_lower_gamma(a, x1) <= reg_lower_gamma(a, x2) + 1e-15
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            reg_lower_gamma(0.0, 1.0)
-        with pytest.raises(DomainError):
-            reg_lower_gamma(1.0, -0.5)
-        with pytest.raises(DomainError):
-            reg_lower_gamma(math.nan, 1.0)
+        assert chi2_cdf_array(5, 5.0) == pytest.approx(0.5841198130044920797, abs=1e-13)
 
     def test_transition_region_oracle(self):
         # mpmath.gammainc(128, 0, 127, regularized=True) at 40 digits.
-        assert reg_lower_gamma(128.0, 127.0) == pytest.approx(
-            0.4764234594249467426, abs=1e-13
-        )
+        assert chi2_cdf_array(256, 254.0) == pytest.approx(0.4764234594249467426, abs=1e-13)
 
 
 class TestChi2:
@@ -254,32 +231,27 @@ class TestScaledBesselI:
                 scaled_bessel_i(nu, c)
 
 
-class TestInvNormCdf:
+class TestGaussianQuantileGrid:
     def test_median(self):
-        assert inv_norm_cdf(0.5) == 0.0
-
-    def test_round_trip_with_erf_oracle(self):
-        # p = Phi(1) computed from the error function.
-        p = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
-        assert inv_norm_cdf(p) == pytest.approx(1.0, abs=1e-12)
+        # An odd grid has p = 1/2 at its middle.
+        assert gaussian_quantile_grid(37)[18] == 0.0
 
     def test_upper_quantile(self):
-        assert inv_norm_cdf(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
+        # The last midpoint of a 20-point grid is p = 0.975.
+        assert gaussian_quantile_grid(20)[19] == pytest.approx(1.959963984540054, abs=1e-9)
 
     def test_accuracy_sweep(self):
-        for p in np.concatenate(
-            [np.geomspace(1e-12, 0.4, 50), 1.0 - np.geomspace(1e-12, 0.4, 50)]
-        ):
-            x = inv_norm_cdf(float(p))
-            assert abs(0.5 * math.erfc(-x / math.sqrt(2.0)) - p) <= 1e-10
+        # |Phi(q_i) - p_i| <= 1e-10 with Phi from the error function, over
+        # grid sizes that reach p = 1/(2n) ~ 8e-6 in both tails.
+        for n in (1, 2, 3, 37, 512, 4096, 65536):
+            p = (np.arange(n) + 0.5) / n
+            q = gaussian_quantile_grid(n)
+            phi = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in q])
+            assert np.max(np.abs(phi - p)) <= 1e-10, n
 
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.1, 1.1, math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError):
-                inv_norm_cdf(bad)
-
-    def test_quantile_grid_matches_scalar_and_caches(self):
+    def test_matches_an_independent_quantile_and_caches(self):
         g1 = gaussian_quantile_grid(37)
         g2 = gaussian_quantile_grid(37)
         assert g1 is g2
-        assert g1[5] == inv_norm_cdf((5 + 0.5) / 37)
+        assert not g1.flags.writeable
+        assert g1[5] == pytest.approx(NormalDist().inv_cdf((5 + 0.5) / 37), abs=1e-15)
