@@ -396,28 +396,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _replay(path: str) -> int:
+    """Rerun a report's argv with its output files redirected to a temporary directory."""
     original = read_report(path)
-    argv = list(original["argv"])
     with tempfile.TemporaryDirectory() as tmp:
-        redirected = []
         report_path = os.path.join(tmp, "replay-report.json")
-        saw_report = False
-        i = 0
-        while i < len(argv):
-            tok = argv[i]
-            if tok == "--out":
-                redirected += ["--out", os.path.join(tmp, os.path.basename(argv[i + 1]))]
-                i += 2
-            elif tok == "--report":
-                redirected += ["--report", report_path]
-                saw_report = True
-                i += 2
-            else:
-                redirected.append(tok)
-                i += 1
-        if not saw_report:
-            redirected += ["--report", report_path]
-        code = cli_dispatch(redirected)
+        code = _run(original["argv"], out_dir=tmp, report=report_path)
         if code != 0:
             print(f"replay: rerun exited with {code}")
             return 1
@@ -455,12 +438,26 @@ def cli_dispatch(argv) -> int:
         except (WristbandError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    return _run(argv)
+
+
+def _run(argv, out_dir: str | None = None, report: str | None = None) -> int:
+    """Parse and run one subcommand; returns the process exit code.
+
+    `out_dir` moves the parsed --out to its base name in that directory
+    and `report` replaces --report.  Both act on the parsed arguments, so
+    they hold however argv spelled the flags (`--out PATH`, `--out=PATH`).
+    """
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
     args.argv_echo = argv
+    if out_dir is not None and getattr(args, "out", None) is not None:
+        args.out = os.path.join(out_dir, os.path.basename(args.out))
+    if report is not None:
+        args.report = report
     try:
         return args.func(args)
     except (WristbandError, OSError) as exc:

@@ -151,8 +151,15 @@ def read_report(path) -> dict:
             report = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"report is not valid JSON: {exc}") from exc
+    if not isinstance(report, dict):
+        raise FormatError(f"report must be a JSON object, got {type(report).__name__}")
     if report.get("format_version") != REPORT_FORMAT_VERSION:
         raise FormatError(
             f"unsupported report format_version {report.get('format_version')!r}"
         )
+    argv = report.get("argv")
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise FormatError(f"report argv must be a list of strings, got {argv!r}")
+    if "metrics" not in report:
+        raise FormatError("report has no metrics")
     return report

@@ -28,23 +28,29 @@ reflected ones get their closed forms.
 
 The O(N^2) accumulation walks tile pairs (I, J >= I), row tile outer
 and column tile inner from the diagonal.  A block is the rows of tile I
-against the three images of the points of tile J, at most tile x 3 tile
-entries whatever N is, so it stays in cache through the exp, the sums
-and the gradient products.  A diagonal pair holds the within-tile square
-and the self-image fix-ups; an off-diagonal pair is evaluated once and
-mirrored into both row and column accumulators, so every off-diagonal
-pair of points is evaluated exactly once.  Tile traversal order is
-fixed, so results are deterministic for a given tile size; the tile
-size (an integer >= 1) is an explicit argument with a fixed default and
-is part of the reproducibility contract.
+against the three images of the points of tile J, at most tile x 3
+tile entries whatever N is, so it stays in cache through the exp, the
+sums and the gradient products.  A diagonal pair holds the within-tile
+square and the self-image fix-ups; an off-diagonal pair is evaluated
+once, so every off-diagonal pair of points is evaluated exactly
+once.  The per-point and gradient passes keep true row sums: an
+off-diagonal block adds its row sums to its row tile and its mirrored
+column sums to its column tile.  The global value needs only the kernel
+total, so its pass reduces each block to its row sums alone and counts
+an off-diagonal block twice (the kernel is symmetric).  Tile traversal
+order is fixed, so results are deterministic for a given tile size;
+the tile size (an integer >= 1) is an explicit argument with a fixed
+default and is part of the reproducibility contract.
 
 The gradient is a pair-weighted sum with weights w_i + w_j.  Under
 global reduction the weights are one constant set by the kernel sum,
-so one unit-weight pass yields the row sums and a gradient rescaled
-once at the end.  Under per-point reduction w_i depends on row i's
-sum, so the row sums take a pass of their own first; the weighted
-pass then applies w_i + w_j as a row and a column rescaling of the
-kernel block, not as a block-sized weight matrix.
+so one unit-weight pass yields the total and a gradient rescaled once
+at the end; it adds the same block row sums to the same kind of
+accumulator in the same order as the value pass, so both give the same
+value to the bit.  Under per-point reduction w_i depends on row i's
+sum, so the row sums take a pass of their own first; the weighted pass
+then applies w_i + w_j as a row and a column rescaling of the kernel
+block, not as a block-sized weight matrix.
 """
 
 from __future__ import annotations
@@ -223,16 +229,30 @@ def _kernel_blocks(y: np.ndarray, img: np.ndarray, beta: float, tile: int):
             yield lo, hi, clo, chi, e
 
 
+def _add_to_total(total: np.ndarray, lo: int, hi: int, clo: int, r: np.ndarray) -> None:
+    """Add a block's row sums r to the global accumulator; a mirrored block counts twice.
+
+    The doubling is in place on r (exact), so the caller's r is spent.
+    """
+    if clo != lo:
+        r *= 2.0
+    total[lo:hi] += r
+
+
 def _add_block_sums(rows: np.ndarray, ones: np.ndarray, lo: int, hi: int, clo: int, chi: int,
-                    m: np.ndarray) -> np.ndarray | None:
+                    m: np.ndarray, total: np.ndarray | None = None) -> np.ndarray | None:
     """Add block m's row sums, and off the diagonal its mirrored column sums, to rows.
 
     Returns the column sums of an off-diagonal block, None for a diagonal one.
     The sums are BLAS matrix-vector products with `ones`, a vector of ones
     at least as long as either side of the block, which run faster than
-    numpy's pairwise reductions.
+    numpy's pairwise reductions.  The row sums also go to `total` through
+    `_add_to_total` when it is given.
     """
-    rows[lo:hi] += m @ ones[:m.shape[1]]
+    r = m @ ones[:m.shape[1]]
+    rows[lo:hi] += r
+    if total is not None:
+        _add_to_total(total, lo, hi, clo, r)
     if clo == lo:
         return None
     c = ones[:m.shape[0]] @ m
@@ -250,8 +270,26 @@ def _row_sums(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> np.ndarray:
     return rows
 
 
+def _global_sums(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> np.ndarray:
+    """An N-vector whose sum is the kernel total: block row sums only, mirrored blocks twice.
+
+    Entry i is not row i's kernel sum (the mirrored column sums land on
+    the row tile instead), but the total is, and it costs one product,
+    one exp and one matrix-vector product per tile pair.
+    """
+    y, img = _images(wb, cfg)
+    total = np.zeros(wb.n)
+    ones = np.ones(3 * wb.n)
+    for lo, hi, clo, chi, e in _kernel_blocks(y, img, cfg.beta, tile):
+        _add_to_total(total, lo, hi, clo, e @ ones[:e.shape[1]])
+    return total
+
+
 def _reduce(rows: np.ndarray, cfg: KernelConfig):
-    """Loss value and normalized kernel mass (per row under per-point reduction) from row sums."""
+    """Loss value and normalized kernel mass (per row under per-point reduction) from row sums.
+
+    Global reduction reads only the sum of `rows`, so `_global_sums` serves.
+    """
     n = rows.shape[0]
     if cfg.reduction == "global":
         a = float(np.sum(rows)) / (3.0 * n * n - n)
@@ -263,11 +301,12 @@ def _reduce(rows: np.ndarray, cfg: KernelConfig):
 def pairwise_value_from_wristband(wb: WristbandBatch, cfg: KernelConfig,
                                   tile: int = DEFAULT_TILE) -> float:
     """Loss value only (no gradient); the cheap path used during calibration."""
-    return _reduce(_row_sums(wb, cfg, tile), cfg)[0]
+    sums = _global_sums if cfg.reduction == "global" else _row_sums
+    return _reduce(sums(wb, cfg, tile), cfg)[0]
 
 
 def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | None, tile: int,
-                      out: np.ndarray | None = None):
+                      out: np.ndarray | None = None, total: np.ndarray | None = None):
     """Gradients of sum_ij w-weighted kernel w.r.t. (u, t), and weighted row sums.
 
     The u gradient is written to `out` (N x d, not overlapping wb.u) when
@@ -284,8 +323,11 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
 
     w=None means unit pair weights: M is the kernel block, and the row
     sums are bit-identical to `_row_sums` (same block, same
-    `_add_block_sums`), so global reduction gets value and gradient from
-    this one pass.  Per-point reduction runs `_row_sums` first for w.
+    `_add_block_sums`).  With the N-vector `total` given (w=None only),
+    the block row sums are also added to it as `_global_sums` adds them,
+    so global reduction gets value and gradient from this one pass, its
+    value bit-identical to the value-only path's.  Per-point reduction
+    runs `_row_sums` first for w.
 
     With weights, M = diag(w) K + K diag(w3), w3 the weights repeated
     per image, is never formed: the same two products on the kernel
@@ -309,7 +351,7 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     for lo, hi, clo, chi, m in _kernel_blocks(y, img, cfg.beta, tile):
         mirrored = clo != lo
         if w is None:
-            c = _add_block_sums(rows, ones, lo, hi, clo, chi, m)
+            c = _add_block_sums(rows, ones, lo, hi, clo, chi, m, total)
             row_side[lo:hi] += m @ img[3 * clo:3 * chi]
             if mirrored:
                 col_side[3 * clo:3 * chi] += m.T @ y[lo:hi]
@@ -341,15 +383,16 @@ def _pairwise_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int,
 
     Row weights w_i give grad = sum_j (w_i + w_j) dK(i, j).  Global
     reduction has the constant w = 1 / (beta (a + eps) (3N^2 - N)), so
-    one unit-weight pass gives the row sums and a gradient that is
+    one unit-weight pass gives the kernel total and a gradient that is
     rescaled by 2w once at the end.  The cotangents come multiplied by
     `scale`, applied as a separate in-place multiply.  grad_u is written
     to `out` (not overlapping wb.u) when it is given.
     """
     n = wb.n
     if cfg.reduction == "global":
-        grad_u, grad_t, rows = _accumulate_grads(wb, cfg, None, tile, out)
-        value, a = _reduce(rows, cfg)
+        total = np.zeros(n)
+        grad_u, grad_t, _ = _accumulate_grads(wb, cfg, None, tile, out, total)
+        value, a = _reduce(total, cfg)
         w2 = 2.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n))
         grad_u *= w2
         grad_t *= w2

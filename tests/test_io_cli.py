@@ -270,5 +270,38 @@ class TestCli:
                     "--seed", "2", "--out", str(out), "--report", str(rpt)]) == 0
         assert run(["--replay", str(rpt)]) == 0
 
+    def test_replay_leaves_equals_form_outputs_untouched(self, tmp_path, monkeypatch):
+        # Recorded as --out=FILE --report=FILE: the replay writes into its
+        # own directory, not over the recorded files or into the cwd.
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "b.wbpc"
+        rpt = tmp_path / "r.json"
+        assert run(["gen", "--kind", "gaussian", "--n", "16", "--d", "3", "--seed", "4",
+                    f"--out={out.name}", f"--report={rpt.name}"]) == 0
+        before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in (out, rpt)]
+        assert run(["--replay", str(rpt)]) == 0
+        assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in (out, rpt)] == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.wbpc", "r.json"]
+
+    @pytest.mark.parametrize("field,value", [("argv", None), ("argv", "gen --n 8"),
+                                             ("argv", ["gen", 8]), ("metrics", None)],
+                             ids=["no-argv", "argv-string", "argv-non-string", "no-metrics"])
+    def test_replay_of_malformed_report_is_a_format_error(self, tmp_path, capsys, field, value):
+        out = tmp_path / "g.wbpc"
+        rpt = tmp_path / "g.json"
+        assert run(["gen", "--kind", "gaussian", "--n", "8", "--d", "2",
+                    "--out", str(out), "--report", str(rpt)]) == 0
+        doc = json.loads(rpt.read_text())
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        rpt.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=field):
+            read_report(rpt)
+        capsys.readouterr()
+        assert run(["--replay", str(rpt)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_selftest_passes(self):
         assert run(["selftest"]) == 0

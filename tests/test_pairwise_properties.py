@@ -7,6 +7,7 @@ Examples are derandomized, so the suite sees the same cases on every run.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from wristband.pairwise import (
     _accumulate_grads,
     _kernel_blocks,
     _pairwise_value_cotangents,
+    _row_sums,
     angular_kernel,
     pairwise_value_from_wristband,
     radial_image_kernel,
@@ -87,6 +89,17 @@ def test_matches_direct_double_sum(wb, cfg, tile):
     value = pairwise_value_from_wristband(wb, cfg, tile)
     assert abs(value - ref) <= 1e-12 * abs(ref)
     assert _pairwise_value_cotangents(wb, cfg, tile)[0] == value
+
+
+@PROPERTY_SETTINGS
+@given(wb=wristband_batches(), cfg=configs.map(lambda c: replace(c, reduction="global")),
+       tile=tiles)
+def test_global_value_is_the_row_sum_total(wb, cfg, tile):
+    """The global pass sums block row sums, mirrored blocks twice: the same total as the rows'."""
+    n = wb.n
+    ref = math.log(np.sum(_row_sums(wb, cfg, tile)) / (3.0 * n * n - n) + cfg.eps) / cfg.beta
+    value = pairwise_value_from_wristband(wb, cfg, tile)
+    assert abs(value - ref) <= 1e-13 * abs(ref)
 
 
 @PROPERTY_SETTINGS
