@@ -46,7 +46,7 @@ from .pairwise import (
     pairwise_value_from_wristband,
 )
 from .spectral import (
-    _spectral_value_cotangents,
+    _spectral_value_grad,
     spectral_coefficients,
     spectral_value_from_wristband,
 )
@@ -96,15 +96,18 @@ class CalibrationTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationTable":
+        """The table `to_json` wrote; any malformed document is a `FormatError`."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FormatError(f"calibration table is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise FormatError(f"calibration table must be a JSON object, got {type(doc).__name__}")
         version = doc.get("format_version")
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported calibration table format_version {version!r}")
         try:
-            return cls(
+            table = cls(
                 n=int(doc["n"]),
                 dim=int(doc["dim"]),
                 cfg=KernelConfig.from_dict(doc["cfg"]),
@@ -113,10 +116,19 @@ class CalibrationTable:
                 loss_path=doc["loss_path"],
                 **{name: float(doc[name]) for name in _FLOAT_FIELDS},
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(
                 f"calibration table is missing or has malformed fields: {exc}"
             ) from exc
+        if table.loss_path not in LOSS_PATHS:
+            raise FormatError(f"calibration table has unknown loss_path {table.loss_path!r}")
+        if table.reps < 2:
+            raise FormatError(f"calibration table needs reps >= 2, got {table.reps}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(table, name)
+            if not math.isfinite(value) or (name.startswith("sd_") and value <= 0.0):
+                raise FormatError(f"calibration table field {name} is {value!r}")
+        return table
 
 
 def calibrate_null(
@@ -211,18 +223,27 @@ def _standardized_step(x: np.ndarray, table: CalibrationTable,
     """`standardized_wristband_loss` of a batch `_validate_for_table` returned.
 
     buffers = (u, grad) are two C-contiguous (N, d) float64 arrays that
-    the caller owns and that overlap neither each other nor x.  u takes
-    the map's directions, then serves as the adjoint's scratch once it
-    has read them, then takes the moment term's centered batch.  grad
-    takes the repulsion cotangent, which the adjoint overwrites with the
-    pulled-back gradient, and then accumulates the moment gradient:
+    the caller owns and that overlap neither each other nor x.  The
+    gradient ends in `grad` and is returned as that array itself, valid
+    only until the buffers are passed in again.  With
+    G = V diag(1 - lambda^{-1/2}) V^T and scale = c_mom (2/n), the
+    moment gradient is
 
-        grad += (x - mean) (c_mom (2/n) G) + c_mom (2/n) mean,
+        (x - mean) (scale G) + scale mean,
 
-    G = V diag(1 - lambda^{-1/2}) V^T, the product added by one BLAS
-    call with beta = 1 on the transposed (Fortran-ordered) views.  The
-    returned gradient is `grad` itself, valid only until the buffers are
-    passed in again.
+    whose product is added by one BLAS call with beta = 1 on the
+    transposed (Fortran-ordered) views.
+
+    Pairwise path: u takes the map's directions and then serves as the
+    adjoint's scratch; grad takes the repulsion cotangent, which the
+    adjoint overwrites with the pulled-back gradient.  u then takes the
+    centered batch, and the moment product and mean row are added.
+
+    Spectral path: u takes the centered batch first, and grad holds the
+    directions until the spectral pass has read them.  The pass writes
+    the repulsion and radial gradient straight into grad, with the
+    moment term's mean row riding in its product; the moment product
+    is added last.
     """
     u, grad = buffers
     cfg = table.cfg
@@ -230,22 +251,26 @@ def _standardized_step(x: np.ndarray, table: CalibrationTable,
     c_rep = w_rep / (table.sd_rep * table.sd_numerator)
     c_rad = w_rad / (table.sd_rad * table.sd_numerator)
     c_mom = w_mom / (table.sd_mom * table.sd_numerator)
-    wb = _forward(x, u)
-    if table.loss_path == "pairwise":
-        rep_value, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE, c_rep, grad)
-    else:
-        rep_value, grad_u, grad_t = _spectral_value_cotangents(wb, cfg, c_rep, grad)
-    rad_value, rad_grad_t = _radial_value_grad_t(wb.t)
-    rad_grad_t *= c_rad
-    grad_t += rad_grad_t
-    _backward(x, wb, grad_u, grad_t, out=grad, scratch=u)  # u is dead after this
-
-    ms, centered = _centered_moment_summary(x, out=u)
-    mom_value, root = _moment_value(ms)
     scale = c_mom * 2.0 / x.shape[0]
+    if table.loss_path == "pairwise":
+        wb = _forward(x, u)
+        rep_value, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE, c_rep, grad)
+        rad_value, rad_grad_t = _radial_value_grad_t(wb.t)
+        rad_grad_t *= c_rad
+        grad_t += rad_grad_t
+        _backward(x, wb, grad_u, grad_t, out=grad, scratch=u)  # u is dead after this
+        ms, centered = _centered_moment_summary(x, out=u)
+    else:
+        ms, centered = _centered_moment_summary(x, out=u)
+        wb = _forward(x, grad)
+        rad_value, rad_grad_t = _radial_value_grad_t(wb.t)
+        rad_grad_t *= c_rad
+        rep_value = _spectral_value_grad(x, wb, cfg, c_rep, rad_grad_t, scale * ms.mean, grad)
+    mom_value, root = _moment_value(ms)
     dgemm(1.0, _moment_gradient_matrix(ms, root, scale).T, centered.T,
           beta=1.0, c=grad.T, overwrite_c=True)
-    grad += scale * ms.mean
+    if table.loss_path == "pairwise":
+        grad += scale * ms.mean
 
     s = (
         w_rep * (rep_value - table.mu_rep) / table.sd_rep

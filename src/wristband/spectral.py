@@ -22,11 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import DomainError, UnsupportedDimension
 from .pairwise import KernelConfig, LossValueGrad
-from .specfun import log_gamma, scaled_bessel_i
-from .wristband_map import WristbandBatch, _backward, wristband_forward
+from .specfun import chi2_pdf_array, log_gamma, scaled_bessel_i
+from .wristband_map import WristbandBatch, wristband_forward
 
 __all__ = [
     "SpectralCoeffs",
@@ -62,7 +63,10 @@ def angular_eigenvalues(d: int, beta: float, alpha: float) -> tuple[float, float
     """Funk-Hecke eigenvalues (degrees 0 and 1) of the chordal Gaussian kernel.
 
     lambda_l = Gamma(nu + 1) (2/c)^nu e^{-c} I_{nu+l}(c), joined in log
-    space so large d does not overflow the Gamma/power prefactor.
+    space so large d does not overflow the Gamma/power prefactor.  The
+    scaled Bessel factor underflows to 0 once nu is large against c
+    (d >= 313 at beta = 8 and alpha = sqrt(1/12)); the loss would then
+    divide by a zero eigenvalue, so that is refused.
     """
     if d < 3:
         raise UnsupportedDimension(f"the spectral path requires d >= 3, got {d}")
@@ -74,7 +78,13 @@ def angular_eigenvalues(d: int, beta: float, alpha: float) -> tuple[float, float
     lams = []
     for ell in (0, 1):
         ib = scaled_bessel_i(nu + ell, c)
-        lams.append(math.exp(log_pref + math.log(ib)) if ib > 0.0 else 0.0)
+        lam = math.exp(log_pref + math.log(ib)) if ib > 0.0 else 0.0
+        if lam == 0.0:
+            raise UnsupportedDimension(
+                f"the degree-{ell} angular eigenvalue underflows at d={d}, "
+                f"beta={beta!r}, alpha={alpha!r}"
+            )
+        lams.append(lam)
     return lams[0], lams[1]
 
 
@@ -157,15 +167,30 @@ def _value(energy: float, coeffs: SpectralCoeffs, cfg: KernelConfig) -> float:
     return math.log(energy / (coeffs.lambda0 * coeffs.a[0]) + cfg.eps) / cfg.beta
 
 
-def _spectral_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, scale: float = 1.0,
-                               out: np.ndarray | None = None):
-    """Loss value and its cotangents (grad_u, grad_t) on the wristband coordinates.
+def _spectral_value_grad(x: np.ndarray, wb: WristbandBatch, cfg: KernelConfig, scale: float,
+                         grad_t: np.ndarray, row: np.ndarray, out: np.ndarray) -> float:
+    """Loss value; writes `scale` times its gradient w.r.t. the points x to `out`.
 
-    The cotangents come multiplied by `scale`, which is folded into the
-    K x d factor of the one N x K @ K x d product; that product is
-    written to `out` (not overlapping wb.u) when it is given.  The value
-    comes from the same summary, energy and log as
-    `spectral_value_from_wristband`, so the two agree exactly.
+    x is the validated batch that wb maps.  The pullback of the extra
+    t-cotangent `grad_t` (N,) is added to the gradient, and the d-vector
+    `row` to every row of it.  out is a C-contiguous (N, d) array that
+    does not overlap x; it may be wb.u itself, which is then overwritten
+    once read.
+
+    The energy sees the directions only through the K summaries c1, so
+    their cotangent is rank K: g_u = C^T F, C the (K, N) cosine modes and
+    F = f * c1 a (K, d) factor.  The map adjoint is taken as
+
+        g_x = x (2 f(s) g_t - (u . g_u) / s) + (C diag(1/|x|))^T F + 1 row^T,
+
+    with u . g_u = sum_k cos(k pi t_i) f_k <c1_k, u_i> from the (N, K)
+    projections that g_t needs anyway.  The first term is one scaled
+    copy; the other two are one BLAS product with beta = 1 of the
+    stacked (K + 1, N) and (K + 1, d) matrices, so no N x d cotangent is
+    formed.  Floored points get a zero coefficient and a zero 1/|x|, so
+    they receive `row` alone.  The value comes from the same summary,
+    energy and log as `spectral_value_from_wristband`, so the two agree
+    exactly.
     """
     n, d = wb.u.shape
     coeffs = spectral_coefficients(d, cfg)
@@ -182,9 +207,23 @@ def _spectral_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, scale: flo
     proj = wb.u @ c1.T  # (N, K): <c1_k, u_i>
     q1 = coeffs.lambda1 * coeffs.a * (np.pi * kvec)  # (K,)
     dedt = q0 @ sinmat + math.sqrt(d) * np.einsum("ik,k,ki->i", proj, q1, sinmat)
-    grad_t = (-2.0 * pref / n) * dedt
-    factor = (2.0 * math.sqrt(d) * coeffs.lambda1 * pref / n) * coeffs.a[:, None] * c1
-    return value, np.matmul(cosmat.T, factor, out=out), grad_t
+    g_t = (-2.0 * pref / n) * dedt
+    g_t += grad_t
+    f = (2.0 * math.sqrt(d) * coeffs.lambda1 * pref / n) * coeffs.a  # (K,)
+    u_dot_gu = np.einsum("ik,k,ki->i", proj, f, cosmat)
+    coef = 2.0 * g_t * chi2_pdf_array(d, wb.s) - u_dot_gu / wb.s
+    inv_norm = 1.0 / np.sqrt(wb.s)
+    if np.any(wb.norm_floored):
+        coef[wb.norm_floored] = 0.0
+        inv_norm[wb.norm_floored] = 0.0
+
+    left, right = np.empty((cfg.modes + 1, n)), np.empty((cfg.modes + 1, d))
+    np.multiply(cosmat, inv_norm, out=left[:-1])
+    np.multiply(f[:, None], c1, out=right[:-1])
+    left[-1], right[-1] = 1.0, row
+    np.multiply(x, coef[:, None], out=out)
+    dgemm(1.0, right.T, left.T, beta=1.0, c=out.T, overwrite_c=True, trans_b=True)
+    return value
 
 
 def spectral_loss(batch, cfg: KernelConfig) -> LossValueGrad:
@@ -195,6 +234,8 @@ def spectral_loss(batch, cfg: KernelConfig) -> LossValueGrad:
     log(1 + eps) / beta.
     """
     wb = wristband_forward(batch)
-    value, grad_u, grad_t = _spectral_value_cotangents(wb, cfg)
     x = np.asarray(batch, dtype=np.float64)  # validated by wristband_forward
-    return LossValueGrad(value=value, grad=_backward(x, wb, grad_u, grad_t))
+    n, d = x.shape
+    # The gradient overwrites the directions, which only this call holds.
+    value = _spectral_value_grad(x, wb, cfg, 1.0, np.zeros(n), np.zeros(d), wb.u)
+    return LossValueGrad(value=value, grad=wb.u)

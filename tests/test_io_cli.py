@@ -303,5 +303,19 @@ class TestCli:
         assert run(["--replay", str(rpt)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_optimize_with_malformed_table_is_an_error(self, tmp_path, capsys):
+        calib = tmp_path / "calib.json"
+        assert run(["calibrate", "--n", "16", "--d", "3", "--reps", "4",
+                    "--out", str(calib)]) == 0
+        doc = json.loads(calib.read_text())
+        doc["sd_rep"] = "-1.0"
+        calib.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["optimize", "--loss", "wristband-pairwise", "--kind", "gaussian",
+                    "--n", "16", "--d", "3", "--steps", "2", "--calib", str(calib),
+                    "--out", str(tmp_path / "o.wbpc")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o.wbpc").exists()
+
     def test_selftest_passes(self):
         assert run(["selftest"]) == 0

@@ -6,9 +6,9 @@ import pytest
 from wristband.errors import DomainError, UnsupportedDimension
 from wristband.pairwise import KernelConfig
 from wristband.parity import finite_difference_check
-from wristband.specfun import scaled_bessel_i
+from wristband.specfun import chi2_pdf_array, scaled_bessel_i
 from wristband.spectral import (
-    _spectral_value_cotangents,
+    _spectral_value_grad,
     _summarize,
     angular_eigenvalues,
     radial_cosine_coeffs,
@@ -52,6 +52,20 @@ class TestAngularEigenvalues:
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimension):
             angular_eigenvalues(2, 8.0, 1.0)
+
+    def test_underflowing_eigenvalue_refused(self):
+        # At beta = 8 and the canonical alpha the degree-1 eigenvalue's
+        # scaled Bessel factor underflows from d = 313; the loss would then
+        # divide by zero and return NaN, so the dimension is refused.
+        cfg = KernelConfig(beta=8.0, alpha=math.sqrt(1.0 / 12.0))
+        lam0, lam1 = angular_eigenvalues(312, cfg.beta, cfg.alpha)
+        assert lam0 > lam1 > 0.0
+        x = np.random.default_rng(17).normal(size=(6, 312))
+        assert math.isfinite(spectral_loss(x, cfg).value)
+        with pytest.raises(UnsupportedDimension, match=r"d=313, beta=8\.0, alpha=0\.288"):
+            angular_eigenvalues(313, cfg.beta, cfg.alpha)
+        with pytest.raises(UnsupportedDimension):
+            spectral_loss(np.random.default_rng(17).normal(size=(6, 313)), cfg)
 
 
 class TestRadialCoeffs:
@@ -192,16 +206,24 @@ class TestSpectralLoss:
         assert np.max(np.abs(sinmat - np.sin(angles))) <= 1e-13
 
     def test_scaled_cotangents(self):
+        # The spectral pass folds `scale` into its K x d factor and its
+        # t-cotangent and writes the pulled-back gradient directly, with an
+        # extra t-cotangent and a row added.  It must give the same bytes as
+        # the map adjoint written out with a rank-K direction cotangent
+        # C^T F, and its own part must scale linearly.
         x = np.random.default_rng(32).standard_t(4, size=(300, 6))
         wb = wristband_forward(x)
         cfg = KernelConfig(beta=8.0, alpha=math.sqrt(1.0 / 12.0), modes=6)
-        value, grad_u, grad_t = _spectral_value_cotangents(wb, cfg)
-        for scale in (0.37, 3.1e-3, 17.0):
-            value_s, grad_u_s, grad_t_s = _spectral_value_cotangents(wb, cfg, scale)
-            assert value_s == value
-            for got, unit in ((grad_u_s, grad_u), (grad_t_s, grad_t)):
-                want = scale * unit
-                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        extra_t, row = np.random.default_rng(33).normal(size=300), np.arange(6.0)
+        zero_t, zero_row = np.zeros(300), np.zeros(6)
+        value, unit = written_out_spectral(x, wb, cfg, 1.0, zero_t, zero_row)
+        for scale in (1.0, 0.37, 3.1e-3, 17.0):
+            want = written_out_spectral(x, wb, cfg, scale, extra_t, row)[1]
+            grad = np.empty_like(x)
+            assert _spectral_value_grad(x, wb, cfg, scale, extra_t, row, grad) == value
+            assert grad.tobytes() == want.tobytes()
+            assert _spectral_value_grad(x, wb, cfg, scale, zero_t, zero_row, grad) == value
+            assert np.max(np.abs(grad - scale * unit)) <= 1e-15 * np.max(np.abs(scale * unit))
 
     def test_d2_refused(self):
         with pytest.raises(UnsupportedDimension):
@@ -231,3 +253,31 @@ class TestSpectralLoss:
         assert (second.lambda0, second.lambda1) == (first.lambda0, first.lambda1)
         assert np.array_equal(second.a, first.a)
         assert not second.a.flags.writeable
+
+
+def written_out_spectral(x, wb, cfg, scale, extra_t, row):
+    """Value and scale times the spectral gradient, plus the pullback of
+    extra_t and the row added, as the map adjoint
+
+        g_x = x (2 f(s) g_t - (u . g_u) / s) + [C diag(1/|x|); 1]^T [F; row]
+
+    with the direction cotangent g_u = C^T F (C the K x N cosine modes,
+    F_k = f_k c1_k) and u . g_u = sum_k cos_k f_k <c1_k, u>."""
+    n, d = x.shape
+    coeffs = spectral_coefficients(d, cfg)
+    summary, cosmat, sinmat = _summarize(wb, cfg.modes)
+    c0, c1 = summary.c0, summary.c1
+    energy = spectral_energy(summary, coeffs)
+    floor = coeffs.lambda0 * coeffs.a[0]
+    pref = scale / (cfg.beta * (energy / floor + cfg.eps) * floor)
+    k_pi = np.pi * np.arange(cfg.modes, dtype=np.float64)
+    proj = wb.u @ c1.T
+    dedt = ((coeffs.lambda0 * coeffs.a * c0 * k_pi) @ sinmat
+            + math.sqrt(d) * np.einsum("ik,k,ki->i", proj, coeffs.lambda1 * coeffs.a * k_pi, sinmat))
+    g_t = (-2.0 * pref / n) * dedt + extra_t
+    f = (2.0 * math.sqrt(d) * coeffs.lambda1 * pref / n) * coeffs.a
+    coef = 2.0 * g_t * chi2_pdf_array(d, wb.s) - np.einsum("ik,k,ki->i", proj, f, cosmat) / wb.s
+    modes = np.vstack([cosmat * (1.0 / np.sqrt(wb.s)), np.ones(n)])
+    grad = x * coef[:, None]
+    grad += modes.T @ np.vstack([f[:, None] * c1, row])
+    return spectral_value_from_wristband(wb, coeffs, cfg), grad

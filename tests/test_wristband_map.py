@@ -12,7 +12,7 @@ from wristband.pairwise import (
     pairwise_repulsion_loss,
 )
 from wristband.specfun import chi2_cdf
-from wristband.spectral import _spectral_value_cotangents, spectral_loss
+from wristband.spectral import _spectral_value_grad, spectral_loss
 from wristband.wristband_map import (
     NORM_FLOOR,
     validate_point_batch,
@@ -163,16 +163,31 @@ def test_public_entries_validate_the_batch(batch, error):
         wristband_backward(batch, wb, np.ones_like(good), np.ones(2))
 
 
-@pytest.mark.parametrize("loss, cotangents", [
-    (pairwise_repulsion_loss, lambda wb, cfg: _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE)),
-    (spectral_loss, _spectral_value_cotangents),
+def _pulled_back(x, wb, value, grad_u, grad_t):
+    return value, wristband_backward(x, wb, grad_u, grad_t)
+
+
+def _spectral_pass(x, wb, cfg):
+    """The spectral pass on the validated batch, writing into a fresh array."""
+    grad = np.empty(x.shape)
+    return _spectral_value_grad(validate_point_batch(x), wb, cfg, 1.0, np.zeros(x.shape[0]),
+                                np.zeros(x.shape[1]), grad), grad
+
+
+@pytest.mark.parametrize("loss, reference", [
+    (pairwise_repulsion_loss,
+     lambda x, wb, cfg: _pulled_back(x, wb, *_pairwise_value_cotangents(wb, cfg, DEFAULT_TILE))),
+    (spectral_loss, _spectral_pass),
 ])
-def test_public_losses_validate_once(loss, cotangents, monkeypatch):
+def test_public_losses_validate_once(loss, reference, monkeypatch):
+    # Each public loss validates its batch once and gives the bytes of its
+    # private pieces composed by hand: the pairwise cotangents pulled back
+    # through the map's adjoint, or the spectral pass, which pulls back
+    # its rank-K cotangent itself.
     x = np.random.default_rng(3).normal(size=(80, 5))[::2]  # strided rows
     cfg = KernelConfig(beta=8.0, alpha=0.8)
     wb = wristband_forward(x)
-    value, grad_u, grad_t = cotangents(wb, cfg)
-    want = wristband_backward(x, wb, grad_u, grad_t)
+    value, want = reference(x, wb, cfg)
 
     calls = []
 
@@ -184,4 +199,4 @@ def test_public_losses_validate_once(loss, cotangents, monkeypatch):
     got = loss(x, cfg)
     assert len(calls) == 1
     assert got.value == value
-    assert np.array_equal(got.grad, want)
+    assert got.grad.tobytes() == want.tobytes()
