@@ -61,6 +61,14 @@ FORMAT_VERSION = 1
 _FLOAT_FIELDS = ("mu_rep", "mu_rad", "mu_mom", "sd_rep", "sd_rad", "sd_mom", "sd_numerator")
 
 
+def _json_int(doc: dict, name: str) -> int:
+    """An integer field of a table document; a float or a boolean there is malformed, not truncated."""
+    value = doc[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"calibration table field {name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CalibrationTable:
     """Null statistics for one (batch size, dimension, config, path) setting."""
@@ -108,11 +116,11 @@ class CalibrationTable:
             raise FormatError(f"unsupported calibration table format_version {version!r}")
         try:
             table = cls(
-                n=int(doc["n"]),
-                dim=int(doc["dim"]),
+                n=_json_int(doc, "n"),
+                dim=_json_int(doc, "dim"),
                 cfg=KernelConfig.from_dict(doc["cfg"]),
-                reps=int(doc["reps"]),
-                seed=int(doc["seed"]),
+                reps=_json_int(doc, "reps"),
+                seed=_json_int(doc, "seed"),
                 loss_path=doc["loss_path"],
                 **{name: float(doc[name]) for name in _FLOAT_FIELDS},
             )

@@ -74,6 +74,8 @@ def read_batch(path) -> np.ndarray:
         raise FormatError(f"bad magic {magic!r} at offset 0, expected {BATCH_MAGIC!r}")
     if version != BATCH_VERSION:
         raise FormatError(f"unsupported batch file version {version} at offset 4")
+    if n == 0 or d == 0:
+        raise FormatError(f"batch header holds an empty batch (n={n}, d={d}); a batch needs n, d >= 1")
     expected = _HEADER.size + n * d * 8
     if len(blob) != expected:
         raise FormatError(

@@ -16,31 +16,51 @@ boundary correction.
 
 In augmented coordinates y = (alpha u, t) the product is one Gaussian
 with image sources: k_ang k_img = sum_m exp(-beta ||y - y'^(m)||^2),
-y'^(m) = (alpha u', t'), (alpha u', -t'), (alpha u', 2 - t').  The
-three images of each point are stored interleaved, so the images of
-points clo:chi are one contiguous slice; one matrix product of rows
-[2 beta y, -beta |y|^2, 1] with columns [y^(m), 1, -beta |y^(m)|^2]
-gives a block's exponent and one exp its kernel.  The gradient is two
-more matrix products on that block.  The self-interactions do not come
-from the product: the real one is set to -inf before the exp, so it is
-excluded exactly instead of subtracted from a rounded sum, and the
-reflected ones get their closed forms.
+y'^(m) = (alpha u', t'), (alpha u', -t'), (alpha u', 2 - t').  The two
+reflections differ only by a separable factor.  With r = t + t' - 1,
+(t + t')^2 = r^2 + 1 + 2r and (t + t' - 2)^2 = r^2 + 1 - 2r, so
+
+    K_2 = p K_0 p',   K_3 = q K_0 q',   p = exp(-2 beta (t - 1/2)),  q = 1/p,
+
+where K_0 = exp(-beta (||y - ybar'||^2 + 1)) is the kernel against the
+point mirrored at t = 1/2, ybar' = (alpha u', 1 - t').  A pass therefore
+evaluates two bases, the real points and their mirrors at 1/2: two
+exponentials per pair instead of three.  The reflections enter only
+through p and q, which ride in narrow products; they belong to the
+point, so the passes accumulate unscaled per-term sums (sum_j K_0 p_j
+for the image at 0) and apply p_i and q_i once at the end.  This needs
+every K_0 entry, every p and q and every K_0 p term to be a normal
+double, which holds while beta (4 alpha^2 + 3) < -ln(tiny) ~ 708.4:
+at beta = 8 for alpha < 4.6, and at the direct benchmark (356).  Above
+that bound the same code runs the three-image basis, the images
+themselves with unit factors, the only form representable there.  The
+configuration picks the basis; there is no option.
+
+One matrix product of rows [2 beta y, -beta |y|^2, 1] with columns
+[z, 1, -beta (|z|^2 + c)] (z a base point, c = 1 for the mirror at 1/2
+and 0 otherwise) gives a block's exponent over all its bases, and one
+exp its kernel.  The gradient takes one narrow product per base and
+side on that block.  The self-interactions do not come from the
+product: every base's diagonal is set to -inf before the exp, so the
+real one is excluded exactly instead of subtracted from a rounded sum,
+and the reflected ones, exp(-4 beta t^2) + exp(-4 beta (1 - t)^2), are
+added with their cotangents in closed form.
 
 The O(N^2) accumulation walks tile pairs (I, J >= I), row tile outer
 and column tile inner from the diagonal.  A block is the rows of tile I
-against the three images of the points of tile J, at most tile x 3
-tile entries whatever N is, so it stays in cache through the exp, the
-sums and the gradient products.  A diagonal pair holds the within-tile
-square and the self-image fix-ups; an off-diagonal pair is evaluated
-once, so every off-diagonal pair of points is evaluated exactly
-once.  The per-point and gradient passes keep true row sums: an
-off-diagonal block adds its row sums to its row tile and its mirrored
-column sums to its column tile.  The global value needs only the kernel
-total, so its pass reduces each block to its row sums alone and counts
-an off-diagonal block twice (the kernel is symmetric).  Tile traversal
-order is fixed, so results are deterministic for a given tile size;
-the tile size (an integer >= 1) is an explicit argument with a fixed
-default and is part of the reproducibility contract.
+against the bases of the points of tile J, at most tile x 2 tile
+entries (tile x 3 tile in the three-image basis) whatever N is, so it
+stays in cache through the exp, the sums and the gradient products.  A
+diagonal pair holds the within-tile square; an off-diagonal pair is
+evaluated once, so every off-diagonal pair of points is evaluated
+exactly once.  The per-point and gradient passes keep true row sums:
+an off-diagonal block adds its row sums to its row tile and its
+mirrored column sums to its column tile.  The global value needs only
+the kernel total, so its pass reduces each block to its row sums alone
+and counts an off-diagonal block twice (the kernel is symmetric).  Tile
+traversal order is fixed, so results are deterministic for a given
+tile size; the tile size (an integer >= 1) is an explicit argument with
+a fixed default and is part of the reproducibility contract.
 
 The gradient is a pair-weighted sum with weights w_i + w_j.  Under
 global reduction the weights are one constant set by the kernel sum,
@@ -83,6 +103,12 @@ ALPHA_UNIFORM_STD = math.sqrt(1.0 / 12.0)
 
 DEFAULT_TILE = 128
 
+# The two-base form needs beta (4 alpha^2 + 3) below this, -ln of the
+# smallest normal double: then every mirror kernel entry, every p and q
+# and every K_0 p term is a normal double.
+_TWO_BASE_LIMIT = -math.log(np.finfo(np.float64).tiny)
+
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -112,8 +138,8 @@ class KernelConfig:
             raise DomainError(f"reduction must be 'global' or 'per_point', got {self.reduction!r}")
         if len(self.weights) != 3 or any(w < 0.0 or not math.isfinite(w) for w in self.weights):
             raise DomainError(f"weights must be three nonnegative reals, got {self.weights}")
-        if self.modes < 1:
-            raise DomainError(f"modes must be >= 1, got {self.modes}")
+        if isinstance(self.modes, bool) or not isinstance(self.modes, numbers.Integral) or self.modes < 1:
+            raise DomainError(f"modes must be an integer >= 1, got {self.modes!r}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
     @classmethod
@@ -140,7 +166,7 @@ class KernelConfig:
             eps=float(obj["eps"]),
             reduction=obj["reduction"],
             weights=tuple(float(w) for w in obj["weights"]),
-            modes=int(obj["modes"]),
+            modes=obj["modes"],
         )
 
 
@@ -190,43 +216,107 @@ def radial_neumann_kernel(t, t2, beta: float, images: int = 10):
     return total
 
 
-def _images(wb: WristbandBatch, cfg: KernelConfig):
-    """Augmented coordinates y_j = (alpha u_j, t_j) and their images, img[3j + m - 1] = y_j^(m)."""
-    y = np.column_stack([cfg.alpha * wb.u, wb.t])
-    img = np.repeat(y, 3, axis=0)
-    img[1::3, -1] = -wb.t
-    img[2::3, -1] = 2.0 - wb.t
-    return y, img
+@dataclass(frozen=True)
+class _Basis:
+    """The column sources of the kernel blocks and the per-point factors of the three terms.
 
-
-def _kernel_blocks(y: np.ndarray, img: np.ndarray, beta: float, tile: int):
-    """Yield (lo, hi, clo, chi, e), e[i - lo, 3(j - clo) + m - 1] = exp(-beta ||y_i - y_j^(m)||^2).
-
-    Rows are i in lo:hi, columns the three images of the points j in
-    clo:chi, for tile pairs clo >= lo: row tile outer, column tile inner
-    from the diagonal.  A diagonal pair (clo == lo) is the within-tile
-    square with the self-interactions set; an off-diagonal pair is
-    evaluated once and mirrored by the caller.  The blocks share one
-    tile x 3 tile buffer, so each is valid only until the next is yielded.
+    Term c (the real point, its image at 0, its image at 1) is
+    scale[i, c] B_b(i, j) scale[j, c] with b = base_of[c], B_b the kernel
+    against base b.  `cols` and `sum_w` are tile-major: the rows of tile
+    J are its points in base 0, then in base 1, and so on, so a block's
+    columns are one contiguous slice.  Row (b, j) of `sum_w` holds
+    scale[j, c] in the columns c of base b's terms and 0 elsewhere, so a
+    block times its `sum_w` slice gives the unscaled per-term row sums.
     """
+
+    tile: int
+    terms: tuple[slice, ...]  # the terms of each base, a contiguous range
+    base_of: np.ndarray  # (3,) base of each term
+    rows: np.ndarray  # N x (d + 3): [2 beta y, -beta |y|^2, 1]
+    cols: np.ndarray  # bases * N x (d + 3): [z, 1, -beta (|z|^2 + c)]
+    sum_w: np.ndarray  # bases * N x 3
+    scale: np.ndarray  # N x 3
+    self_images: np.ndarray  # 2 x N: exp(-4 beta t^2), exp(-4 beta (1 - t)^2)
+
+    @property
+    def bases(self) -> int:
+        return len(self.terms)
+
+
+def _tile_major(a: np.ndarray, tile: int) -> np.ndarray:
+    """Stack a (bases, N, k) array tile by tile: each tile's points in base 0, then base 1, ..."""
+    nb, n, k = a.shape
+    full = n - n % tile
+    head = a[:, :full].reshape(nb, -1, tile, k).swapaxes(0, 1).reshape(-1, k)
+    return np.concatenate([head, a[:, full:].reshape(-1, k)])
+
+
+def _basis(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> _Basis:
+    """The two-base (real, mirror at 1/2) or three-image basis of a batch, for tiles of `tile`."""
     if isinstance(tile, bool) or not isinstance(tile, numbers.Integral) or tile < 1:
         raise ContractViolation(f"tile must be an integer >= 1, got {tile!r}")
-    n, t = y.shape[0], y[:, -1]
-    aug_rows = np.column_stack([2.0 * beta * y, -beta * np.einsum("ij,ij->i", y, y), np.ones(n)])
-    aug_cols = np.column_stack([img, np.ones(3 * n), -beta * np.einsum("ij,ij->i", img, img)])
-    self_exp = np.column_stack([np.full(n, -np.inf), -4 * beta * t**2, -4 * beta * (1 - t) ** 2])
-    buf = np.empty(3 * min(tile, n) ** 2)
+    (n, d), t, beta = wb.u.shape, wb.t, cfg.beta
+    au = cfg.alpha * wb.u
+    au2 = np.einsum("ij,ij->i", au, au)
+    if beta * (4.0 * cfg.alpha**2 + 3.0) < _TWO_BASE_LIMIT:
+        terms, zt, c = (slice(0, 1), slice(1, 3)), np.stack([t, 1.0 - t]), np.array([0.0, 1.0])
+        h = beta * (2.0 * t - 1.0)
+        scale = np.column_stack([np.ones(n), np.exp(-h), np.exp(h)])
+    else:
+        terms, zt, c = (slice(0, 1), slice(1, 2), slice(2, 3)), np.stack([t, -t, 2.0 - t]), np.zeros(3)
+        scale = np.ones((n, 3))
+    base_of = np.concatenate([np.full(ts.stop - ts.start, b) for b, ts in enumerate(terms)])
+    # Per base and point: the column [z, 1, -beta (|z|^2 + c)] and the sum weights.
+    a = np.empty((len(terms), n, d + 6))
+    a[:, :, :d] = au
+    a[:, :, d] = zt
+    a[:, :, d + 1] = 1.0
+    a[:, :, d + 2] = -beta * (au2 + zt * zt + c[:, None])
+    np.multiply(scale, base_of == np.arange(len(terms))[:, None, None], out=a[:, :, d + 3:])
+    a = _tile_major(a, int(tile))
+    return _Basis(
+        tile=int(tile),
+        terms=terms,
+        base_of=base_of,
+        rows=np.column_stack([2.0 * beta * au, 2.0 * beta * t, -beta * (au2 + t * t), np.ones(n)]),
+        cols=a[:, :d + 3],
+        sum_w=a[:, d + 3:],
+        scale=scale,
+        self_images=np.exp(-4.0 * beta * np.stack([t, 1.0 - t]) ** 2),
+    )
+
+
+def _kernel_blocks(basis: _Basis):
+    """Yield (lo, hi, clo, chi, e), e[i - lo, b (chi - clo) + j - clo] = B_b(i, j).
+
+    Rows are i in lo:hi, columns the bases of the points j in clo:chi,
+    for tile pairs clo >= lo: row tile outer, column tile inner from the
+    diagonal.  A diagonal pair (clo == lo) is the within-tile square with
+    every base's self-interaction set to 0; an off-diagonal pair is
+    evaluated once and mirrored by the caller.  The blocks share one
+    tile x bases tile buffer, so each is valid only until the next is yielded.
+    """
+    n, nb, tile = basis.rows.shape[0], basis.bases, basis.tile
+    buf = np.empty(nb * min(tile, n) ** 2)
     for lo in range(0, n, tile):
         hi = min(lo + tile, n)
         for clo in range(lo, n, tile):
             chi = min(clo + tile, n)
-            e = buf[:(hi - lo) * 3 * (chi - clo)].reshape(hi - lo, -1)
-            np.matmul(aug_rows[lo:hi], aug_cols[3 * clo:3 * chi].T, out=e)
+            e = buf[:(hi - lo) * nb * (chi - clo)].reshape(hi - lo, -1)
+            np.matmul(basis.rows[lo:hi], basis.cols[nb * clo:nb * chi].T, out=e)
             if clo == lo:
                 k = np.arange(hi - lo)
-                e.reshape(hi - lo, -1, 3)[k, k] = self_exp[lo:hi]
+                e.reshape(hi - lo, nb, -1)[k, :, k] = -np.inf
             np.exp(e, out=e)
             yield lo, hi, clo, chi, e
+
+
+def _rows(sums: np.ndarray, basis: _Basis, pair_w: float | np.ndarray = 1.0) -> np.ndarray:
+    """Row sums from unscaled N x 3 per-term sums: scaled by the point's factors, self-images added.
+
+    pair_w is the pair weight of the self-images (2 w_i in a weighted pass).
+    """
+    return np.einsum("ij,ij->i", sums, basis.scale) + pair_w * (basis.self_images[0] + basis.self_images[1])
 
 
 def _add_to_total(total: np.ndarray, lo: int, hi: int, clo: int, r: np.ndarray) -> None:
@@ -239,35 +329,40 @@ def _add_to_total(total: np.ndarray, lo: int, hi: int, clo: int, r: np.ndarray) 
     total[lo:hi] += r
 
 
-def _add_block_sums(rows: np.ndarray, ones: np.ndarray, lo: int, hi: int, clo: int, chi: int,
-                    m: np.ndarray, total: np.ndarray | None = None) -> np.ndarray | None:
-    """Add block m's row sums, and off the diagonal its mirrored column sums, to rows.
+def _block_row_sums(basis: _Basis, clo: int, chi: int, m: np.ndarray) -> np.ndarray:
+    """Block m's unscaled per-term row sums: one product with its `sum_w` slice.
 
-    Returns the column sums of an off-diagonal block, None for a diagonal one.
-    The sums are BLAS matrix-vector products with `ones`, a vector of ones
-    at least as long as either side of the block, which run faster than
-    numpy's pairwise reductions.  The row sums also go to `total` through
-    `_add_to_total` when it is given.
+    Every pass takes a block's row sums from this one call, so the value
+    and gradient passes add the same vectors in the same order.
     """
-    r = m @ ones[:m.shape[1]]
-    rows[lo:hi] += r
+    nb = basis.bases
+    return m @ basis.sum_w[nb * clo:nb * chi]
+
+
+def _add_block_sums(sums: np.ndarray, basis: _Basis, lo: int, hi: int, clo: int, chi: int,
+                    m: np.ndarray, total: np.ndarray | None = None) -> None:
+    """Add block m's unscaled per-term row sums, and off the diagonal its column sums, to sums.
+
+    The column sums are one product of the rows' factors with the block,
+    of which each term keeps its own base's columns.  The row sums also
+    go to `total` through `_add_to_total` when it is given.
+    """
+    r = _block_row_sums(basis, clo, chi, m)
+    sums[lo:hi] += r
     if total is not None:
         _add_to_total(total, lo, hi, clo, r)
-    if clo == lo:
-        return None
-    c = ones[:m.shape[0]] @ m
-    rows[clo:chi] += c.reshape(-1, 3).sum(axis=1)
-    return c
+    if clo != lo:
+        c = basis.scale[lo:hi].T @ m
+        sums[clo:chi] += c.reshape(3, basis.bases, -1)[np.arange(3), basis.base_of].T
 
 
 def _row_sums(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> np.ndarray:
     """Kernel row sums without the real self-interactions, each off-diagonal pair computed once."""
-    y, img = _images(wb, cfg)
-    rows = np.zeros(wb.n)
-    ones = np.ones(3 * wb.n)
-    for lo, hi, clo, chi, e in _kernel_blocks(y, img, cfg.beta, tile):
-        _add_block_sums(rows, ones, lo, hi, clo, chi, e)
-    return rows
+    basis = _basis(wb, cfg, tile)
+    sums = np.zeros((wb.n, 3))
+    for lo, hi, clo, chi, e in _kernel_blocks(basis):
+        _add_block_sums(sums, basis, lo, hi, clo, chi, e)
+    return _rows(sums, basis)
 
 
 def _global_sums(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> np.ndarray:
@@ -275,14 +370,13 @@ def _global_sums(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> np.ndarray
 
     Entry i is not row i's kernel sum (the mirrored column sums land on
     the row tile instead), but the total is, and it costs one product,
-    one exp and one matrix-vector product per tile pair.
+    one exp and one narrow row-sum product per tile pair.
     """
-    y, img = _images(wb, cfg)
-    total = np.zeros(wb.n)
-    ones = np.ones(3 * wb.n)
-    for lo, hi, clo, chi, e in _kernel_blocks(y, img, cfg.beta, tile):
-        _add_to_total(total, lo, hi, clo, e @ ones[:e.shape[1]])
-    return total
+    basis = _basis(wb, cfg, tile)
+    total = np.zeros((wb.n, 3))
+    for lo, hi, clo, chi, e in _kernel_blocks(basis):
+        _add_to_total(total, lo, hi, clo, _block_row_sums(basis, clo, chi, e))
+    return _rows(total, basis)
 
 
 def _reduce(rows: np.ndarray, cfg: KernelConfig):
@@ -305,6 +399,25 @@ def pairwise_value_from_wristband(wb: WristbandBatch, cfg: KernelConfig,
     return _reduce(sums(wb, cfg, tile), cfg)[0]
 
 
+def _add_products(grad: np.ndarray, sums: np.ndarray, m: np.ndarray, src: np.ndarray,
+                  lo: int, hi: int, clo: int, chi: int, w: np.ndarray | None) -> None:
+    """Add m @ src[clo:chi] to grad[lo:hi], m a base's block with rows lo:hi and columns clo:chi.
+
+    With weights w, src holds [sources, factors] and their w-weighted
+    copy: the halves combine as w_i (m src)_i + (m (w src))_i, and the
+    factor columns are the weighted sums, added to sums[lo:hi].
+    """
+    x = m @ src[clo:chi]
+    if w is None:
+        grad[lo:hi] += x
+        return
+    half = x.shape[1] // 2
+    x = w[lo:hi, None] * x[:, :half] + x[:, half:]
+    k = grad.shape[1]
+    grad[lo:hi] += x[:, :k]
+    sums[lo:hi] += x[:, k:]
+
+
 def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | None, tile: int,
                       out: np.ndarray | None = None, total: np.ndarray | None = None):
     """Gradients of sum_ij w-weighted kernel w.r.t. (u, t), and weighted row sums.
@@ -313,66 +426,68 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     it is given.  The t gradient is an owned copy of its column, so the
     N x (d + 1) working array is freed on return.
 
-    Uses grad_k = sum_j (w_k + w_j) dK(k, j)/d(first slot), exact also on
-    the diagonal (a reflected self-image moves with t_k at twice the
-    one-sided rate, and the weight sum doubles at j = k).  With M the
-    weighted block and r, c its row and column sums, the derivative in y
-    is -2 beta (y_i r_i - (M @ img)_i) for a row and -2 beta sum_m P_m
-    (img_j c_j - M.T @ y) for a mirrored column, P_m flipping the
-    t sign of the reflected images.
+    Uses grad_k = sum_j (w_k + w_j) dK(k, j)/d(first slot).  Term c of
+    the kernel is the Gaussian exp(-beta ||y_i - y_j^(c)||^2) whatever
+    basis evaluates it, so with M_c its weighted entries and r_c, c_c
+    their row and column sums the derivative in y is
+    -2 beta sum_c (y_i r_c,i - sum_j M_c(i, j) y_j^(c)) for a row and
+    -2 beta sum_c P_c (y_j^(c) c_c,j - sum_i M_c(i, j) y_i) for a
+    mirrored column, P_c flipping the t sign of the reflected images.
+    P_c y^(c) is y, y and y - 2 e_t, and y^(3) = y^(2) + 2 e_t, so both
+    sides take their products against the same sources: y for the real
+    term and s_c y^(2) for a reflected one, s_c its factors, and the e_t
+    parts fold into the third term's mass.  Each base takes one product
+    per side against the sources of its terms; the factors of the point
+    whose sums they are apply once at the end.  The self-images'
+    cotangents are added in closed form (pair weight 2 w_k, or 1 for
+    unit weights).
 
-    w=None means unit pair weights: M is the kernel block, and the row
-    sums are bit-identical to `_row_sums` (same block, same
-    `_add_block_sums`).  With the N-vector `total` given (w=None only),
-    the block row sums are also added to it as `_global_sums` adds them,
-    so global reduction gets value and gradient from this one pass, its
-    value bit-identical to the value-only path's.  Per-point reduction
-    runs `_row_sums` first for w.
+    w=None means unit pair weights: the sums come from `_add_block_sums`,
+    so the row sums are bit-identical to `_row_sums`.  With the N-vector
+    `total` given (w=None only), it receives `_global_sums`'s result
+    from the same block row sums, so global reduction gets value and
+    gradient from this one pass, its value bit-identical to the
+    value-only path's.  Per-point reduction runs `_row_sums` first for w.
 
-    With weights, M = diag(w) K + K diag(w3), w3 the weights repeated
-    per image, is never formed: the same two products on the kernel
-    block K, taken against [img, 1] and [y, 1] with weighted copies
-    appended, give M @ img and the row sums as w_i (K [img, 1])_i +
-    (K [w3 img, w3])_i, and the column side likewise.
+    With weights, the weighted blocks are never formed: the products run
+    against [sources, factors] with w-weighted copies appended, and the
+    two halves combine as w_i (K sources)_i + (K (w sources))_i, the
+    factor columns giving the weighted sums.
     """
     n, d = wb.n, wb.dim
-    y, img = _images(wb, cfg)
-    rows = np.zeros(n)
-    row_side = np.zeros_like(y)  # M @ img
-    col_side = np.zeros_like(img)  # M.T @ y over the mirrored off-diagonal blocks
-    col_img3 = np.zeros(n)  # mirrored column sums of the third image
-    ones = np.ones(3 * n)
-    if w is not None:
-        w3 = np.repeat(w, 3)
-        img1 = np.column_stack([img, ones])
-        y1 = np.column_stack([y, ones[:n]])
-        row_rhs = np.hstack([img1, w3[:, None] * img1])
-        col_rhs = np.hstack([y1, w[:, None] * y1])
-    for lo, hi, clo, chi, m in _kernel_blocks(y, img, cfg.beta, tile):
-        mirrored = clo != lo
+    basis = _basis(wb, cfg, tile)
+    y = np.column_stack([cfg.alpha * wb.u, wb.t])
+    y2 = y * np.append(np.ones(d), -1.0)
+    sums = np.zeros((n, 3))
+    total_sums = None if total is None else np.zeros((n, 3))
+    src, grads = [], []
+    for ts in basis.terms:
+        s = np.hstack([basis.scale[:, c:c + 1] * (y2 if c else y) for c in range(ts.start, ts.stop)])
+        grads.append(np.zeros_like(s))
+        if w is not None:
+            s = np.hstack([s, basis.scale[:, ts]])
+            s = np.hstack([s, w[:, None] * s])
+        src.append(s)
+    for lo, hi, clo, chi, e in _kernel_blocks(basis):
+        nj = chi - clo
         if w is None:
-            c = _add_block_sums(rows, ones, lo, hi, clo, chi, m, total)
-            row_side[lo:hi] += m @ img[3 * clo:3 * chi]
-            if mirrored:
-                col_side[3 * clo:3 * chi] += m.T @ y[lo:hi]
-        else:
-            r = m @ row_rhs[3 * clo:3 * chi]
-            r = w[lo:hi, None] * r[:, :d + 2] + r[:, d + 2:]  # [M @ img, row sums]
-            row_side[lo:hi] += r[:, :-1]
-            rows[lo:hi] += r[:, -1]
-            if mirrored:
-                k = m.T @ col_rhs[lo:hi]
-                k = w3[3 * clo:3 * chi, None] * k[:, :d + 2] + k[:, d + 2:]  # [M.T @ y, column sums]
-                col_side[3 * clo:3 * chi] += k[:, :-1]
-                c = k[:, -1]
-                rows[clo:chi] += c.reshape(-1, 3).sum(axis=1)
-        if mirrored:
-            col_img3[clo:chi] += c[2::3]
-    # P_m img_j^(m) is y_j, y_j and y_j - 2 e_t, so the img_j c_j terms
-    # fold into y_j rows_j plus a t-only correction.
-    col_side[:, d] *= np.tile([1.0, -1.0, -1.0], n)
-    g = y * rows[:, None] - row_side - col_side[0::3] - col_side[1::3] - col_side[2::3]
-    g[:, d] -= 2.0 * col_img3
+            _add_block_sums(sums, basis, lo, hi, clo, chi, e, total_sums)
+        for b, ts in enumerate(basis.terms):
+            kb = e[:, b * nj:(b + 1) * nj]
+            _add_products(grads[b], sums[:, ts], kb, src[b], lo, hi, clo, chi, w)
+            if clo != lo:
+                _add_products(grads[b], sums[:, ts], kb.T, src[b], clo, chi, lo, hi, w)
+    pair_w = 1.0 if w is None else 2.0 * w
+    rows = _rows(sums, basis, pair_w)
+    if total is not None:
+        total[:] = _rows(total_sums, basis)
+    mass = sums * basis.scale
+    g = y * mass.sum(axis=1)[:, None]
+    for gb, ts in zip(grads, basis.terms):
+        g -= np.einsum("ikj,ik->ij", gb.reshape(n, -1, d + 1), basis.scale[:, ts])
+    e2, e3 = basis.self_images
+    g[:, d] -= 2.0 * mass[:, 2]
+    g[:, d] += 2.0 * pair_w * (wb.t * e2 - (1.0 - wb.t) * e3)
     g *= -2.0 * cfg.beta
     return np.multiply(cfg.alpha, g[:, :d], out=out), g[:, d].copy(), rows
 

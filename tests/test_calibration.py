@@ -76,6 +76,12 @@ MALFORMED_TABLE_EDITS = {
     "cfg-list": lambda doc: {**doc, "cfg": []},
     "cfg-null-beta": lambda doc: {**doc, "cfg": {**doc["cfg"], "beta": None}},
     "cfg-int-weights": lambda doc: {**doc, "cfg": {**doc["cfg"], "weights": 3}},
+    "fractional-n": lambda doc: {**doc, "n": 16.9},
+    "bool-n": lambda doc: {**doc, "n": True},
+    "fractional-reps": lambda doc: {**doc, "reps": 4.7},
+    "fractional-seed": lambda doc: {**doc, "seed": 1.5},
+    "cfg-fractional-modes": lambda doc: {**doc, "cfg": {**doc["cfg"], "modes": 6.9}},
+    "cfg-bool-modes": lambda doc: {**doc, "cfg": {**doc["cfg"], "modes": True}},
 }
 
 

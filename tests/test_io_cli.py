@@ -75,6 +75,15 @@ class TestBatchFile:
         with pytest.raises(FormatError, match="finite"):
             read_batch(path)
 
+    @pytest.mark.parametrize("n, d", [(2**63, 0), (0, 3), (4, 0), (0, 0)])
+    def test_empty_header_rejected(self, tmp_path, n, d):
+        # write_batch never writes an empty batch; such a header is malformed.
+        path = tmp_path / "b.wbpc"
+        path.write_bytes(struct.pack("<4sIQQ", b"WBPC", 1, n, d))
+        with pytest.raises(FormatError, match=rf"n={n}, d={d}"):
+            read_batch(path)
+        assert run(["score", "--in", str(path), "--seed", "0"]) == 1
+
 
 class TestReportEncoding:
     def test_floats_roundtrip(self):

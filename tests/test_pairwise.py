@@ -118,8 +118,10 @@ class TestConfig:
             KernelConfig(reduction="rowwise")
         with pytest.raises(DomainError):
             KernelConfig(weights=(1.0, -0.1, 1.0))
-        with pytest.raises(DomainError):
-            KernelConfig(modes=0)
+        for modes in (0, 2.5, 6.0, True, "6"):
+            with pytest.raises(DomainError, match="modes"):
+                KernelConfig(modes=modes)
+        assert KernelConfig(modes=np.int64(3)).modes == 3
 
     def test_roundtrip_dict(self):
         cfg = KernelConfig(beta=64.0, alpha=0.8, reduction="per_point", weights=(1, 0.25, 2))
@@ -146,10 +148,12 @@ class TestRepulsionLoss:
     def test_lone_boundary_point_row_sum_is_exact(self, t):
         # The real self-interaction is left out, not subtracted, and the
         # reflected self-images take their closed forms: at a boundary
-        # one image sits on the point, so the row sum is 1 + exp(-256).
+        # one image sits on the point, so the row sum is 1 + exp(-4 beta),
+        # in the two-base form (direct benchmark) and in the three images.
         u = np.array([[0.6, 0.8]])
         wb = WristbandBatch(u=u, t=np.array([t]), s=np.ones(1), norm_floored=np.zeros(1, dtype=bool))
-        assert _row_sums(wb, KernelConfig.direct_benchmark(), DEFAULT_TILE)[0] == 1.0
+        for cfg in (KernelConfig.direct_benchmark(), KernelConfig(beta=1024.0, alpha=0.8)):
+            assert _row_sums(wb, cfg, DEFAULT_TILE)[0] == 1.0
 
     def test_two_identical_points_hand_value(self):
         # u1 = u2, t1 = t2 = t: kernel matrix is constant

@@ -8,14 +8,19 @@ Examples are derandomized, so the suite sees the same cases on every run.
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wristband import pairwise
 from wristband.pairwise import (
+    ALPHA_UNIFORM_STD,
     KernelConfig,
     _accumulate_grads,
+    _basis,
     _kernel_blocks,
     _pairwise_value_cotangents,
     _row_sums,
@@ -177,18 +182,99 @@ def test_weighted_pass_matches_dense_oracle(wb, cfg, tile, seed):
 @PROPERTY_SETTINGS
 @given(n=st.integers(1, 300), tile=tiles)
 def test_tile_pairs_cover_each_pair_once(n, tile):
-    """Blocks are at most tile x 3 tile; a tile's ordered pairs and each cross-tile pair come once.
+    """Blocks are at most tile x bases tile; a tile's ordered pairs and each cross-tile pair come once.
 
     cover[i, j] counts the blocks whose rows hold i and whose columns
-    hold j's images: a diagonal pair counts both orders, an off-diagonal
+    hold j's bases: a diagonal pair counts both orders, an off-diagonal
     pair one order that the caller mirrors.
     """
-    y = np.random.default_rng(n).random((n, 2))
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=(n, 2))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    wb = WristbandBatch(u=u, t=rng.random(n), s=np.ones(n), norm_floored=np.zeros(n, dtype=bool))
+    basis = _basis(wb, KernelConfig(beta=1.0), tile)
     cover = np.zeros((n, n), dtype=int)
-    for lo, hi, clo, chi, e in _kernel_blocks(y, np.repeat(y, 3, axis=0), 1.0, tile):
-        assert e.shape == (hi - lo, 3 * (chi - clo))
-        assert e.shape[0] <= tile and e.shape[1] <= 3 * tile
+    for lo, hi, clo, chi, e in _kernel_blocks(basis):
+        assert e.shape == (hi - lo, basis.bases * (chi - clo))
+        assert e.shape[0] <= tile and e.shape[1] <= basis.bases * tile
         cover[lo:hi, clo:chi] += 1
     same_tile = np.arange(n)[:, None] // tile == np.arange(n)[None, :] // tile
     assert np.all(cover[same_tile] == 1)
     assert np.all((cover + cover.T)[~same_tile] == 1)
+
+
+@st.composite
+def boundary_batches(draw):
+    """wristband_batches with points at t = 0 and t = 1, each duplicated when n >= 4."""
+    wb = draw(wristband_batches())
+    n, u, t = wb.n, wb.u.copy(), wb.t.copy()
+    t[0], t[n - 1] = 0.0, 1.0
+    if n >= 4:
+        u[1], t[1] = u[0], 0.0
+        u[n - 2], t[n - 2] = u[n - 1], 1.0
+    return WristbandBatch(u=u, t=t, s=wb.s, norm_floored=wb.norm_floored)
+
+
+@st.composite
+def straddling_configs(draw):
+    """Configs with beta (4 alpha^2 + 3) within 15% of the two-base bound, on either side."""
+    alpha = draw(st.floats(0.25, 1.5))
+    beta = draw(st.floats(0.85, 1.15)) * pairwise._TWO_BASE_LIMIT / (4.0 * alpha**2 + 3.0)
+    return KernelConfig(beta=beta, alpha=alpha, reduction=draw(st.sampled_from(["global", "per_point"])))
+
+
+def basis_results(wb, cfg, tile, w):
+    """Value, unit row sums and weighted pass of one basis, after checking its exact equalities."""
+    value = pairwise_value_from_wristband(wb, cfg, tile)
+    assert _pairwise_value_cotangents(wb, cfg, tile)[0] == value
+    rows = _row_sums(wb, cfg, tile)
+    assert np.array_equal(_accumulate_grads(wb, cfg, None, tile)[2], rows)
+    return value, rows, _accumulate_grads(wb, cfg, w, tile)
+
+
+@PROPERTY_SETTINGS
+@given(wb=boundary_batches(), cfg=straddling_configs(), tile=st.integers(8, 256),
+       seed=st.integers(0, 2**32 - 1))
+def test_two_bases_match_three_images(wb, cfg, tile, seed):
+    """Across the basis bound, the chosen basis and the three-image basis both match the oracles.
+
+    Below the bound the chosen basis is the two-base form, so this pins
+    it against the three images up to the bound; the tolerances are
+    those of test_matches_direct_double_sum and
+    test_weighted_pass_matches_dense_oracle.  Tiles start at 8: smaller
+    ones only multiply the blocks of ten passes, and the tile tests
+    above cover them.
+    """
+    w = np.random.default_rng(seed).uniform(0.1, 1.0, wb.n) / (3.0 * wb.n)
+    chosen = basis_results(wb, cfg, tile, w)
+    with mock.patch.object(pairwise, "_TWO_BASE_LIMIT", 0.0):
+        assert _basis(wb, cfg, tile).bases == 3
+        three = basis_results(wb, cfg, tile, w)
+    ref = direct_value(wb, cfg)
+    ref_rows = dense_weighted_pass(wb, cfg, np.full(wb.n, 0.5))[2]
+    ref_u, ref_t, ref_weighted = dense_weighted_pass(wb, cfg, w)
+    rtol = 8.0 * np.finfo(np.float64).eps * cfg.beta * (cfg.alpha**2 + 4.0)
+    for value, rows, (grad_u, grad_t, weighted) in (chosen, three):
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+        assert np.all(np.abs(rows - ref_rows) <= rtol * ref_rows + 1e-300)
+        assert np.all(np.abs(weighted - ref_weighted) <= rtol * ref_weighted + 1e-300)
+        assert_cotangents_close((grad_u, grad_t), (ref_u, ref_t))
+    assert_cotangents_close(chosen[2][:2], three[2][:2])
+
+
+@pytest.mark.parametrize("cfg, bases", [
+    (KernelConfig(), 2),
+    (KernelConfig(beta=8.0, alpha=ALPHA_UNIFORM_STD), 2),
+    (KernelConfig.direct_benchmark(), 2),
+    (KernelConfig(beta=1024.0), 3),
+])
+def test_basis_choice(cfg, bases):
+    """Two exponentials per pair at the canonical and benchmark settings; three only past the bound."""
+    rng = np.random.default_rng(0)
+    u = rng.normal(size=(5, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    wb = WristbandBatch(u=u, t=rng.random(5), s=np.ones(5), norm_floored=np.zeros(5, dtype=bool))
+    basis = _basis(wb, cfg, 2)
+    assert basis.bases == bases
+    assert all(e.shape[1] == bases * (chi - clo) for _, _, clo, chi, e in _kernel_blocks(basis))
+
