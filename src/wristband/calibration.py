@@ -39,18 +39,14 @@ from .accelerators import (
 from .errors import CalibrationError, ContractViolation, FormatError
 from .generators import RngStream, gaussian_batch
 from .pairwise import (
-    DEFAULT_TILE,
     KernelConfig,
     LossValueGrad,
-    _pairwise_value_cotangents,
+    _json_real,
+    _pairwise_value_grad,
     pairwise_value_from_wristband,
 )
-from .spectral import (
-    _spectral_value_grad,
-    spectral_coefficients,
-    spectral_value_from_wristband,
-)
-from .wristband_map import _backward, _forward, validate_point_batch, wristband_forward
+from .spectral import _spectral_value_grad, spectral_value_from_wristband
+from .wristband_map import _forward, validate_point_batch, wristband_forward
 
 __all__ = ["CalibrationTable", "calibrate_null", "standardized_wristband_loss"]
 
@@ -122,7 +118,7 @@ class CalibrationTable:
                 reps=_json_int(doc, "reps"),
                 seed=_json_int(doc, "seed"),
                 loss_path=doc["loss_path"],
-                **{name: float(doc[name]) for name in _FLOAT_FIELDS},
+                **{name: _json_real(doc[name]) for name in _FLOAT_FIELDS},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(
@@ -154,16 +150,14 @@ def calibrate_null(
         raise ContractViolation(f"calibration needs batches of n >= 2 points, got {n}")
     if loss_path not in LOSS_PATHS:
         raise ContractViolation(f"loss_path must be one of {LOSS_PATHS}, got {loss_path!r}")
-    coeffs = spectral_coefficients(dim, cfg) if loss_path == "spectral" else None
+    rep_value = {"pairwise": pairwise_value_from_wristband,
+                 "spectral": spectral_value_from_wristband}[loss_path]
     root = RngStream(seed, "calibration")
     vals = np.empty((reps, 3))
     for m in range(reps):
         batch = gaussian_batch(n, dim, root.child(f"rep{m:06d}"))
         wb = wristband_forward(batch)
-        if loss_path == "pairwise":
-            vals[m, 0] = pairwise_value_from_wristband(wb, cfg)
-        else:
-            vals[m, 0] = spectral_value_from_wristband(wb, coeffs, cfg)
+        vals[m, 0] = rep_value(wb, cfg)
         vals[m, 1] = radial_w2_value_from_wristband(wb)
         vals[m, 2] = _moment_value(_centered_moment_summary(batch)[0])[0]
 
@@ -200,9 +194,8 @@ def standardized_wristband_loss(batch, table: CalibrationTable) -> LossValueGrad
 
     The gradient is the fixed linear combination of the component
     gradients with coefficients w_* / (sd_* * sd_numerator).  The batch
-    is validated and mapped once; the repulsion and radial terms combine
-    their cotangents on (u, t) and share one pullback to the raw points.
-    The gradient is a fresh array; the batch is not written to.
+    is validated and mapped once.  The gradient is a fresh array; the
+    batch is not written to.
     """
     x = _validate_for_table(batch, table)
     return _standardized_step(x, table, _step_buffers(x.shape))
@@ -233,25 +226,15 @@ def _standardized_step(x: np.ndarray, table: CalibrationTable,
     buffers = (u, grad) are two C-contiguous (N, d) float64 arrays that
     the caller owns and that overlap neither each other nor x.  The
     gradient ends in `grad` and is returned as that array itself, valid
-    only until the buffers are passed in again.  With
-    G = V diag(1 - lambda^{-1/2}) V^T and scale = c_mom (2/n), the
-    moment gradient is
+    only until the buffers are passed in again.
 
-        (x - mean) (scale G) + scale mean,
-
-    whose product is added by one BLAS call with beta = 1 on the
-    transposed (Fortran-ordered) views.
-
-    Pairwise path: u takes the map's directions and then serves as the
-    adjoint's scratch; grad takes the repulsion cotangent, which the
-    adjoint overwrites with the pulled-back gradient.  u then takes the
-    centered batch, and the moment product and mean row are added.
-
-    Spectral path: u takes the centered batch first, and grad holds the
-    directions until the spectral pass has read them.  The pass writes
-    the repulsion and radial gradient straight into grad, with the
-    moment term's mean row riding in its product; the moment product
-    is added last.
+    Both paths run one sequence.  u takes the centered batch, and grad
+    the map's directions until the table's repulsion pass has read
+    them.  The pass writes the repulsion gradient to grad, with the
+    radial t-cotangent pulled back in it and the moment term's mean row
+    added.  With G = V diag(1 - lambda^{-1/2}) V^T and scale = c_mom (2/n),
+    the moment gradient is (x - mean) (scale G) + scale mean; its product
+    is added last by one BLAS call with beta = 1 on the transposed views.
     """
     u, grad = buffers
     cfg = table.cfg
@@ -260,25 +243,15 @@ def _standardized_step(x: np.ndarray, table: CalibrationTable,
     c_rad = w_rad / (table.sd_rad * table.sd_numerator)
     c_mom = w_mom / (table.sd_mom * table.sd_numerator)
     scale = c_mom * 2.0 / x.shape[0]
-    if table.loss_path == "pairwise":
-        wb = _forward(x, u)
-        rep_value, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE, c_rep, grad)
-        rad_value, rad_grad_t = _radial_value_grad_t(wb.t)
-        rad_grad_t *= c_rad
-        grad_t += rad_grad_t
-        _backward(x, wb, grad_u, grad_t, out=grad, scratch=u)  # u is dead after this
-        ms, centered = _centered_moment_summary(x, out=u)
-    else:
-        ms, centered = _centered_moment_summary(x, out=u)
-        wb = _forward(x, grad)
-        rad_value, rad_grad_t = _radial_value_grad_t(wb.t)
-        rad_grad_t *= c_rad
-        rep_value = _spectral_value_grad(x, wb, cfg, c_rep, rad_grad_t, scale * ms.mean, grad)
+    rep_pass = {"pairwise": _pairwise_value_grad, "spectral": _spectral_value_grad}[table.loss_path]
+    ms, centered = _centered_moment_summary(x, out=u)
+    wb = _forward(x, grad)
+    rad_value, rad_grad_t = _radial_value_grad_t(wb.t)
+    rad_grad_t *= c_rad
+    rep_value = rep_pass(x, wb, cfg, c_rep, rad_grad_t, scale * ms.mean, grad)
     mom_value, root = _moment_value(ms)
     dgemm(1.0, _moment_gradient_matrix(ms, root, scale).T, centered.T,
           beta=1.0, c=grad.T, overwrite_c=True)
-    if table.loss_path == "pairwise":
-        grad += scale * ms.mean
 
     s = (
         w_rep * (rep_value - table.mu_rep) / table.sd_rep

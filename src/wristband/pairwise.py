@@ -70,7 +70,9 @@ accumulator in the same order as the value pass, so both give the same
 value to the bit.  Under per-point reduction w_i depends on row i's
 sum, so the row sums take a pass of their own first; the weighted pass
 then applies w_i + w_j as a row and a column rescaling of the kernel
-block, not as a block-sized weight matrix.
+block, not as a block-sized weight matrix.  The gradient pass ends on
+the batch: it pulls its (u, t) cotangents back through the map's
+adjoint `_backward`, under the signature of the spectral pass.
 """
 
 from __future__ import annotations
@@ -108,6 +110,12 @@ DEFAULT_TILE = 128
 # and every K_0 p term is a normal double.
 _TWO_BASE_LIMIT = -math.log(np.finfo(np.float64).tiny)
 
+
+def _json_real(value) -> float:
+    """A JSON float field (a number or a decimal string); a boolean is a TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -160,12 +168,14 @@ class KernelConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KernelConfig":
+        if not isinstance(obj["weights"], list):
+            raise TypeError(f"weights must be a list, got {obj['weights']!r}")
         return cls(
-            beta=float(obj["beta"]),
-            alpha=float(obj["alpha"]),
-            eps=float(obj["eps"]),
+            beta=_json_real(obj["beta"]),
+            alpha=_json_real(obj["alpha"]),
+            eps=_json_real(obj["eps"]),
             reduction=obj["reduction"],
-            weights=tuple(float(w) for w in obj["weights"]),
+            weights=tuple(_json_real(w) for w in obj["weights"]),
             modes=obj["modes"],
         )
 
@@ -419,12 +429,11 @@ def _add_products(grad: np.ndarray, sums: np.ndarray, m: np.ndarray, src: np.nda
 
 
 def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | None, tile: int,
-                      out: np.ndarray | None = None, total: np.ndarray | None = None):
+                      total: np.ndarray | None = None):
     """Gradients of sum_ij w-weighted kernel w.r.t. (u, t), and weighted row sums.
 
-    The u gradient is written to `out` (N x d, not overlapping wb.u) when
-    it is given.  The t gradient is an owned copy of its column, so the
-    N x (d + 1) working array is freed on return.
+    Both gradients own their memory (the t gradient is a copy of its
+    column), so the N x (d + 1) working array is freed on return.
 
     Uses grad_k = sum_j (w_k + w_j) dK(k, j)/d(first slot).  Term c of
     the kernel is the Gaussian exp(-beta ||y_i - y_j^(c)||^2) whatever
@@ -489,36 +498,47 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     g[:, d] -= 2.0 * mass[:, 2]
     g[:, d] += 2.0 * pair_w * (wb.t * e2 - (1.0 - wb.t) * e3)
     g *= -2.0 * cfg.beta
-    return np.multiply(cfg.alpha, g[:, :d], out=out), g[:, d].copy(), rows
+    return cfg.alpha * g[:, :d], g[:, d].copy(), rows
 
 
-def _pairwise_value_cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int,
-                               scale: float = 1.0, out: np.ndarray | None = None):
-    """Loss value and its cotangents (grad_u, grad_t) on the wristband coordinates.
+def _pairwise_value_grad(x: np.ndarray, wb: WristbandBatch, cfg: KernelConfig, scale: float,
+                         grad_t: np.ndarray, row: np.ndarray, out: np.ndarray) -> float:
+    """`_value_grad` at DEFAULT_TILE: the signature of `spectral._spectral_value_grad`."""
+    return _value_grad(x, wb, cfg, scale, grad_t, row, out, DEFAULT_TILE)
 
-    Row weights w_i give grad = sum_j (w_i + w_j) dK(i, j).  Global
-    reduction has the constant w = 1 / (beta (a + eps) (3N^2 - N)), so
-    one unit-weight pass gives the kernel total and a gradient that is
-    rescaled by 2w once at the end.  The cotangents come multiplied by
-    `scale`, applied as a separate in-place multiply.  grad_u is written
-    to `out` (not overlapping wb.u) when it is given.
+
+def _value_grad(x: np.ndarray, wb: WristbandBatch, cfg: KernelConfig, scale: float,
+                grad_t: np.ndarray, row: np.ndarray, out: np.ndarray, tile: int) -> float:
+    """Loss value; writes `scale` times its gradient w.r.t. the points x to `out`.
+
+    The contract of `spectral._spectral_value_grad`: x is the validated
+    batch that wb maps; the pullback of the extra t-cotangent `grad_t`
+    (N,) and the d-vector `row` are added; out is C-contiguous (N, d),
+    does not overlap x, and may be wb.u, which is overwritten once read.
+    Row weights w_i give grad = sum_j (w_i + w_j) dK(i, j): one constant
+    under global reduction, w = 1 / (beta (a + eps) (3N^2 - N)), so one
+    unit-weight pass gives the kernel total and cotangents rescaled by
+    2w once; per-point reduction takes its row sums first.  The map
+    adjoint `_backward` pulls the scaled cotangents back into out.
     """
     n = wb.n
     if cfg.reduction == "global":
         total = np.zeros(n)
-        grad_u, grad_t, _ = _accumulate_grads(wb, cfg, None, tile, out, total)
+        g_u, g_t, _ = _accumulate_grads(wb, cfg, None, tile, total)
         value, a = _reduce(total, cfg)
         w2 = 2.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n))
-        grad_u *= w2
-        grad_t *= w2
+        g_u *= w2
+        g_t *= w2
     else:
         value, a_i = _reduce(_row_sums(wb, cfg, tile), cfg)
         w = 1.0 / (n * cfg.beta * (a_i + cfg.eps) * (3.0 * n - 1.0))
-        grad_u, grad_t, _ = _accumulate_grads(wb, cfg, w, tile, out)
-    if scale != 1.0:
-        grad_u *= scale
-        grad_t *= scale
-    return value, grad_u, grad_t
+        g_u, g_t, _ = _accumulate_grads(wb, cfg, w, tile)
+    g_u *= scale
+    g_t *= scale
+    g_t += grad_t
+    _backward(x, wb, g_u, g_t, out=out)
+    out += row
+    return value
 
 
 def pairwise_repulsion_loss(batch, cfg: KernelConfig, tile: int = DEFAULT_TILE) -> LossValueGrad:
@@ -530,6 +550,8 @@ def pairwise_repulsion_loss(batch, cfg: KernelConfig, tile: int = DEFAULT_TILE) 
     log(sum_j K_ij / (3N - 1) + eps) / beta, with the same exclusion.
     """
     wb = wristband_forward(batch)
-    value, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, tile)
     x = np.asarray(batch, dtype=np.float64)  # validated by wristband_forward
-    return LossValueGrad(value=value, grad=_backward(x, wb, grad_u, grad_t))
+    n, d = x.shape
+    # The gradient overwrites the directions, which only this call holds.
+    value = _value_grad(x, wb, cfg, 1.0, np.zeros(n), np.zeros(d), wb.u, tile)
+    return LossValueGrad(value=value, grad=wb.u)

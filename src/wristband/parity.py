@@ -22,6 +22,10 @@ __all__ = [
     "timing_sweep",
 ]
 
+# A timed cell runs for at least this long: a fast call gets hundreds of
+# repetitions, not a few that one pre-emption of the process can move.
+MIN_CELL_SECONDS = 0.2
+
 
 @dataclass(frozen=True)
 class FDReport:
@@ -120,7 +124,8 @@ def timing_sweep(dims, batch_sizes, modes: int, repetitions: int, cfg: KernelCon
     """Median forward+backward wall time per (d, N, path) with warm-up.
 
     One Gaussian batch per cell; `warmup` untimed calls precede the
-    timed repetitions for each path.
+    timed ones for each path.  A path's cell is timed until it has
+    `repetitions` calls and has run for MIN_CELL_SECONDS.
     """
     from dataclasses import replace
 
@@ -139,7 +144,8 @@ def timing_sweep(dims, batch_sizes, modes: int, repetitions: int, cfg: KernelCon
             ):
                 for _ in range(warmup):
                     fn(batch)
-                for _ in range(repetitions):
+                start = time.perf_counter()
+                while len(times[name]) < repetitions or time.perf_counter() - start < MIN_CELL_SECONDS:
                     t0 = time.perf_counter()
                     fn(batch)
                     times[name].append(time.perf_counter() - t0)

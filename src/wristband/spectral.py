@@ -155,10 +155,9 @@ def spectral_energy(summary: SpectralSummary, coeffs: SpectralCoeffs) -> float:
     return coeffs.lambda0 * e0 + coeffs.lambda1 * e1
 
 
-def spectral_value_from_wristband(
-    wb: WristbandBatch, coeffs: SpectralCoeffs, cfg: KernelConfig
-) -> float:
+def spectral_value_from_wristband(wb: WristbandBatch, cfg: KernelConfig) -> float:
     """Loss value only (no gradient); the cheap path used during calibration."""
+    coeffs = spectral_coefficients(wb.dim, cfg)
     return _value(spectral_energy(spectral_summary(wb, cfg.modes), coeffs), coeffs, cfg)
 
 

@@ -132,18 +132,15 @@ def wristband_backward(batch, wb: WristbandBatch, grad_u, grad_t) -> np.ndarray:
 
 
 def _backward(x: np.ndarray, wb: WristbandBatch, grad_u, grad_t,
-              out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None) -> np.ndarray:
     """`wristband_backward` of a validated batch with cotangents of matching shapes.
 
-    Evaluates the algebraic form of the module docstring.  The gradient
-    is written to `out`, which may be grad_u itself (the cotangent is
-    then overwritten), and `scratch` holds the x-proportional term;
-    either is a fresh array when not given.  `scratch` may be wb.u
-    itself, which is then overwritten, but must not overlap x, grad_u
-    or out.
+    Evaluates the algebraic form of the module docstring into `out` (a
+    fresh array when not given), which may be grad_u or wb.u, both read
+    before it is written, but must not overlap x.
     """
     coef = 2.0 * grad_t * chi2_pdf_array(wb.dim, wb.s) - np.einsum("ij,ij->i", wb.u, grad_u) / wb.s
-    tmp = np.multiply(x, coef[:, None], out=scratch)
+    tmp = x * coef[:, None]
     gx = np.divide(grad_u, np.sqrt(wb.s)[:, None], out=out)
     gx += tmp
     if np.any(wb.norm_floored):

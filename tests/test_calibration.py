@@ -24,15 +24,12 @@ from wristband.calibration import (
 )
 from wristband.errors import ContractViolation, FormatError, UnsupportedDimension
 from wristband.generators import RngStream, gaussian_batch, x_batch
-from wristband.pairwise import (
-    DEFAULT_TILE,
-    KernelConfig,
-    _pairwise_value_cotangents,
-    pairwise_repulsion_loss,
-)
+from wristband.pairwise import DEFAULT_TILE, KernelConfig, pairwise_repulsion_loss
 from wristband.parity import finite_difference_check
 from wristband.spectral import spectral_loss
 from wristband.wristband_map import _backward, wristband_backward, wristband_forward
+
+from pairwise_cotangents import reduction_cotangents
 
 
 CFG = KernelConfig(beta=8.0, alpha=1.0)
@@ -82,6 +79,9 @@ MALFORMED_TABLE_EDITS = {
     "fractional-seed": lambda doc: {**doc, "seed": 1.5},
     "cfg-fractional-modes": lambda doc: {**doc, "cfg": {**doc["cfg"], "modes": 6.9}},
     "cfg-bool-modes": lambda doc: {**doc, "cfg": {**doc["cfg"], "modes": True}},
+    "bool-float": lambda doc: {**doc, "sd_rep": True},
+    "cfg-bool-beta": lambda doc: {**doc, "cfg": {**doc["cfg"], "beta": True}},
+    "cfg-string-weights": lambda doc: {**doc, "cfg": {**doc["cfg"], "weights": "123"}},
 }
 
 
@@ -225,17 +225,17 @@ def test_spectral_step_matches_component_functions(case):
 
 @pytest.mark.parametrize("reduction", ["global", "per_point"])
 def test_pairwise_gradient_is_the_written_out_combination(reduction):
-    # The cotangents are weighted in place inside the standardized loss and
-    # the moment term is accumulated into the pulled-back gradient; on the
-    # pairwise path that must give the same bytes as weighting the
-    # cotangents outside, pulling back once and adding the scaled moment
-    # product and mean row.
+    # The pairwise pass weights the cotangents in place, pulls them back
+    # with the radial t-cotangent and adds the moment term's mean row; the
+    # step then accumulates the moment product.  That must give the same
+    # bytes as weighting the cotangents outside, pulling back once, and
+    # adding the scaled mean row and then the moment product: (P + r) + M.
     n, d = 77, 5
     cfg = KernelConfig(beta=8.0, alpha=1.0, reduction=reduction)
     table = calibrate_null(n, d, cfg, reps=16, seed=12)
     x = x_batch(n, d, RngStream(13, "in-place"))
     wb = wristband_forward(x)
-    _, gu, gt = _pairwise_value_cotangents(wb, cfg, DEFAULT_TILE)
+    _, gu, gt = reduction_cotangents(wb, cfg, DEFAULT_TILE)
     _, rt = _radial_value_grad_t(wb.t)
     ms, centered = _centered_moment_summary(x)
     w_rep, w_rad, w_mom = cfg.weights
@@ -244,8 +244,8 @@ def test_pairwise_gradient_is_the_written_out_combination(reduction):
     c_mom = w_mom / (table.sd_mom * table.sd_numerator)
     scale = c_mom * 2.0 / n
     expected = _backward(x, wb, c_rep * gu, c_rep * gt + c_rad * rt)
-    expected += centered @ _moment_gradient_matrix(ms, _moment_value(ms)[1], scale)
     expected += scale * ms.mean
+    expected += centered @ _moment_gradient_matrix(ms, _moment_value(ms)[1], scale)
     assert standardized_wristband_loss(x, table).grad.tobytes() == expected.tobytes()
 
 
@@ -311,14 +311,14 @@ class TestBufferedStep:
         # (a copy made by the accumulating product would not be).  The
         # spectral step's traced peak stays below the size of one N x d
         # float64 array (an allocating step reaches several).  The pairwise
-        # kernel pass holds image arrays wider than the batch, so on that
-        # path the peak is taken from the end of the pass, above what the
-        # pass leaves allocated: the pullback and the moment term after it
-        # must stay below one N x d array too.
+        # pass holds image arrays wider than the batch and pulls back
+        # through two N x d temporaries, so on that path the peak is taken
+        # from the end of the pass, above what the pass leaves allocated:
+        # the moment term after it must stay below one N x d array too.
         n, d = 1024, 64
         cfg = KernelConfig(beta=8.0, alpha=0.5)
         x = gaussian_batch(n, d, RngStream(39, "peak"))
-        kernel_pass = calibration._pairwise_value_cotangents
+        kernel_pass = calibration._pairwise_value_grad
         held = [0]
 
         def reset_peak_after(*args):
@@ -332,7 +332,7 @@ class TestBufferedStep:
             buffers = _step_buffers(x.shape)
             _standardized_step(_validate_for_table(x, table), table, buffers)  # warm caches
             if loss_path == "pairwise":
-                monkeypatch.setattr(calibration, "_pairwise_value_cotangents", reset_peak_after)
+                monkeypatch.setattr(calibration, "_pairwise_value_grad", reset_peak_after)
             tracemalloc.start()
             try:
                 out = _standardized_step(_validate_for_table(x, table), table, buffers)

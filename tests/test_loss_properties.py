@@ -27,7 +27,7 @@ from wristband.accelerators import (
 from wristband.calibration import CalibrationTable, standardized_wristband_loss
 from wristband.pairwise import KernelConfig, pairwise_value_from_wristband
 from wristband.specfun import chi2_pdf_array
-from wristband.spectral import spectral_coefficients, spectral_loss, spectral_value_from_wristband
+from wristband.spectral import spectral_loss, spectral_value_from_wristband
 from wristband.wristband_map import NORM_FLOOR, wristband_forward
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -82,10 +82,7 @@ def loss_and_scale(name, x, cfg):
     path = name.removeprefix("standardized_")
     lvg = standardized_wristband_loss(x, table_for(x, cfg, path))
     wb = wristband_forward(x)
-    if path == "pairwise":
-        rep = pairwise_value_from_wristband(wb, cfg)
-    else:
-        rep = spectral_value_from_wristband(wb, spectral_coefficients(x.shape[1], cfg), cfg)
+    rep = (pairwise_value_from_wristband if path == "pairwise" else spectral_value_from_wristband)(wb, cfg)
     w_rep, w_rad, w_mom = cfg.weights
     scale = (abs(w_rep * rep) + w_rad * radial_w2_value_from_wristband(wb)
              + w_mom * moment_w2_value(x))

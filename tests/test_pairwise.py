@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -10,7 +11,8 @@ from wristband.pairwise import (
     DEFAULT_TILE,
     KernelConfig,
     _accumulate_grads,
-    _pairwise_value_cotangents,
+    _basis,
+    _pairwise_value_grad,
     _row_sums,
     angular_kernel,
     pairwise_repulsion_loss,
@@ -19,7 +21,10 @@ from wristband.pairwise import (
     radial_neumann_kernel,
 )
 from wristband.parity import finite_difference_check
-from wristband.wristband_map import WristbandBatch, wristband_forward
+from wristband.spectral import _spectral_value_grad
+from wristband.wristband_map import WristbandBatch, _backward, wristband_backward, wristband_forward
+
+from pairwise_cotangents import reduction_cotangents
 
 
 def unit_rows(rng, n, d):
@@ -266,7 +271,7 @@ class TestRepulsionLoss:
             with pytest.raises(ContractViolation):
                 pairwise_value_from_wristband(wb, cfg, tile)
             with pytest.raises(ContractViolation):
-                _pairwise_value_cotangents(wb, cfg, tile)
+                _accumulate_grads(wb, cfg, None, tile)
 
     def test_value_pass_memory_is_bounded_by_one_tile_pair(self):
         # Live N-sized float64 arrays of the value pass: y (N x (d+1)),
@@ -289,11 +294,13 @@ class TestRepulsionLoss:
 
     @pytest.mark.parametrize("reduction", ["global", "per_point"])
     def test_cotangents_own_their_memory(self, reduction):
-        # A view into the pass's N x (d + 1) gradient array would keep that
-        # array alive for the rest of a standardized step.
+        # A view into the tile pass's N x (d + 1) gradient array would keep
+        # that array alive through the gradient pass's pullback.  Global
+        # reduction runs the unit-weight pass, per-point the weighted one.
         wb = wristband_forward(np.random.default_rng(12).normal(size=(40, 5)))
         cfg = KernelConfig(beta=8.0, alpha=1.0, reduction=reduction)
-        _, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, 16)
+        w = None if reduction == "global" else np.full(40, 0.01)
+        grad_u, grad_t, _ = _accumulate_grads(wb, cfg, w, 16)
         assert grad_u.base is None and grad_t.base is None
 
 
@@ -322,9 +329,9 @@ class TestFusedGlobalPass:
         a = float(np.sum(rows)) / (3.0 * n * n - n)  # rows exclude the real self-terms
         w = np.full(n, 1.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n)))
         ref_u, ref_t, _ = _accumulate_grads(wb, cfg, w, tile)
-        _, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, tile)
-        assert np.max(np.abs(grad_u - ref_u)) <= 1e-12 * np.max(np.abs(ref_u))
-        assert np.max(np.abs(grad_t - ref_t)) <= 1e-12 * np.max(np.abs(ref_t))
+        ref = wristband_backward(x, wb, ref_u, ref_t)
+        grad = pairwise_repulsion_loss(x, cfg, tile).grad
+        assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
         # With unit pair weights the weighted row sums are the kernel row sums.
         assert np.array_equal(_accumulate_grads(wb, cfg, None, tile)[2], rows)
 
@@ -336,3 +343,44 @@ class TestFusedGlobalPass:
         report = finite_difference_check(lambda b: pairwise_repulsion_loss(b, cfg), x)
         assert report.rel_l2_error <= 1e-5
         assert report.cosine >= 0.99999
+
+
+class TestValueGradPass:
+    """The pairwise gradient pass writes on the batch, under the spectral pass's contract."""
+
+    def test_signature_is_the_spectral_pass(self):
+        assert inspect.signature(_pairwise_value_grad) == inspect.signature(_spectral_value_grad)
+
+    @pytest.mark.parametrize("reduction", ["global", "per_point"])
+    @pytest.mark.parametrize("beta, bases", [(8.0, 2), (200.0, 3)])
+    def test_scaled_cotangents(self, reduction, beta, bases):
+        # Modelled on the spectral pass's test.  With an extra t-cotangent
+        # and a row, the pass must give the bytes of the map adjoint of the
+        # reduction-weighted cotangents, scaled, the extra t-cotangent then
+        # added, plus the row; with out = wb.u as well.  Its value is the
+        # value-only path's, and its own part scales linearly.  Beta 200
+        # is past the two-base bound; row 3 is floored and gets the row alone.
+        n, d = 150, 5
+        x = np.random.default_rng(40).normal(size=(n, d))
+        x[3] = 0.0
+        cfg = KernelConfig(beta=beta, alpha=1.0, reduction=reduction)
+        wb = wristband_forward(x)
+        assert _basis(wb, cfg, DEFAULT_TILE).bases == bases
+        value, grad_u, grad_t = reduction_cotangents(wb, cfg, DEFAULT_TILE)
+        assert value == pairwise_value_from_wristband(wb, cfg)
+        extra_t, row = np.random.default_rng(41).normal(size=n), np.arange(float(d))
+        zero_t, zero_row = np.zeros(n), np.zeros(d)
+        unit = np.empty_like(x)
+        assert _pairwise_value_grad(x, wb, cfg, 1.0, zero_t, zero_row, unit) == value
+        for scale in (1.0, 0.37, 3.1e-3, 17.0):
+            want = _backward(x, wb, grad_u * scale, grad_t * scale + extra_t)
+            want += row
+            grad = np.empty_like(x)
+            assert _pairwise_value_grad(x, wb, cfg, scale, extra_t, row, grad) == value
+            assert grad.tobytes() == want.tobytes()
+            assert np.array_equal(grad[3], row)
+            aliased = wristband_forward(x)
+            assert _pairwise_value_grad(x, aliased, cfg, scale, extra_t, row, aliased.u) == value
+            assert aliased.u.tobytes() == want.tobytes()
+            _pairwise_value_grad(x, wb, cfg, scale, zero_t, zero_row, grad)
+            assert np.max(np.abs(grad - scale * unit)) <= 1e-15 * np.max(np.abs(scale * unit))

@@ -22,13 +22,14 @@ from wristband.pairwise import (
     _accumulate_grads,
     _basis,
     _kernel_blocks,
-    _pairwise_value_cotangents,
     _row_sums,
     angular_kernel,
     pairwise_value_from_wristband,
     radial_image_kernel,
 )
 from wristband.wristband_map import WristbandBatch
+
+from pairwise_cotangents import reduction_cotangents
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -93,7 +94,7 @@ def test_matches_direct_double_sum(wb, cfg, tile):
     ref = direct_value(wb, cfg)
     value = pairwise_value_from_wristband(wb, cfg, tile)
     assert abs(value - ref) <= 1e-12 * abs(ref)
-    assert _pairwise_value_cotangents(wb, cfg, tile)[0] == value
+    assert reduction_cotangents(wb, cfg, tile)[0] == value
 
 
 @PROPERTY_SETTINGS
@@ -110,8 +111,8 @@ def test_global_value_is_the_row_sum_total(wb, cfg, tile):
 @PROPERTY_SETTINGS
 @given(wb=wristband_batches(), cfg=configs, tile=tiles, other=tiles)
 def test_tile_size_invariance(wb, cfg, tile, other):
-    value, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, tile)
-    value2, grad_u2, grad_t2 = _pairwise_value_cotangents(wb, cfg, other)
+    value, grad_u, grad_t = reduction_cotangents(wb, cfg, tile)
+    value2, grad_u2, grad_t2 = reduction_cotangents(wb, cfg, other)
     assert abs(value2 - value) <= 1e-13 * abs(value)
     assert_cotangents_close((grad_u2, grad_t2), (grad_u, grad_t))
 
@@ -122,8 +123,8 @@ def test_permutation_invariance(wb, cfg, tile, seed):
     perm = np.random.default_rng(seed).permutation(wb.n)
     permuted = WristbandBatch(u=wb.u[perm], t=wb.t[perm], s=wb.s[perm],
                               norm_floored=wb.norm_floored[perm])
-    value, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, tile)
-    value2, grad_u2, grad_t2 = _pairwise_value_cotangents(permuted, cfg, tile)
+    value, grad_u, grad_t = reduction_cotangents(wb, cfg, tile)
+    value2, grad_u2, grad_t2 = reduction_cotangents(permuted, cfg, tile)
     assert abs(value2 - value) <= 1e-13 * abs(value)
     assert_cotangents_close((grad_u2, grad_t2), (grad_u[perm], grad_t[perm]))
 
@@ -134,8 +135,8 @@ def test_rotation_invariance(wb, cfg, tile, seed):
     d = wb.dim
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
     rotated = WristbandBatch(u=wb.u @ q.T, t=wb.t, s=wb.s, norm_floored=wb.norm_floored)
-    value, grad_u, grad_t = _pairwise_value_cotangents(wb, cfg, tile)
-    value2, grad_u2, grad_t2 = _pairwise_value_cotangents(rotated, cfg, tile)
+    value, grad_u, grad_t = reduction_cotangents(wb, cfg, tile)
+    value2, grad_u2, grad_t2 = reduction_cotangents(rotated, cfg, tile)
     assert abs(value2 - value) <= 1e-12 * abs(value)
     assert_cotangents_close((grad_u2, grad_t2), (grad_u @ q.T, grad_t))
 
@@ -226,7 +227,7 @@ def straddling_configs(draw):
 def basis_results(wb, cfg, tile, w):
     """Value, unit row sums and weighted pass of one basis, after checking its exact equalities."""
     value = pairwise_value_from_wristband(wb, cfg, tile)
-    assert _pairwise_value_cotangents(wb, cfg, tile)[0] == value
+    assert reduction_cotangents(wb, cfg, tile)[0] == value
     rows = _row_sums(wb, cfg, tile)
     assert np.array_equal(_accumulate_grads(wb, cfg, None, tile)[2], rows)
     return value, rows, _accumulate_grads(wb, cfg, w, tile)

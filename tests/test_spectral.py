@@ -191,8 +191,7 @@ class TestSpectralLoss:
         x = rng.normal(size=(150, 5))
         wb = wristband_forward(x)
         for cfg in (KernelConfig(beta=8.0, alpha=math.sqrt(1.0 / 12.0)), KernelConfig.direct_benchmark()):
-            coeffs = spectral_coefficients(5, cfg)
-            assert spectral_loss(x, cfg).value == spectral_value_from_wristband(wb, coeffs, cfg)
+            assert spectral_loss(x, cfg).value == spectral_value_from_wristband(wb, cfg)
 
     def test_mode_recurrence_matches_direct_trigonometry(self):
         n, modes = 257, 64
@@ -280,4 +279,4 @@ def written_out_spectral(x, wb, cfg, scale, extra_t, row):
     modes = np.vstack([cosmat * (1.0 / np.sqrt(wb.s)), np.ones(n)])
     grad = x * coef[:, None]
     grad += modes.T @ np.vstack([f[:, None] * c1, row])
-    return spectral_value_from_wristband(wb, coeffs, cfg), grad
+    return spectral_value_from_wristband(wb, cfg), grad
