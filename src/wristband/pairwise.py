@@ -46,33 +46,37 @@ real one is excluded exactly instead of subtracted from a rounded sum,
 and the reflected ones, exp(-4 beta t^2) + exp(-4 beta (1 - t)^2), are
 added with their cotangents in closed form.
 
-The O(N^2) accumulation walks tile pairs (I, J >= I), row tile outer
-and column tile inner from the diagonal.  A block is the rows of tile I
-against the bases of the points of tile J, at most tile x 2 tile
-entries (tile x 3 tile in the three-image basis) whatever N is, so it
-stays in cache through the exp, the sums and the gradient products.  A
-diagonal pair holds the within-tile square; an off-diagonal pair is
+Every pass is one walk, `_sweep`, over tile pairs (I, J >= I), row
+tile outer and column tile inner from the diagonal.  A block is the
+rows of tile I against the bases of the points of tile J, at most
+tile x 2 tile entries (tile x 3 tile in the three-image basis) whatever
+N is, so it stays in cache through the exp, the sums and the products.
+A diagonal pair holds the within-tile square; an off-diagonal pair is
 evaluated once, so every off-diagonal pair of points is evaluated
-exactly once.  The per-point and gradient passes keep true row sums:
-an off-diagonal block adds its row sums to its row tile and its
-mirrored column sums to its column tile.  The global value needs only
-the kernel total, so its pass reduces each block to its row sums alone
-and counts an off-diagonal block twice (the kernel is symmetric).  Tile
-traversal order is fixed, so results are deterministic for a given
-tile size; the tile size (an integer >= 1) is an explicit argument with
-a fixed default and is part of the reproducibility contract.
+exactly once.  Per block the walk takes the unscaled per-term row sums
+in one narrow product and adds them to the row sums and, an
+off-diagonal block twice, to the kernel total (the kernel is
+symmetric).  A pass may ask for two things more: the mirrored column
+sums of an off-diagonal block, which make the row sums true row sums
+(per-point values, row weights, the gradient), and one product per
+base and side against source columns (the gradient).  The global value
+reads the total and takes neither.  Every pass adds the same row-sum
+vectors in the same order, so the value and gradient passes agree on
+the value and the row sums to the bit.  Tile traversal order is fixed,
+so results are deterministic for a given tile size; the tile size (an
+integer >= 1) is an explicit argument with a fixed default and is part
+of the reproducibility contract.
 
 The gradient is a pair-weighted sum with weights w_i + w_j.  Under
-global reduction the weights are one constant set by the kernel sum,
+global reduction the weights are one constant set by the kernel total,
 so one unit-weight pass yields the total and a gradient rescaled once
-at the end; it adds the same block row sums to the same kind of
-accumulator in the same order as the value pass, so both give the same
-value to the bit.  Under per-point reduction w_i depends on row i's
-sum, so the row sums take a pass of their own first; the weighted pass
-then applies w_i + w_j as a row and a column rescaling of the kernel
-block, not as a block-sized weight matrix.  The gradient pass ends on
-the batch: it pulls its (u, t) cotangents back through the map's
-adjoint `_backward`, under the signature of the spectral pass.
+at the end.  Under per-point reduction w_i depends on row i's sum, so
+the row sums take a pass of their own first; the weighted pass then
+carries w in its source columns and combines w_i (K s)_i + (K (w s))_i
+once after the walk, never forming a block-sized weight matrix.  The
+gradient pass ends on the batch: it pulls its (u, t) cotangents back
+through the map's adjoint `_backward`, under the signature of the
+spectral pass.
 """
 
 from __future__ import annotations
@@ -118,6 +122,11 @@ def _json_real(value) -> float:
     return float(value)
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """Kernel bandwidths, weights, and reduction mode for the wristband losses.
@@ -136,16 +145,17 @@ class KernelConfig:
     modes: int = 6
 
     def __post_init__(self):
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise DomainError(f"beta must be positive and finite, got {self.beta}")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (self.eps > 0.0 and math.isfinite(self.eps)):
-            raise DomainError(f"eps must be positive and finite, got {self.eps}")
+        # Stored as Python floats, so `to_dict` writes what `from_dict` reads back.
+        for name in ("beta", "alpha", "eps"):
+            v = getattr(self, name)
+            if not (_is_real(v) and v > 0.0 and math.isfinite(v)):
+                raise DomainError(f"{name} must be positive and finite, got {v!r}")
+            object.__setattr__(self, name, float(v))
         if self.reduction not in ("global", "per_point"):
             raise DomainError(f"reduction must be 'global' or 'per_point', got {self.reduction!r}")
-        if len(self.weights) != 3 or any(w < 0.0 or not math.isfinite(w) for w in self.weights):
-            raise DomainError(f"weights must be three nonnegative reals, got {self.weights}")
+        if len(self.weights) != 3 or not all(_is_real(w) and w >= 0.0 and math.isfinite(w)
+                                             for w in self.weights):
+            raise DomainError(f"weights must be three nonnegative reals, got {self.weights!r}")
         if isinstance(self.modes, bool) or not isinstance(self.modes, numbers.Integral) or self.modes < 1:
             raise DomainError(f"modes must be an integer >= 1, got {self.modes!r}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
@@ -303,7 +313,7 @@ def _kernel_blocks(basis: _Basis):
     for tile pairs clo >= lo: row tile outer, column tile inner from the
     diagonal.  A diagonal pair (clo == lo) is the within-tile square with
     every base's self-interaction set to 0; an off-diagonal pair is
-    evaluated once and mirrored by the caller.  The blocks share one
+    evaluated once and mirrored by `_sweep`.  The blocks share one
     tile x bases tile buffer, so each is valid only until the next is yielded.
     """
     n, nb, tile = basis.rows.shape[0], basis.bases, basis.tile
@@ -329,70 +339,51 @@ def _rows(sums: np.ndarray, basis: _Basis, pair_w: float | np.ndarray = 1.0) -> 
     return np.einsum("ij,ij->i", sums, basis.scale) + pair_w * (basis.self_images[0] + basis.self_images[1])
 
 
-def _add_to_total(total: np.ndarray, lo: int, hi: int, clo: int, r: np.ndarray) -> None:
-    """Add a block's row sums r to the global accumulator; a mirrored block counts twice.
+def _sweep(basis: _Basis, src: tuple | list = (), mirror: bool = True):
+    """The one walk over the kernel blocks: (sums, total, acc), unscaled per-term N x 3 sums.
 
-    The doubling is in place on r (exact), so the caller's r is spent.
+    Per block, the row sums are one product with the block's `sum_w`
+    slice, the only such call, so every pass adds the same vectors in
+    the same order.  They go to `sums`, and to `total` with an
+    off-diagonal block counted twice (in place, exact): total's sum is
+    the kernel total, though its row i is not row i's sum.  With
+    `mirror`, an off-diagonal block's column sums go to `sums` too, one
+    product of the rows' factors with the block, of which each term
+    keeps its own base's columns; `sums` then holds true row sums.  For
+    each base b with a source array src[b], acc[b] receives the base's
+    block times src[b], one product per side of the pair.
     """
-    if clo != lo:
-        r *= 2.0
-    total[lo:hi] += r
-
-
-def _block_row_sums(basis: _Basis, clo: int, chi: int, m: np.ndarray) -> np.ndarray:
-    """Block m's unscaled per-term row sums: one product with its `sum_w` slice.
-
-    Every pass takes a block's row sums from this one call, so the value
-    and gradient passes add the same vectors in the same order.
-    """
-    nb = basis.bases
-    return m @ basis.sum_w[nb * clo:nb * chi]
-
-
-def _add_block_sums(sums: np.ndarray, basis: _Basis, lo: int, hi: int, clo: int, chi: int,
-                    m: np.ndarray, total: np.ndarray | None = None) -> None:
-    """Add block m's unscaled per-term row sums, and off the diagonal its column sums, to sums.
-
-    The column sums are one product of the rows' factors with the block,
-    of which each term keeps its own base's columns.  The row sums also
-    go to `total` through `_add_to_total` when it is given.
-    """
-    r = _block_row_sums(basis, clo, chi, m)
-    sums[lo:hi] += r
-    if total is not None:
-        _add_to_total(total, lo, hi, clo, r)
-    if clo != lo:
-        c = basis.scale[lo:hi].T @ m
-        sums[clo:chi] += c.reshape(3, basis.bases, -1)[np.arange(3), basis.base_of].T
+    n, nb = basis.rows.shape[0], basis.bases
+    sums, total = np.zeros((n, 3)), np.zeros((n, 3))
+    acc = [np.zeros_like(s) for s in src]
+    for lo, hi, clo, chi, e in _kernel_blocks(basis):
+        r = e @ basis.sum_w[nb * clo:nb * chi]
+        sums[lo:hi] += r
+        if clo != lo:
+            r *= 2.0
+        total[lo:hi] += r
+        if mirror and clo != lo:
+            c = basis.scale[lo:hi].T @ e
+            sums[clo:chi] += c.reshape(3, nb, -1)[np.arange(3), basis.base_of].T
+        nj = chi - clo
+        for b, (s, a) in enumerate(zip(src, acc)):
+            kb = e[:, b * nj:(b + 1) * nj]
+            a[lo:hi] += kb @ s[clo:chi]
+            if clo != lo:
+                a[clo:chi] += kb.T @ s[lo:hi]
+    return sums, total, acc
 
 
 def _row_sums(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> np.ndarray:
     """Kernel row sums without the real self-interactions, each off-diagonal pair computed once."""
     basis = _basis(wb, cfg, tile)
-    sums = np.zeros((wb.n, 3))
-    for lo, hi, clo, chi, e in _kernel_blocks(basis):
-        _add_block_sums(sums, basis, lo, hi, clo, chi, e)
-    return _rows(sums, basis)
-
-
-def _global_sums(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> np.ndarray:
-    """An N-vector whose sum is the kernel total: block row sums only, mirrored blocks twice.
-
-    Entry i is not row i's kernel sum (the mirrored column sums land on
-    the row tile instead), but the total is, and it costs one product,
-    one exp and one narrow row-sum product per tile pair.
-    """
-    basis = _basis(wb, cfg, tile)
-    total = np.zeros((wb.n, 3))
-    for lo, hi, clo, chi, e in _kernel_blocks(basis):
-        _add_to_total(total, lo, hi, clo, _block_row_sums(basis, clo, chi, e))
-    return _rows(total, basis)
+    return _rows(_sweep(basis)[0], basis)
 
 
 def _reduce(rows: np.ndarray, cfg: KernelConfig):
     """Loss value and normalized kernel mass (per row under per-point reduction) from row sums.
 
-    Global reduction reads only the sum of `rows`, so `_global_sums` serves.
+    Global reduction reads only the sum of `rows`, so the sweep's total serves.
     """
     n = rows.shape[0]
     if cfg.reduction == "global":
@@ -404,36 +395,23 @@ def _reduce(rows: np.ndarray, cfg: KernelConfig):
 
 def pairwise_value_from_wristband(wb: WristbandBatch, cfg: KernelConfig,
                                   tile: int = DEFAULT_TILE) -> float:
-    """Loss value only (no gradient); the cheap path used during calibration."""
-    sums = _global_sums if cfg.reduction == "global" else _row_sums
-    return _reduce(sums(wb, cfg, tile), cfg)[0]
+    """Loss value only (no gradient); the cheap path used during calibration.
 
-
-def _add_products(grad: np.ndarray, sums: np.ndarray, m: np.ndarray, src: np.ndarray,
-                  lo: int, hi: int, clo: int, chi: int, w: np.ndarray | None) -> None:
-    """Add m @ src[clo:chi] to grad[lo:hi], m a base's block with rows lo:hi and columns clo:chi.
-
-    With weights w, src holds [sources, factors] and their w-weighted
-    copy: the halves combine as w_i (m src)_i + (m (w src))_i, and the
-    factor columns are the weighted sums, added to sums[lo:hi].
+    Global reduction reads the kernel total alone, so its sweep takes no column sums.
     """
-    x = m @ src[clo:chi]
-    if w is None:
-        grad[lo:hi] += x
-        return
-    half = x.shape[1] // 2
-    x = w[lo:hi, None] * x[:, :half] + x[:, half:]
-    k = grad.shape[1]
-    grad[lo:hi] += x[:, :k]
-    sums[lo:hi] += x[:, k:]
+    basis = _basis(wb, cfg, tile)
+    per_point = cfg.reduction == "per_point"
+    sums, total, _ = _sweep(basis, mirror=per_point)
+    return _reduce(_rows(sums if per_point else total, basis), cfg)[0]
 
 
-def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | None, tile: int,
-                      total: np.ndarray | None = None):
-    """Gradients of sum_ij w-weighted kernel w.r.t. (u, t), and weighted row sums.
+def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | None, tile: int):
+    """Gradients of sum_ij w-weighted kernel w.r.t. (u, t), weighted row sums, and the kernel total.
 
-    Both gradients own their memory (the t gradient is a copy of its
-    column), so the N x (d + 1) working array is freed on return.
+    Returns (grad_u, grad_t, rows, total).  Both gradients own their
+    memory (the t gradient is a copy of its column), so the N x (d + 1)
+    working array is freed on return.  total is the unit-weight N-vector
+    whose sum is the kernel total, as the global value pass reads it.
 
     Uses grad_k = sum_j (w_k + w_j) dK(k, j)/d(first slot).  Term c of
     the kernel is the Gaussian exp(-beta ||y_i - y_j^(c)||^2) whatever
@@ -451,45 +429,32 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     cotangents are added in closed form (pair weight 2 w_k, or 1 for
     unit weights).
 
-    w=None means unit pair weights: the sums come from `_add_block_sums`,
-    so the row sums are bit-identical to `_row_sums`.  With the N-vector
-    `total` given (w=None only), it receives `_global_sums`'s result
-    from the same block row sums, so global reduction gets value and
-    gradient from this one pass, its value bit-identical to the
-    value-only path's.  Per-point reduction runs `_row_sums` first for w.
-
-    With weights, the weighted blocks are never formed: the products run
-    against [sources, factors] with w-weighted copies appended, and the
-    two halves combine as w_i (K sources)_i + (K (w sources))_i, the
-    factor columns giving the weighted sums.
+    w=None means unit pair weights, and the sums are the sweep's own,
+    bit-identical to `_row_sums`.  With weights, the sources gain the
+    w-weighted factors and sources, [s, w factors, w s]; after the sweep
+    w_i (K s)_i + (K (w s))_i gives the gradient products and
+    w_i r_i + (K (w factors))_i the weighted sums.
     """
     n, d = wb.n, wb.dim
     basis = _basis(wb, cfg, tile)
     y = np.column_stack([cfg.alpha * wb.u, wb.t])
     y2 = y * np.append(np.ones(d), -1.0)
-    sums = np.zeros((n, 3))
-    total_sums = None if total is None else np.zeros((n, 3))
-    src, grads = [], []
+    src = []
     for ts in basis.terms:
         s = np.hstack([basis.scale[:, c:c + 1] * (y2 if c else y) for c in range(ts.start, ts.stop)])
-        grads.append(np.zeros_like(s))
         if w is not None:
-            s = np.hstack([s, basis.scale[:, ts]])
-            s = np.hstack([s, w[:, None] * s])
+            s = np.hstack([s, w[:, None] * basis.scale[:, ts], w[:, None] * s])
         src.append(s)
-    for lo, hi, clo, chi, e in _kernel_blocks(basis):
-        nj = chi - clo
-        if w is None:
-            _add_block_sums(sums, basis, lo, hi, clo, chi, e, total_sums)
+    sums, total, grads = _sweep(basis, src)
+    pair_w = 1.0
+    if w is not None:
+        pair_w = 2.0 * w
         for b, ts in enumerate(basis.terms):
-            kb = e[:, b * nj:(b + 1) * nj]
-            _add_products(grads[b], sums[:, ts], kb, src[b], lo, hi, clo, chi, w)
-            if clo != lo:
-                _add_products(grads[b], sums[:, ts], kb.T, src[b], clo, chi, lo, hi, w)
-    pair_w = 1.0 if w is None else 2.0 * w
+            a, k = grads[b], (ts.stop - ts.start) * (d + 1)
+            sums[:, ts] *= w[:, None]
+            sums[:, ts] += a[:, k:-k]
+            grads[b] = w[:, None] * a[:, :k] + a[:, -k:]
     rows = _rows(sums, basis, pair_w)
-    if total is not None:
-        total[:] = _rows(total_sums, basis)
     mass = sums * basis.scale
     g = y * mass.sum(axis=1)[:, None]
     for gb, ts in zip(grads, basis.terms):
@@ -498,7 +463,7 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     g[:, d] -= 2.0 * mass[:, 2]
     g[:, d] += 2.0 * pair_w * (wb.t * e2 - (1.0 - wb.t) * e3)
     g *= -2.0 * cfg.beta
-    return cfg.alpha * g[:, :d], g[:, d].copy(), rows
+    return cfg.alpha * g[:, :d], g[:, d].copy(), rows, _rows(total, basis)
 
 
 def _pairwise_value_grad(x: np.ndarray, wb: WristbandBatch, cfg: KernelConfig, scale: float,
@@ -523,8 +488,7 @@ def _value_grad(x: np.ndarray, wb: WristbandBatch, cfg: KernelConfig, scale: flo
     """
     n = wb.n
     if cfg.reduction == "global":
-        total = np.zeros(n)
-        g_u, g_t, _ = _accumulate_grads(wb, cfg, None, tile, total)
+        g_u, g_t, _, total = _accumulate_grads(wb, cfg, None, tile)
         value, a = _reduce(total, cfg)
         w2 = 2.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n))
         g_u *= w2
@@ -532,7 +496,7 @@ def _value_grad(x: np.ndarray, wb: WristbandBatch, cfg: KernelConfig, scale: flo
     else:
         value, a_i = _reduce(_row_sums(wb, cfg, tile), cfg)
         w = 1.0 / (n * cfg.beta * (a_i + cfg.eps) * (3.0 * n - 1.0))
-        g_u, g_t, _ = _accumulate_grads(wb, cfg, w, tile)
+        g_u, g_t, _, _ = _accumulate_grads(wb, cfg, w, tile)
     g_u *= scale
     g_t *= scale
     g_t += grad_t

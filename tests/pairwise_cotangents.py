@@ -7,8 +7,6 @@ or the bytes of the pass and of the standardized step built from them,
 take them from here.
 """
 
-import numpy as np
-
 from wristband.pairwise import _accumulate_grads, _reduce, _row_sums
 
 
@@ -23,8 +21,7 @@ def reduction_cotangents(wb, cfg, tile):
     """
     n = wb.n
     if cfg.reduction == "global":
-        total = np.zeros(n)
-        grad_u, grad_t, _ = _accumulate_grads(wb, cfg, None, tile, total)
+        grad_u, grad_t, _, total = _accumulate_grads(wb, cfg, None, tile)
         value, a = _reduce(total, cfg)
         w2 = 2.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n))
         grad_u *= w2
@@ -32,5 +29,5 @@ def reduction_cotangents(wb, cfg, tile):
         return value, grad_u, grad_t
     value, a_i = _reduce(_row_sums(wb, cfg, tile), cfg)
     w = 1.0 / (n * cfg.beta * (a_i + cfg.eps) * (3.0 * n - 1.0))
-    grad_u, grad_t, _ = _accumulate_grads(wb, cfg, w, tile)
+    grad_u, grad_t, _, _ = _accumulate_grads(wb, cfg, w, tile)
     return value, grad_u, grad_t

@@ -51,6 +51,15 @@ def test_json_roundtrip_bit_exact(small_table):
     assert back == small_table
 
 
+def test_json_roundtrip_of_numpy_scalar_config():
+    """A table calibrated under numpy-scalar bandwidths is written with floats and reads back."""
+    cfg = KernelConfig(beta=np.float64(8.0), alpha=np.float32(0.5))
+    table = calibrate_null(16, 3, cfg, reps=4, seed=1)
+    back = CalibrationTable.from_json(table.to_json())
+    assert back == table
+    assert back.cfg == KernelConfig(beta=8.0, alpha=0.5)
+
+
 def test_json_rejects_bad_version(small_table):
     import json
 

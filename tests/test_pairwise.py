@@ -127,6 +127,20 @@ class TestConfig:
             with pytest.raises(DomainError, match="modes"):
                 KernelConfig(modes=modes)
         assert KernelConfig(modes=np.int64(3)).modes == 3
+        # A boolean or a string is not a real, so it could not be written back.
+        for field, value in (("beta", True), ("alpha", False), ("eps", True), ("beta", np.True_),
+                             ("beta", "8.0"), ("alpha", "0.5"), ("eps", None),
+                             ("weights", (1.0, True, 1.0)), ("weights", (1.0, 0.1, "1.0")),
+                             ("weights", (None, 0.1, 1.0))):
+            with pytest.raises(DomainError, match=field):
+                KernelConfig(**{field: value})
+
+    def test_reals_are_stored_as_python_floats(self):
+        cfg = KernelConfig(beta=np.float64(8.0), alpha=np.float32(0.5), eps=1, weights=(1, np.float32(0.5), 0))
+        for v in (cfg.beta, cfg.alpha, cfg.eps, *cfg.weights):
+            assert type(v) is float
+        assert cfg.to_dict()["beta"] == "8.0" and cfg.to_dict()["alpha"] == "0.5"
+        assert KernelConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_roundtrip_dict(self):
         cfg = KernelConfig(beta=64.0, alpha=0.8, reduction="per_point", weights=(1, 0.25, 2))
@@ -280,17 +294,19 @@ class TestRepulsionLoss:
         # sums (N), 8 N (8 d + 20) bytes; the kernel block adds
         # 3 tile^2 float64.  Twice the former leaves room for the
         # temporaries that build them; a row-tile block alone
-        # (tile x 3N) would be 6.3 MB here.
+        # (tile x 3N) would be 6.3 MB here.  Both reductions: the global
+        # pass keeps the kernel total, the per-point pass the row sums.
         n, d = 2048, 8
         wb = wristband_forward(np.random.default_rng(11).normal(size=(n, d)))
         bound = 2 * 8 * n * (8 * d + 20) + 8 * 3 * DEFAULT_TILE**2
-        tracemalloc.start()
-        try:
-            pairwise_value_from_wristband(wb, KernelConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        for reduction in ("global", "per_point"):
+            tracemalloc.start()
+            try:
+                pairwise_value_from_wristband(wb, KernelConfig(reduction=reduction))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, reduction
 
     @pytest.mark.parametrize("reduction", ["global", "per_point"])
     def test_cotangents_own_their_memory(self, reduction):
@@ -300,7 +316,7 @@ class TestRepulsionLoss:
         wb = wristband_forward(np.random.default_rng(12).normal(size=(40, 5)))
         cfg = KernelConfig(beta=8.0, alpha=1.0, reduction=reduction)
         w = None if reduction == "global" else np.full(40, 0.01)
-        grad_u, grad_t, _ = _accumulate_grads(wb, cfg, w, 16)
+        grad_u, grad_t, _, _ = _accumulate_grads(wb, cfg, w, 16)
         assert grad_u.base is None and grad_t.base is None
 
 
@@ -328,7 +344,7 @@ class TestFusedGlobalPass:
         rows = _row_sums(wb, cfg, tile)
         a = float(np.sum(rows)) / (3.0 * n * n - n)  # rows exclude the real self-terms
         w = np.full(n, 1.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n)))
-        ref_u, ref_t, _ = _accumulate_grads(wb, cfg, w, tile)
+        ref_u, ref_t, _, _ = _accumulate_grads(wb, cfg, w, tile)
         ref = wristband_backward(x, wb, ref_u, ref_t)
         grad = pairwise_repulsion_loss(x, cfg, tile).grad
         assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))

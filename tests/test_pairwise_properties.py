@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wristband import pairwise
@@ -24,9 +24,11 @@ from wristband.pairwise import (
     _kernel_blocks,
     _row_sums,
     angular_kernel,
+    pairwise_repulsion_loss,
     pairwise_value_from_wristband,
     radial_image_kernel,
 )
+from wristband.parity import finite_difference_check
 from wristband.wristband_map import WristbandBatch
 
 from pairwise_cotangents import reduction_cotangents
@@ -173,7 +175,7 @@ def test_weighted_pass_matches_dense_oracle(wb, cfg, tile, seed):
     is the relative bound on a row sum, above the subnormal range.
     """
     w = np.random.default_rng(seed).uniform(0.1, 1.0, wb.n) / (3.0 * wb.n)
-    grad_u, grad_t, rows = _accumulate_grads(wb, cfg, w, tile)
+    grad_u, grad_t, rows, _ = _accumulate_grads(wb, cfg, w, tile)
     ref_u, ref_t, ref_rows = dense_weighted_pass(wb, cfg, w)
     rtol = 8.0 * np.finfo(np.float64).eps * cfg.beta * (cfg.alpha**2 + 4.0)
     assert np.all(np.abs(rows - ref_rows) <= rtol * ref_rows + 1e-300)
@@ -230,7 +232,7 @@ def basis_results(wb, cfg, tile, w):
     assert reduction_cotangents(wb, cfg, tile)[0] == value
     rows = _row_sums(wb, cfg, tile)
     assert np.array_equal(_accumulate_grads(wb, cfg, None, tile)[2], rows)
-    return value, rows, _accumulate_grads(wb, cfg, w, tile)
+    return value, rows, _accumulate_grads(wb, cfg, w, tile)[:3]
 
 
 @PROPERTY_SETTINGS
@@ -279,3 +281,52 @@ def test_basis_choice(cfg, bases):
     assert basis.bases == bases
     assert all(e.shape[1] == bases * (chi - clo) for _, _, clo, chi, e in _kernel_blocks(basis))
 
+
+
+@st.composite
+def fd_batches(draw):
+    """Raw batches of N <= 24 points in d = 2..6, with points near the origin and duplicated points.
+
+    Up to two points are pulled to a norm in [0.03, 0.1], far above
+    NORM_FLOOR, where the direction turns by 1/|x| per unit step; then
+    up to half the batch duplicates its leading points, near-origin ones
+    included.
+    """
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(2, 6))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, d))
+    near = draw(st.integers(0, 2))
+    if near:
+        x[:near] *= 10.0 ** draw(st.floats(-1.5, -1.0)) / np.linalg.norm(x[:near], axis=1, keepdims=True)
+    dups = draw(st.integers(0, n // 2))
+    x[n - dups:] = x[:dups]
+    return x
+
+
+@st.composite
+def basis_side_configs(draw):
+    """Configs with beta (4 alpha^2 + 3) at 0.5-0.95 or 1.05-1.5 times the two-base bound, both reductions."""
+    alpha = draw(st.floats(0.25, 1.0))
+    factor = draw(st.sampled_from([st.floats(0.5, 0.95), st.floats(1.05, 1.5)]).flatmap(lambda f: f))
+    beta = factor * pairwise._TWO_BASE_LIMIT / (4.0 * alpha**2 + 3.0)
+    return KernelConfig(beta=beta, alpha=alpha, reduction=draw(st.sampled_from(["global", "per_point"])))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(x=fd_batches(), cfg=basis_side_configs())
+def test_gradient_fd_random_batches(x, cfg):
+    """The analytic gradient against central differences, under the bars of test_gradient_fd.
+
+    At beta of 50-330 the step is 1e-6 (1 + |x|): a kernel entry's
+    Gram-form exponent errs by about eps beta |y|^2, which the quotient
+    divides by the step, and the near-origin truncation error grows like
+    (step beta alpha^2 / |x|)^2; the default 1e-5 loses to the latter.
+    A batch whose kernel mass sits on pairs that exert no force (a
+    duplicate's partner, a self-image at t = 0 or 1/2) has a gradient
+    below what the quotient resolves at that step, so examples whose
+    largest entry is below 1e-3 are rejected.
+    """
+    assume(np.max(np.abs(pairwise_repulsion_loss(x, cfg).grad)) >= 1e-3)
+    report = finite_difference_check(lambda b: pairwise_repulsion_loss(b, cfg), x, h_scale=1e-6)
+    assert report.rel_l2_error <= 1e-5
+    assert report.cosine >= 0.99999
