@@ -48,7 +48,7 @@ from .pairwise import (
 from .spectral import _spectral_value_grad, spectral_value_from_wristband
 from .wristband_map import _forward, validate_point_batch, wristband_forward
 
-__all__ = ["CalibrationTable", "calibrate_null", "standardized_wristband_loss"]
+__all__ = ["LOSS_PATHS", "CalibrationTable", "calibrate_null", "standardized_wristband_loss"]
 
 LOSS_PATHS = ("pairwise", "spectral")
 

@@ -1,9 +1,11 @@
 """Command-line surface tying the library into reproducible runs.
 
-Subcommands: gen, calibrate, optimize, score, parity, selftest.  Every
-run that writes a report embeds its full argv and configuration, and
-``wristband --replay report.json`` re-executes a recorded run into a
-temporary directory and checks that the metrics match.
+Subcommands: gen, calibrate, optimize, score, parity, selftest.  Each
+``_cmd_*`` does its work and returns its exit code, metrics and any extra
+timing data; `_run` times it and, given --report, writes a report that
+embeds the full argv, configuration and seeds.  ``wristband --replay
+report.json`` re-executes a recorded run into a temporary directory and
+checks that the metrics match.
 
 Exit codes: 0 success, 1 numeric/convergence failure, 2 usage error.
 """
@@ -16,11 +18,12 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .calibration import CalibrationTable, calibrate_null, standardized_wristband_loss
+from .calibration import LOSS_PATHS, CalibrationTable, calibrate_null, standardized_wristband_loss
 from .errors import WristbandError
 from .evaluation import barycentric_reference, barycentric_z_score
 from .generators import (
@@ -33,8 +36,8 @@ from .generators import (
     x_batch,
 )
 from .io import build_report, read_batch, read_report, report_floats, write_batch, write_report
-from .optimize import LOSS_KINDS, OptimizeConfig, optimize_point_cloud
-from .pairwise import KernelConfig, pairwise_repulsion_loss
+from .optimize import LOSS_KINDS, SCHEDULES, OptimizeConfig, optimize_point_cloud
+from .pairwise import DEFAULT_TILE, REDUCTIONS, KernelConfig, pairwise_repulsion_loss
 from .parity import finite_difference_check, parity_suite, timing_sweep
 from .spectral import spectral_loss
 from .specfun import chi2_cdf
@@ -76,21 +79,9 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",")]
 
 
-def _emit_report(args, subcommand: str, config: dict, seeds: dict, metrics: dict,
-                 timing: dict) -> None:
-    if getattr(args, "report", None):
-        report = build_report(
-            subcommand, args.argv_echo, config, seeds, metrics, timing, os.cpu_count() or 1
-        )
-        write_report(args.report, report)
-        print(f"report written to {args.report}")
-
-
-def _cmd_gen(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_gen(args) -> tuple[int, dict, dict]:
     batch = _generate(args.kind, args.n, args.d, args.seed)
     write_batch(args.out, batch)
-    elapsed = time.perf_counter() - t0
     norms = np.linalg.norm(batch, axis=1)
     metrics = {
         "n": args.n,
@@ -102,29 +93,14 @@ def _cmd_gen(args) -> int:
     if args.kind in _CLI_PARITY_KINDS:
         metrics["generator_constants"] = dict(PARITY_CONSTANTS)
     print(f"gen: wrote {args.n}x{args.d} {args.kind} batch to {args.out}")
-    _emit_report(args, "gen", _config_echo(args), {"seed": args.seed}, metrics,
-                 {"wall_time_s": elapsed})
-    return 0
+    return 0, metrics, {}
 
 
-def _kernel_config(args) -> KernelConfig:
-    return KernelConfig(
-        beta=args.beta,
-        alpha=args.alpha,
-        eps=args.eps,
-        reduction=args.reduction,
-        weights=args.weights,
-        modes=args.modes,
-    )
-
-
-def _cmd_calibrate(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _kernel_config(args)
+def _cmd_calibrate(args) -> tuple[int, dict, dict]:
+    cfg = KernelConfig(**{f.name: getattr(args, f.name) for f in fields(KernelConfig)})
     table = calibrate_null(args.n, args.d, cfg, args.reps, args.seed, args.loss_path)
     with open(args.out, "w") as fh:
         fh.write(table.to_json())
-    elapsed = time.perf_counter() - t0
     metrics = {
         "mu_rep": table.mu_rep,
         "mu_rad": table.mu_rad,
@@ -140,30 +116,29 @@ def _cmd_calibrate(args) -> int:
         f"calibrate: n={args.n} d={args.d} reps={args.reps} path={args.loss_path} "
         f"mu_rep={table.mu_rep:.6f} -> {args.out}"
     )
-    _emit_report(args, "calibrate", _config_echo(args), {"seed": args.seed}, metrics,
-                 {"wall_time_s": elapsed})
-    return 0
+    return 0, metrics, {}
 
 
-def _cmd_optimize(args) -> int:
-    t0 = time.perf_counter()
-    if args.infile:
+def _cmd_optimize(args) -> tuple[int, dict, dict]:
+    start = (args.kind, args.n, args.d)
+    if args.infile is not None and start == (None, None, None):
         initial = read_batch(args.infile)
-    else:
-        if args.kind is None or args.n is None or args.d is None:
-            raise WristbandError("optimize needs either --in or --kind with --n and --d")
+    elif args.infile is None and None not in start:
         initial = _generate(args.kind, args.n, args.d, args.seed)
+    else:
+        raise WristbandError("optimize needs either --in or --kind with --n and --d, not both")
     loss = _library_name(args.loss)
 
     table = None
+    kernel_cfg = KernelConfig()
     if loss.startswith("wristband"):
         if not args.calib:
             raise WristbandError(f"loss {args.loss} requires --calib TABLE")
         with open(args.calib) as fh:
             table = CalibrationTable.from_json(fh.read())
         kernel_cfg = table.cfg
-    else:
-        kernel_cfg = KernelConfig()
+    elif args.calib is not None:
+        raise WristbandError(f"loss {args.loss} takes no --calib")
 
     opt_cfg = OptimizeConfig(
         loss=loss,
@@ -176,7 +151,6 @@ def _cmd_optimize(args) -> int:
     )
     final, trajectory = optimize_point_cloud(initial, opt_cfg, kernel_cfg, table)
     write_batch(args.out, final)
-    elapsed = time.perf_counter() - t0
     metrics = {
         "initial_loss": trajectory[0][1],
         "final_loss": trajectory[-1][1],
@@ -187,19 +161,15 @@ def _cmd_optimize(args) -> int:
         f"optimize: {args.loss} for {args.steps} steps, "
         f"loss {trajectory[0][1]:.4f} -> {trajectory[-1][1]:.4f}, wrote {args.out}"
     )
-    _emit_report(args, "optimize", _config_echo(args), {"seed": args.seed}, metrics,
-                 {"wall_time_s": elapsed})
-    return 0
+    return 0, metrics, {}
 
 
-def _cmd_score(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_score(args) -> tuple[int, dict, dict]:
     candidate = read_batch(args.infile)
     n, d = candidate.shape
     stream = RngStream(args.seed, "score")
     ref = barycentric_reference(n, d, args.ref_batches, stream.child("reference"))
     z = barycentric_z_score(candidate, ref, args.null_batches, stream.child("nulls"))
-    elapsed = time.perf_counter() - t0
     metrics = {
         "z": z,
         "n": n,
@@ -210,13 +180,10 @@ def _cmd_score(args) -> int:
         "reference_provenance": ref.provenance(),
     }
     print(f"score: barycentric-W2 z = {z:.4f} (n={n}, d={d})")
-    _emit_report(args, "score", _config_echo(args), {"seed": args.seed}, metrics,
-                 {"wall_time_s": elapsed})
-    return 0
+    return 0, metrics, {}
 
 
-def _cmd_parity(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_parity(args) -> tuple[int, dict, dict]:
     cfg = KernelConfig(beta=args.beta, alpha=args.alpha)
     seeds = list(range(args.reps))
     rows = []
@@ -236,13 +203,8 @@ def _cmd_parity(args) -> int:
             f"timing: d={row['d']} n={row['n']} pairwise={row['pairwise_ms']:.2f}ms "
             f"spectral={row['spectral_ms']:.2f}ms speedup={row['speedup']:.2f}x"
         )
-    elapsed = time.perf_counter() - t0
-    _emit_report(
-        args, "parity", _config_echo(args), {"seed": args.seed},
-        {"parity": rows, "generator_constants": dict(PARITY_CONSTANTS)},
-        {"wall_time_s": elapsed, "timing_rows": timing_rows},
-    )
-    return 0
+    metrics = {"parity": rows, "generator_constants": dict(PARITY_CONSTANTS)}
+    return 0, metrics, {"timing_rows": timing_rows}
 
 
 def _selftest_checks():
@@ -283,31 +245,22 @@ def _selftest_checks():
     ]
 
 
-def _cmd_selftest(args) -> int:
-    failures = 0
+def _cmd_selftest(args) -> tuple[int, dict, dict]:
+    results = {}
     for name, check in _selftest_checks():
         try:
-            ok = check()
+            results[name] = "PASS" if check() else "FAIL"
         except Exception as exc:  # a crash is a failure, not an abort
-            ok = False
+            results[name] = "ERROR"
             print(f"selftest {name}: ERROR ({exc})")
         else:
-            print(f"selftest {name}: {'PASS' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
+            print(f"selftest {name}: {results[name]}")
+    failures = sum(r != "PASS" for r in results.values())
     if failures:
         print(f"selftest: {failures} check(s) failed")
-        return 1
-    print("selftest: all checks passed")
-    return 0
-
-
-def _config_echo(args) -> dict:
-    from .pairwise import DEFAULT_TILE
-
-    skip = {"func", "argv_echo"}
-    echo = {k: v for k, v in vars(args).items() if k not in skip}
-    echo["pairwise_tile"] = DEFAULT_TILE
-    return echo
+    else:
+        print("selftest: all checks passed")
+    return int(failures > 0), results, {}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -317,6 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    kernel, opt = KernelConfig(), OptimizeConfig()
 
     def add_common(p):
         p.add_argument("--report", default=None, help="write a JSON run report here")
@@ -333,35 +288,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="Monte-Carlo null calibration table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--beta", type=float, default=8.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=1e-12)
-    p.add_argument("--reduction", choices=("global", "per_point"), default="global")
-    p.add_argument("--weights", type=_parse_weights, default=(1.0, 0.1, 1.0),
+    p.add_argument("--beta", type=float, default=kernel.beta)
+    p.add_argument("--alpha", type=float, default=kernel.alpha)
+    p.add_argument("--eps", type=float, default=kernel.eps)
+    p.add_argument("--reduction", choices=REDUCTIONS, default=kernel.reduction)
+    p.add_argument("--weights", type=_parse_weights, default=kernel.weights,
                    help="w_rep,w_rad,w_mom")
-    p.add_argument("--modes", type=int, default=6)
+    p.add_argument("--modes", type=int, default=kernel.modes)
     p.add_argument("--reps", type=int, default=4096)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loss-path", dest="loss_path", choices=("pairwise", "spectral"),
-                   default="pairwise")
+    p.add_argument("--loss-path", dest="loss_path", choices=LOSS_PATHS, default=LOSS_PATHS[0])
     p.add_argument("--out", required=True)
     add_common(p)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("optimize", help="direct point-cloud optimization")
     p.add_argument("--loss", choices=tuple(_cli_name(k) for k in LOSS_KINDS), required=True)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--steps", type=int, default=opt.steps)
+    p.add_argument("--lr", type=float, default=opt.lr)
     p.add_argument("--calib", default=None, help="calibration table (wristband losses)")
     p.add_argument("--in", dest="infile", default=None, help="initial batch file")
     p.add_argument("--kind", choices=GEN_KINDS, default=None,
                    help="generate the initial batch instead of --in")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--schedule", choices=("constant", "cosine"), default="constant")
-    p.add_argument("--log-stride", dest="log_stride", type=int, default=10)
-    p.add_argument("--projections", type=int, default=128)
+    p.add_argument("--seed", type=int, default=opt.seed)
+    p.add_argument("--schedule", choices=SCHEDULES, default=opt.schedule)
+    p.add_argument("--log-stride", dest="log_stride", type=int, default=opt.log_stride)
+    p.add_argument("--projections", type=int, default=opt.sliced_projections)
     p.add_argument("--out", required=True)
     add_common(p)
     p.set_defaults(func=_cmd_optimize)
@@ -380,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=3)
     p.add_argument("--reps", type=int, default=5, help="seeds per generator")
     p.add_argument("--timing-reps", dest="timing_reps", type=int, default=3)
-    p.add_argument("--beta", type=float, default=8.0)
+    p.add_argument("--beta", type=float, default=kernel.beta)
     # Default angular scale for parity runs: small enough that the
     # l <= 1 truncation retains the angular signal at K = 3.
     p.add_argument("--alpha", type=float, default=0.15)
@@ -442,24 +396,35 @@ def cli_dispatch(argv) -> int:
 
 
 def _run(argv, out_dir: str | None = None, report: str | None = None) -> int:
-    """Parse and run one subcommand; returns the process exit code.
+    """Parse, run and time one subcommand, then write its report; returns the exit code.
 
-    `out_dir` moves the parsed --out to its base name in that directory
-    and `report` replaces --report.  Both act on the parsed arguments, so
-    they hold however argv spelled the flags (`--out PATH`, `--out=PATH`).
+    The report echoes every parsed argument but `func` as its config, and
+    `--seed` as its seeds.  `out_dir` moves the parsed --out to its base
+    name in that directory and `report` replaces --report.  Both act on
+    the parsed arguments, so they hold however argv spelled the flags
+    (`--out PATH`, `--out=PATH`).
     """
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
-    args.argv_echo = argv
     if out_dir is not None and getattr(args, "out", None) is not None:
         args.out = os.path.join(out_dir, os.path.basename(args.out))
     if report is not None:
         args.report = report
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code, metrics, timing = args.func(args)
+        timing["wall_time_s"] = time.perf_counter() - t0
+        if args.report:
+            config = {k: v for k, v in vars(args).items() if k != "func"}
+            config["pairwise_tile"] = DEFAULT_TILE
+            seeds = {"seed": args.seed} if "seed" in config else {}
+            write_report(args.report, build_report(args.subcommand, argv, config, seeds, metrics,
+                                                   timing, os.cpu_count() or 1))
+            print(f"report written to {args.report}")
+        return code
     except (WristbandError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,9 +24,11 @@ from .generators import RngStream
 from .pairwise import KernelConfig, LossValueGrad
 from .wristband_map import validate_point_batch
 
-__all__ = ["LOSS_KINDS", "AdamState", "OptimizeConfig", "adam_step", "optimize_point_cloud"]
+__all__ = ["LOSS_KINDS", "SCHEDULES", "AdamState", "OptimizeConfig", "adam_step",
+           "optimize_point_cloud"]
 
 LOSS_KINDS = ("wristband_pairwise", "wristband_spectral", "mmd", "sliced_w2")
+SCHEDULES = ("constant", "cosine")
 
 # Adam's decay rates and denominator offset (the usual defaults).
 ADAM_BETA1 = 0.9
@@ -68,8 +70,8 @@ class OptimizeConfig:
             raise ContractViolation(f"steps must be >= 1, got {self.steps}")
         if not (self.lr > 0.0 and math.isfinite(self.lr)):
             raise ContractViolation(f"lr must be positive, got {self.lr}")
-        if self.schedule not in ("constant", "cosine"):
-            raise ContractViolation(f"schedule must be 'constant' or 'cosine', got {self.schedule!r}")
+        if self.schedule not in SCHEDULES:
+            raise ContractViolation(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if self.log_stride < 1:
             raise ContractViolation(f"log_stride must be >= 1, got {self.log_stride}")
         if self.sliced_projections < 1:

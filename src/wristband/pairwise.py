@@ -95,6 +95,7 @@ __all__ = [
     "DEFAULT_TILE",
     "KernelConfig",
     "LossValueGrad",
+    "REDUCTIONS",
     "angular_kernel",
     "radial_image_kernel",
     "radial_neumann_kernel",
@@ -108,6 +109,8 @@ __all__ = [
 ALPHA_UNIFORM_STD = math.sqrt(1.0 / 12.0)
 
 DEFAULT_TILE = 128
+
+REDUCTIONS = ("global", "per_point")
 
 # The two-base form needs beta (4 alpha^2 + 3) below this, -ln of the
 # smallest normal double: then every mirror kernel entry, every p and q
@@ -151,8 +154,8 @@ class KernelConfig:
             if not (_is_real(v) and v > 0.0 and math.isfinite(v)):
                 raise DomainError(f"{name} must be positive and finite, got {v!r}")
             object.__setattr__(self, name, float(v))
-        if self.reduction not in ("global", "per_point"):
-            raise DomainError(f"reduction must be 'global' or 'per_point', got {self.reduction!r}")
+        if self.reduction not in REDUCTIONS:
+            raise DomainError(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
         if len(self.weights) != 3 or not all(_is_real(w) and w >= 0.0 and math.isfinite(w)
                                              for w in self.weights):
             raise DomainError(f"weights must be three nonnegative reals, got {self.weights!r}")

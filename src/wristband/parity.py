@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,8 +82,6 @@ def gradient_cosine(batch, cfg: KernelConfig, modes: int) -> tuple[float, float,
     input gradients), with the spectral path truncated to `modes`
     radial cosine modes.
     """
-    from dataclasses import replace
-
     pw = pairwise_repulsion_loss(batch, cfg)
     sp = spectral_loss(batch, replace(cfg, modes=modes))
     return pw.value, sp.value, _cosine(pw.grad, sp.grad)
@@ -127,8 +125,6 @@ def timing_sweep(dims, batch_sizes, modes: int, repetitions: int, cfg: KernelCon
     timed ones for each path.  A path's cell is timed until it has
     `repetitions` calls and has run for MIN_CELL_SECONDS.
     """
-    from dataclasses import replace
-
     if repetitions < 1:
         raise ContractViolation(f"repetitions must be >= 1, got {repetitions}")
     results = []

@@ -18,6 +18,7 @@ gaussian_quantile_grid  |Phi(q_i) - p_i| <= 1e-10
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -106,14 +107,12 @@ def chi2_pdf_array(d: int, s: np.ndarray) -> np.ndarray:
     )
 
 
-_QUANTILE_GRID_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def gaussian_quantile_grid(n: int) -> np.ndarray:
-    """Standard normal quantiles at the midpoints (i - 1/2)/n, cached per n."""
-    grid = _QUANTILE_GRID_CACHE.get(n)
-    if grid is None:
-        grid = special.ndtri((np.arange(n) + 0.5) / n)
-        grid.setflags(write=False)
-        _QUANTILE_GRID_CACHE[n] = grid
+    """Standard normal quantiles at the midpoints (i - 1/2)/n.
+
+    Cached per n, so the returned array is read-only.
+    """
+    grid = special.ndtri((np.arange(n) + 0.5) / n)
+    grid.flags.writeable = False
     return grid

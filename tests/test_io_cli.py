@@ -1,12 +1,13 @@
 import json
 import re
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from wristband.calibration import CalibrationTable
-from wristband.cli import cli_dispatch
+from wristband.calibration import LOSS_PATHS, CalibrationTable
+from wristband.cli import _build_parser, cli_dispatch
 from wristband.errors import FormatError
 from wristband.generators import (
     PARITY_CONSTANTS,
@@ -23,6 +24,8 @@ from wristband.io import (
     report_floats,
     write_batch,
 )
+from wristband.optimize import SCHEDULES, OptimizeConfig
+from wristband.pairwise import REDUCTIONS, KernelConfig
 
 
 class TestBatchFile:
@@ -168,6 +171,56 @@ class TestCliSpellings:
         for spelling in CLI_LOSSES:
             assert spelling in text
 
+    def test_flag_defaults_and_choices_come_from_the_library(self, capsys):
+        parser = _build_parser()
+        args = parser.parse_args(["calibrate", "--n", "8", "--d", "3", "--out", "t.json"])
+        kernel = {f.name: getattr(args, f.name) for f in fields(KernelConfig)}
+        assert kernel == asdict(KernelConfig())
+        args = parser.parse_args(["optimize", "--loss", "mmd", "--out", "o.wbpc"])
+        opt = OptimizeConfig()
+        assert (args.steps, args.lr, args.schedule, args.seed, args.log_stride,
+                args.projections) == (opt.steps, opt.lr, opt.schedule, opt.seed,
+                                      opt.log_stride, opt.sliced_projections)
+        for sub, flag, choices in [("calibrate", "--reduction", REDUCTIONS),
+                                   ("calibrate", "--loss-path", LOSS_PATHS),
+                                   ("optimize", "--schedule", SCHEDULES)]:
+            assert run([sub, "--help"]) == 0
+            listed = re.search(flag + r" \{([^}]*)\}", capsys.readouterr().out).group(1)
+            assert tuple(listed.split(",")) == choices
+
+
+# One small run of every subcommand; "{tmp}" stands for the test's directory.
+SUBCOMMAND_ARGV = {
+    "gen": ["--kind", "x", "--n", "16", "--d", "3", "--out", "{tmp}/g.wbpc"],
+    "calibrate": ["--n", "16", "--d", "3", "--reps", "2", "--out", "{tmp}/c.json"],
+    "optimize": ["--loss", "mmd", "--kind", "x", "--n", "16", "--d", "3", "--steps", "2",
+                 "--out", "{tmp}/o.wbpc"],
+    "score": ["--in", "{tmp}/in.wbpc", "--ref-batches", "2", "--null-batches", "2"],
+    "parity": ["--dims", "4", "--ns", "16", "--reps", "2", "--timing-reps", "1"],
+    "selftest": [],
+}
+
+
+def test_every_subcommand_is_listed(capsys):
+    assert run(["--help"]) == 0
+    listed = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1)
+    assert sorted(listed.split(",")) == sorted(SUBCOMMAND_ARGV)
+
+
+@pytest.mark.parametrize("sub", SUBCOMMAND_ARGV)
+def test_every_subcommand_writes_a_report(sub, tmp_path):
+    write_batch(tmp_path / "in.wbpc", gaussian_batch(16, 3, RngStream(0, "in")))
+    rpt = tmp_path / "r.json"
+    argv = [sub] + [a.format(tmp=tmp_path) for a in SUBCOMMAND_ARGV[sub]] + ["--report", str(rpt)]
+    assert run(argv) == 0
+    report = read_report(rpt)
+    assert report["subcommand"] == report["config"]["subcommand"] == sub
+    assert report["argv"] == argv
+    assert report["config"]["pairwise_tile"] == 128
+    assert report["seeds"] == ({} if sub == "selftest" else {"seed": 0})
+    assert report["metrics"]
+    assert float(report["timing"]["wall_time_s"]) > 0.0
+
 
 class TestCli:
     def test_gen_and_read(self, tmp_path):
@@ -220,6 +273,25 @@ class TestCli:
         z = report_floats(read_report(score_report)["metrics"])["z"]
         assert np.isfinite(z)
 
+    @pytest.mark.parametrize("start", [["--kind", "x", "--n", "99", "--d", "7"], ["--n", "99"]],
+                             ids=["kind-n-d", "n"])
+    def test_optimize_refuses_in_with_generator_flags(self, tmp_path, capsys, start):
+        raw, out = tmp_path / "raw.wbpc", tmp_path / "opt.wbpc"
+        write_batch(raw, gaussian_batch(16, 3, RngStream(0, "raw")))
+        assert run(["optimize", "--loss", "mmd", "--in", str(raw), *start, "--steps", "2",
+                    "--out", str(out), "--report", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() and not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("loss", ["mmd", "sliced-w2"])
+    def test_optimize_refuses_calib_for_baseline_losses(self, tmp_path, capsys, loss):
+        out = tmp_path / "opt.wbpc"
+        assert run(["optimize", "--loss", loss, "--kind", "x", "--n", "16", "--d", "3",
+                    "--steps", "2", "--calib", str(tmp_path / "missing.json"),
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_optimize_rejects_zero_projections(self, tmp_path, capsys):
         out = tmp_path / "opt.wbpc"
         assert run(["optimize", "--loss", "sliced-w2", "--projections", "0",
@@ -257,6 +329,9 @@ class TestCli:
     def test_numeric_errors_exit_1(self, tmp_path):
         missing = tmp_path / "missing.wbpc"
         assert run(["score", "--in", str(missing), "--seed", "0"]) == 1
+        # A report that cannot be written fails the run.
+        assert run(["gen", "--kind", "x", "--n", "8", "--d", "2", "--out", str(tmp_path / "g.wbpc"),
+                    "--report", str(tmp_path / "no-dir" / "r.json")]) == 1
 
     def test_report_determinism_modulo_timing(self, tmp_path):
         # Identical flags, same paths: reports must agree apart from the
@@ -326,5 +401,9 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o.wbpc").exists()
 
-    def test_selftest_passes(self):
+    def test_selftest_passes(self, tmp_path):
         assert run(["selftest"]) == 0
+        rpt = tmp_path / "selftest.json"
+        assert run(["selftest", "--report", str(rpt)]) == 0
+        assert set(read_report(rpt)["metrics"].values()) == {"PASS"}
+        assert run(["--replay", str(rpt)]) == 0
