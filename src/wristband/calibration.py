@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemm
@@ -38,10 +38,10 @@ from .accelerators import (
 )
 from .errors import CalibrationError, ContractViolation, FormatError
 from .generators import RngStream, gaussian_batch
+from .io import _json_real, jsonify
 from .pairwise import (
     KernelConfig,
     LossValueGrad,
-    _json_real,
     _pairwise_value_grad,
     pairwise_value_from_wristband,
 )
@@ -85,17 +85,7 @@ class CalibrationTable:
 
     def to_json(self) -> str:
         """Versioned JSON with floats as full-precision decimal strings."""
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "n": self.n,
-            "dim": self.dim,
-            "cfg": self.cfg.to_dict(),
-            "reps": self.reps,
-            "seed": self.seed,
-            "loss_path": self.loss_path,
-        }
-        for name in _FLOAT_FIELDS:
-            doc[name] = repr(getattr(self, name))
+        doc = {"format_version": FORMAT_VERSION, **jsonify(asdict(self))}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod

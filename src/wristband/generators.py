@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accelerators import symmetric_eigen
+from .accelerators import _centered_moment_summary
 from .errors import ContractViolation, DomainError
 from .wristband_map import validate_point_batch
 
@@ -170,10 +170,8 @@ def whiten(batch) -> np.ndarray:
     the symmetric eigensolver; a covariance that is numerically rank
     deficient is rejected.
     """
-    x = validate_point_batch(batch, min_n=2)
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / x.shape[0]
-    vals, vecs = symmetric_eigen(cov)
+    ms, centered = _centered_moment_summary(validate_point_batch(batch, min_n=2))
+    vals, vecs = ms.eigvals, ms.eigvecs
     if vals[-1] <= 1e-12 * max(vals[0], 1.0):
         raise ContractViolation("sample covariance is rank deficient; cannot whiten")
     w = vecs @ ((1.0 / np.sqrt(vals))[:, None] * vecs.T)

@@ -9,10 +9,11 @@ Batch files are a fixed little-endian binary layout:
     bytes 24..    n*d IEEE-754 binary64, row-major
 
 Run reports are JSON documents carrying the full configuration echo,
-seeds, and metrics.  Floats inside reports are encoded as their
-shortest round-trip decimal strings so a report parses back to the
-exact same doubles; wall-clock times live under the "timing" key, the
-single part of a report that is not reproducible across reruns.
+seeds, and metrics.  Floats inside reports, calibration tables and
+kernel configs are encoded by `jsonify` as their shortest round-trip
+decimal strings, so a document parses back to the exact same doubles;
+wall-clock times live under a report's "timing" key, the single part
+of a report that is not reproducible across reruns.
 """
 
 from __future__ import annotations
@@ -109,6 +110,13 @@ def jsonify(value):
     if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]
     raise ContractViolation(f"cannot serialize {type(value).__name__} into a report")
+
+
+def _json_real(value) -> float:
+    """A JSON float field (a number or a decimal string); a boolean is a TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a real number, got {value!r}")
+    return float(value)
 
 
 def report_floats(value):

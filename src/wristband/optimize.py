@@ -21,7 +21,7 @@ from .calibration import (
 )
 from .errors import ContractViolation, OptimizationFailure
 from .generators import RngStream
-from .pairwise import KernelConfig, LossValueGrad
+from .pairwise import KernelConfig, LossValueGrad, _is_integer, _is_real
 from .wristband_map import validate_point_batch
 
 __all__ = ["LOSS_KINDS", "SCHEDULES", "AdamState", "OptimizeConfig", "adam_step",
@@ -66,10 +66,13 @@ class OptimizeConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ContractViolation(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
+        for name in ("steps", "seed", "log_stride", "sliced_projections"):
+            if not _is_integer(getattr(self, name)):
+                raise ContractViolation(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.steps < 1:
             raise ContractViolation(f"steps must be >= 1, got {self.steps}")
-        if not (self.lr > 0.0 and math.isfinite(self.lr)):
-            raise ContractViolation(f"lr must be positive, got {self.lr}")
+        if not (_is_real(self.lr) and self.lr > 0.0 and math.isfinite(self.lr)):
+            raise ContractViolation(f"lr must be a positive real, got {self.lr!r}")
         if self.schedule not in SCHEDULES:
             raise ContractViolation(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if self.log_stride < 1:

@@ -60,34 +60,38 @@ symmetric).  A pass may ask for two things more: the mirrored column
 sums of an off-diagonal block, which make the row sums true row sums
 (per-point values, row weights, the gradient), and one product per
 base and side against source columns (the gradient).  The global value
-reads the total and takes neither.  Every pass adds the same row-sum
-vectors in the same order, so the value and gradient passes agree on
-the value and the row sums to the bit.  Tile traversal order is fixed,
+reads the total and takes neither.  Both passes read their value
+through one `_reduce` of the same row-sum vectors, added in the same
+order, so they agree on it to the bit.  Tile traversal order is fixed,
 so results are deterministic for a given tile size; the tile size (an
 integer >= 1) is an explicit argument with a fixed default and is part
 of the reproducibility contract.
 
-The gradient is a pair-weighted sum with weights w_i + w_j.  Under
-global reduction the weights are one constant set by the kernel total,
+The gradient is a pair-weighted sum with weights w_i + w_j, the row
+weights w_i = dL/d(row sum i) that `_reduce` returns with the value.
+Under global reduction they are one constant set by the kernel total,
 so one unit-weight pass yields the total and a gradient rescaled once
 at the end.  Under per-point reduction w_i depends on row i's sum, so
 the row sums take a pass of their own first; the weighted pass then
-carries w in its source columns and combines w_i (K s)_i + (K (w s))_i
-once after the walk, never forming a block-sized weight matrix.  The
-gradient pass ends on the batch: it pulls its (u, t) cotangents back
-through the map's adjoint `_backward`, under the signature of the
-spectral pass.
+carries w in its source columns, reuses the first pass's row sums
+instead of taking column sums, and combines w_i (K s)_i + (K (w s))_i
+once after the walk, never forming a block-sized weight matrix.  Both
+reductions build one basis, and `_cotangents` is the one place that
+composes value, weights and cotangents.  The gradient pass ends on the
+batch: it pulls those (u, t) cotangents back through the map's adjoint
+`_backward`, under the signature of the spectral pass.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import ContractViolation, DomainError
+from .io import _json_real, jsonify
 from .wristband_map import WristbandBatch, _backward, wristband_forward
 
 __all__ = [
@@ -118,16 +122,14 @@ REDUCTIONS = ("global", "per_point")
 _TWO_BASE_LIMIT = -math.log(np.finfo(np.float64).tiny)
 
 
-def _json_real(value) -> float:
-    """A JSON float field (a number or a decimal string); a boolean is a TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a real number, got {value!r}")
-    return float(value)
-
-
 def _is_real(value) -> bool:
     """A real number that is not a boolean."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """An integer that is not a boolean."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ class KernelConfig:
         if len(self.weights) != 3 or not all(_is_real(w) and w >= 0.0 and math.isfinite(w)
                                              for w in self.weights):
             raise DomainError(f"weights must be three nonnegative reals, got {self.weights!r}")
-        if isinstance(self.modes, bool) or not isinstance(self.modes, numbers.Integral) or self.modes < 1:
+        if not _is_integer(self.modes) or self.modes < 1:
             raise DomainError(f"modes must be an integer >= 1, got {self.modes!r}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
@@ -170,14 +172,7 @@ class KernelConfig:
         return replace(cfg, **overrides) if overrides else cfg
 
     def to_dict(self) -> dict:
-        return {
-            "beta": repr(self.beta),
-            "alpha": repr(self.alpha),
-            "eps": repr(self.eps),
-            "reduction": self.reduction,
-            "weights": [repr(w) for w in self.weights],
-            "modes": self.modes,
-        }
+        return jsonify(asdict(self))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KernelConfig":
@@ -276,7 +271,7 @@ def _tile_major(a: np.ndarray, tile: int) -> np.ndarray:
 
 def _basis(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> _Basis:
     """The two-base (real, mirror at 1/2) or three-image basis of a batch, for tiles of `tile`."""
-    if isinstance(tile, bool) or not isinstance(tile, numbers.Integral) or tile < 1:
+    if not _is_integer(tile) or tile < 1:
         raise ContractViolation(f"tile must be an integer >= 1, got {tile!r}")
     (n, d), t, beta = wb.u.shape, wb.t, cfg.beta
     au = cfg.alpha * wb.u
@@ -334,12 +329,9 @@ def _kernel_blocks(basis: _Basis):
             yield lo, hi, clo, chi, e
 
 
-def _rows(sums: np.ndarray, basis: _Basis, pair_w: float | np.ndarray = 1.0) -> np.ndarray:
-    """Row sums from unscaled N x 3 per-term sums: scaled by the point's factors, self-images added.
-
-    pair_w is the pair weight of the self-images (2 w_i in a weighted pass).
-    """
-    return np.einsum("ij,ij->i", sums, basis.scale) + pair_w * (basis.self_images[0] + basis.self_images[1])
+def _rows(sums: np.ndarray, basis: _Basis) -> np.ndarray:
+    """Row sums from unscaled N x 3 per-term sums: scaled by the point's factors, self-images added."""
+    return np.einsum("ij,ij->i", sums, basis.scale) + (basis.self_images[0] + basis.self_images[1])
 
 
 def _sweep(basis: _Basis, src: tuple | list = (), mirror: bool = True):
@@ -377,23 +369,20 @@ def _sweep(basis: _Basis, src: tuple | list = (), mirror: bool = True):
     return sums, total, acc
 
 
-def _row_sums(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> np.ndarray:
-    """Kernel row sums without the real self-interactions, each off-diagonal pair computed once."""
-    basis = _basis(wb, cfg, tile)
-    return _rows(_sweep(basis)[0], basis)
+def _reduce(basis: _Basis, cfg: KernelConfig, sums: np.ndarray, total: np.ndarray):
+    """Loss value and row weights w_i = dL/d(row sum i) from a sweep's `sums` and `total`.
 
-
-def _reduce(rows: np.ndarray, cfg: KernelConfig):
-    """Loss value and normalized kernel mass (per row under per-point reduction) from row sums.
-
-    Global reduction reads only the sum of `rows`, so the sweep's total serves.
+    Global reduction reads only the kernel total, so the sweep's total
+    serves, and its weight is one number; per-point reduction reads the
+    true row sums, so its sweep must take the column sums.
     """
-    n = rows.shape[0]
+    n = basis.rows.shape[0]
     if cfg.reduction == "global":
-        a = float(np.sum(rows)) / (3.0 * n * n - n)
-        return math.log(a + cfg.eps) / cfg.beta, a
-    a_i = rows / (3.0 * n - 1.0)
-    return float(np.mean(np.log(a_i + cfg.eps))) / cfg.beta, a_i
+        a = float(np.sum(_rows(total, basis))) / (3.0 * n * n - n)
+        return math.log(a + cfg.eps) / cfg.beta, 1.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n))
+    a_i = _rows(sums, basis) / (3.0 * n - 1.0)
+    value = float(np.mean(np.log(a_i + cfg.eps))) / cfg.beta
+    return value, 1.0 / (n * cfg.beta * (a_i + cfg.eps) * (3.0 * n - 1.0))
 
 
 def pairwise_value_from_wristband(wb: WristbandBatch, cfg: KernelConfig,
@@ -403,61 +392,58 @@ def pairwise_value_from_wristband(wb: WristbandBatch, cfg: KernelConfig,
     Global reduction reads the kernel total alone, so its sweep takes no column sums.
     """
     basis = _basis(wb, cfg, tile)
-    per_point = cfg.reduction == "per_point"
-    sums, total, _ = _sweep(basis, mirror=per_point)
-    return _reduce(_rows(sums if per_point else total, basis), cfg)[0]
+    return _reduce(basis, cfg, *_sweep(basis, mirror=cfg.reduction == "per_point")[:2])[0]
 
 
-def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | None, tile: int):
-    """Gradients of sum_ij w-weighted kernel w.r.t. (u, t), weighted row sums, and the kernel total.
+def _cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int):
+    """Loss value and its cotangents (grad_u, grad_t), weighted as the reduction asks.
 
-    Returns (grad_u, grad_t, rows, total).  Both gradients own their
-    memory (the t gradient is a copy of its column), so the N x (d + 1)
-    working array is freed on return.  total is the unit-weight N-vector
-    whose sum is the kernel total, as the global value pass reads it.
+    Both cotangents own their memory (the t cotangent is a copy of its
+    column), so the N x (d + 1) working array is freed on return.
 
-    Uses grad_k = sum_j (w_k + w_j) dK(k, j)/d(first slot).  Term c of
-    the kernel is the Gaussian exp(-beta ||y_i - y_j^(c)||^2) whatever
-    basis evaluates it, so with M_c its weighted entries and r_c, c_c
-    their row and column sums the derivative in y is
-    -2 beta sum_c (y_i r_c,i - sum_j M_c(i, j) y_j^(c)) for a row and
-    -2 beta sum_c P_c (y_j^(c) c_c,j - sum_i M_c(i, j) y_i) for a
-    mirrored column, P_c flipping the t sign of the reflected images.
-    P_c y^(c) is y, y and y - 2 e_t, and y^(3) = y^(2) + 2 e_t, so both
-    sides take their products against the same sources: y for the real
-    term and s_c y^(2) for a reflected one, s_c its factors, and the e_t
-    parts fold into the third term's mass.  Each base takes one product
-    per side against the sources of its terms; the factors of the point
-    whose sums they are apply once at the end.  The self-images'
-    cotangents are added in closed form (pair weight 2 w_k, or 1 for
-    unit weights).
+    Row weights w_i give grad_k = sum_j (w_k + w_j) dK(k, j)/d(first
+    slot).  Term c of the kernel is the Gaussian
+    exp(-beta ||y_i - y_j^(c)||^2) whatever basis evaluates it, so with
+    M_c its weighted entries and r_c, c_c their row and column sums the
+    derivative in y is -2 beta sum_c (y_i r_c,i - sum_j M_c(i, j) y_j^(c))
+    for a row and -2 beta sum_c P_c (y_j^(c) c_c,j - sum_i M_c(i, j) y_i)
+    for a mirrored column, P_c flipping the t sign of the reflected
+    images.  P_c y^(c) is y, y and y - 2 e_t, and y^(3) = y^(2) + 2 e_t,
+    so both sides take their products against the same sources: y for
+    the real term and s_c y^(2) for a reflected one, s_c its factors,
+    and the e_t parts fold into the third term's mass.  Each base takes
+    one product per side against the sources of its terms; the factors
+    of the point whose sums they are apply once at the end.  The
+    self-images' cotangents are added in closed form (pair weight 2 w_k).
 
-    w=None means unit pair weights, and the sums are the sweep's own,
-    bit-identical to `_row_sums`.  With weights, the sources gain the
-    w-weighted factors and sources, [s, w factors, w s]; after the sweep
-    w_i (K s)_i + (K (w s))_i gives the gradient products and
-    w_i r_i + (K (w factors))_i the weighted sums.
+    Global reduction: one unit-weight sweep gives the kernel total, the
+    true row sums and the products, and both cotangents are rescaled by
+    2w once at the end.  Per-point reduction: the row-sum sweep gives the
+    value and w; the weighted sweep's sources gain the w-weighted factors
+    and sources, [s, w factors, w s], and it takes no column sums, since
+    after it w_i (K s)_i + (K (w s))_i gives the gradient products and
+    w_i r_i + (K (w factors))_i the weighted sums from the first sweep's r.
     """
     n, d = wb.n, wb.dim
     basis = _basis(wb, cfg, tile)
     y = np.column_stack([cfg.alpha * wb.u, wb.t])
     y2 = y * np.append(np.ones(d), -1.0)
-    src = []
-    for ts in basis.terms:
-        s = np.hstack([basis.scale[:, c:c + 1] * (y2 if c else y) for c in range(ts.start, ts.stop)])
-        if w is not None:
-            s = np.hstack([s, w[:, None] * basis.scale[:, ts], w[:, None] * s])
-        src.append(s)
-    sums, total, grads = _sweep(basis, src)
+    src = [np.hstack([basis.scale[:, c:c + 1] * (y2 if c else y) for c in range(ts.start, ts.stop)])
+           for ts in basis.terms]
+    per_point = cfg.reduction == "per_point"
+    sums, total, grads = _sweep(basis, () if per_point else src)
+    value, w = _reduce(basis, cfg, sums, total)
     pair_w = 1.0
-    if w is not None:
+    if per_point:
+        src = [np.hstack([s, w[:, None] * basis.scale[:, ts], w[:, None] * s])
+               for s, ts in zip(src, basis.terms)]
+        grads = _sweep(basis, src, mirror=False)[2]
         pair_w = 2.0 * w
         for b, ts in enumerate(basis.terms):
             a, k = grads[b], (ts.stop - ts.start) * (d + 1)
             sums[:, ts] *= w[:, None]
             sums[:, ts] += a[:, k:-k]
             grads[b] = w[:, None] * a[:, :k] + a[:, -k:]
-    rows = _rows(sums, basis, pair_w)
     mass = sums * basis.scale
     g = y * mass.sum(axis=1)[:, None]
     for gb, ts in zip(grads, basis.terms):
@@ -466,7 +452,11 @@ def _accumulate_grads(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray | Non
     g[:, d] -= 2.0 * mass[:, 2]
     g[:, d] += 2.0 * pair_w * (wb.t * e2 - (1.0 - wb.t) * e3)
     g *= -2.0 * cfg.beta
-    return cfg.alpha * g[:, :d], g[:, d].copy(), rows, _rows(total, basis)
+    grad_u, grad_t = cfg.alpha * g[:, :d], g[:, d].copy()
+    if not per_point:
+        grad_u *= 2.0 * w
+        grad_t *= 2.0 * w
+    return value, grad_u, grad_t
 
 
 def _pairwise_value_grad(x: np.ndarray, wb: WristbandBatch, cfg: KernelConfig, scale: float,
@@ -483,23 +473,9 @@ def _value_grad(x: np.ndarray, wb: WristbandBatch, cfg: KernelConfig, scale: flo
     batch that wb maps; the pullback of the extra t-cotangent `grad_t`
     (N,) and the d-vector `row` are added; out is C-contiguous (N, d),
     does not overlap x, and may be wb.u, which is overwritten once read.
-    Row weights w_i give grad = sum_j (w_i + w_j) dK(i, j): one constant
-    under global reduction, w = 1 / (beta (a + eps) (3N^2 - N)), so one
-    unit-weight pass gives the kernel total and cotangents rescaled by
-    2w once; per-point reduction takes its row sums first.  The map
-    adjoint `_backward` pulls the scaled cotangents back into out.
+    The map adjoint `_backward` pulls the scaled `_cotangents` back into out.
     """
-    n = wb.n
-    if cfg.reduction == "global":
-        g_u, g_t, _, total = _accumulate_grads(wb, cfg, None, tile)
-        value, a = _reduce(total, cfg)
-        w2 = 2.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n))
-        g_u *= w2
-        g_t *= w2
-    else:
-        value, a_i = _reduce(_row_sums(wb, cfg, tile), cfg)
-        w = 1.0 / (n * cfg.beta * (a_i + cfg.eps) * (3.0 * n - 1.0))
-        g_u, g_t, _, _ = _accumulate_grads(wb, cfg, w, tile)
+    value, g_u, g_t = _cotangents(wb, cfg, tile)
     g_u *= scale
     g_t *= scale
     g_t += grad_t

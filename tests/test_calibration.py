@@ -24,12 +24,10 @@ from wristband.calibration import (
 )
 from wristband.errors import ContractViolation, FormatError, UnsupportedDimension
 from wristband.generators import RngStream, gaussian_batch, x_batch
-from wristband.pairwise import DEFAULT_TILE, KernelConfig, pairwise_repulsion_loss
+from wristband.pairwise import DEFAULT_TILE, KernelConfig, _cotangents, pairwise_repulsion_loss
 from wristband.parity import finite_difference_check
 from wristband.spectral import spectral_loss
 from wristband.wristband_map import _backward, wristband_backward, wristband_forward
-
-from pairwise_cotangents import reduction_cotangents
 
 
 CFG = KernelConfig(beta=8.0, alpha=1.0)
@@ -244,7 +242,7 @@ def test_pairwise_gradient_is_the_written_out_combination(reduction):
     table = calibrate_null(n, d, cfg, reps=16, seed=12)
     x = x_batch(n, d, RngStream(13, "in-place"))
     wb = wristband_forward(x)
-    _, gu, gt = reduction_cotangents(wb, cfg, DEFAULT_TILE)
+    _, gu, gt = _cotangents(wb, cfg, DEFAULT_TILE)
     _, rt = _radial_value_grad_t(wb.t)
     ms, centered = _centered_moment_summary(x)
     w_rep, w_rad, w_mom = cfg.weights

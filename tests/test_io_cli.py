@@ -5,6 +5,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wristband.calibration import LOSS_PATHS, CalibrationTable
 from wristband.cli import _build_parser, cli_dispatch
@@ -18,6 +20,8 @@ from wristband.generators import (
     x_batch,
 )
 from wristband.io import (
+    BATCH_MAGIC,
+    BATCH_VERSION,
     jsonify,
     read_batch,
     read_report,
@@ -86,6 +90,53 @@ class TestBatchFile:
         with pytest.raises(FormatError, match=rf"n={n}, d={d}"):
             read_batch(path)
         assert run(["score", "--in", str(path), "--seed", "0"]) == 1
+
+
+@st.composite
+def corrupted_batch_files(draw):
+    """A written batch's bytes, then any of: header fields replaced, payload
+    cut, padded or with a byte changed, the whole file cut short."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, d))
+    header = [BATCH_MAGIC, BATCH_VERSION, n, d]
+    fields = [st.one_of(st.just(BATCH_MAGIC), st.binary(min_size=4, max_size=4)),
+              st.one_of(st.just(BATCH_VERSION), st.integers(0, 2**32 - 1)),
+              st.one_of(st.integers(0, 8), st.integers(0, 2**64 - 1)),
+              st.one_of(st.integers(0, 8), st.integers(0, 2**64 - 1))]
+    for i, field in enumerate(fields):
+        if draw(st.booleans()):
+            header[i] = draw(field)
+    payload = bytearray(np.ascontiguousarray(x, dtype="<f8").tobytes())
+    edit = draw(st.sampled_from(["none", "cut", "pad", "byte"]))
+    if edit == "cut":
+        del payload[draw(st.integers(0, len(payload) - 1)):]
+    elif edit == "pad":
+        payload += draw(st.binary(min_size=1, max_size=24))
+    elif edit == "byte":
+        payload[draw(st.integers(0, len(payload) - 1))] = draw(st.integers(0, 255))
+    blob = struct.pack("<4sIQQ", *header) + bytes(payload)
+    if draw(st.integers(0, 9)) == 0:
+        blob = blob[:draw(st.integers(0, 23))]
+    return x, blob
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=corrupted_batch_files())
+def test_read_batch_returns_the_file_or_a_format_error(tmp_path_factory, case):
+    # Any other exception (struct, numpy reshape or memory errors) is a
+    # bug.  The untouched file reads back; any file it accepts is read
+    # exactly as its header describes.
+    x, blob = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed.wbpc"
+    path.write_bytes(blob)
+    try:
+        got = read_batch(path)
+    except FormatError:
+        assert blob != struct.pack("<4sIQQ", BATCH_MAGIC, BATCH_VERSION, *x.shape) + x.tobytes()
+        return
+    magic, version, n, d = struct.unpack_from("<4sIQQ", blob)
+    assert (magic, version) == (BATCH_MAGIC, BATCH_VERSION)
+    assert got.shape == (n, d) and got.tobytes() == blob[24:] and np.all(np.isfinite(got))
 
 
 class TestReportEncoding:

@@ -1,4 +1,4 @@
-"""Rotation and permutation invariance of the batch losses over random shapes.
+"""Invariance and finite-difference properties of the batch losses over random shapes.
 
 Each loss of a batch x is a function of the point cloud alone, so for a
 rotation Q and a permutation P the value must be unchanged within
@@ -24,8 +24,9 @@ from wristband.accelerators import (
     radial_w2_loss,
     radial_w2_value_from_wristband,
 )
-from wristband.calibration import CalibrationTable, standardized_wristband_loss
+from wristband.calibration import CalibrationTable, calibrate_null, standardized_wristband_loss
 from wristband.pairwise import KernelConfig, pairwise_value_from_wristband
+from wristband.parity import finite_difference_check
 from wristband.specfun import chi2_pdf_array
 from wristband.spectral import spectral_loss, spectral_value_from_wristband
 from wristband.wristband_map import NORM_FLOOR, wristband_forward
@@ -153,3 +154,37 @@ def test_radial_gradient_matches_written_out_formula(x):
     # wristband batch encodes, which differ from x by a few ulps per entry.
     got = radial_w2_loss(wristband_forward(x)).grad
     np.testing.assert_allclose(got, radial_gradient_reference(x), rtol=1e-14, atol=0.0)
+
+
+@st.composite
+def fd_batches(draw, min_d):
+    """Batches of N = d + 2..24 distinct points in d = min_d..6, radii over a few decades.
+
+    Distinct points keep the radial penalty's sort order fixed under the
+    difference steps, and N > d keeps the covariance of full rank.
+    """
+    d = draw(st.integers(min_d, 6))
+    n = draw(st.integers(d + 2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(n, d)) * np.exp(0.5 * rng.normal(size=(n, 1)))
+
+
+def fd_loss(name, cfg, x):
+    """The loss of `name` as a function of the batch; a standardized loss
+    reads a 4-rep null table of the batch's shape and the config."""
+    if name == "spectral":
+        return lambda b: spectral_loss(b, cfg)
+    n, d = x.shape
+    table = calibrate_null(n, d, cfg, reps=4, seed=0, loss_path=name.removeprefix("standardized_"))
+    return lambda b: standardized_wristband_loss(b, table)
+
+
+@pytest.mark.parametrize("name", ["spectral", "standardized_pairwise", "standardized_spectral"])
+@PROPERTY_SETTINGS
+@given(data=st.data(), cfg=configs)
+def test_gradient_fd_random_batches(name, data, cfg):
+    """The analytic gradient against central differences, under the bars of the fixed-batch FD tests."""
+    x = data.draw(fd_batches(min_dim(name)))
+    report = finite_difference_check(fd_loss(name, cfg, x), x)
+    assert report.rel_l2_error <= 1e-5
+    assert report.cosine >= 0.99999

@@ -160,6 +160,20 @@ class TestSettingsContract:
         with pytest.raises(ContractViolation, match="sliced_projections"):
             OptimizeConfig(loss="sliced_w2", sliced_projections=count)
 
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 2.5), ("steps", True), ("seed", 1.5), ("seed", False), ("log_stride", 2.5),
+        ("sliced_projections", 4.0), ("lr", "0.05"), ("lr", True), ("lr", None),
+    ])
+    def test_settings_refuse_other_types(self, field, value):
+        # A float count was truncated or failed mid-run (steps=2.5), a
+        # boolean was taken for 0 or 1, and a string lr was a bare TypeError.
+        with pytest.raises(ContractViolation, match=field):
+            OptimizeConfig(**{field: value})
+
+    def test_numpy_scalars_are_accepted(self):
+        opt = OptimizeConfig(steps=np.int64(3), lr=np.float64(0.1), seed=np.uint32(7))
+        assert opt.steps == 3 and opt.lr == 0.1 and opt.seed == 7
+
 
 class TestOptimizePointCloud:
     def test_bit_identical_runs(self):

@@ -2,18 +2,20 @@ import inspect
 import math
 import tracemalloc
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from wristband import pairwise
 from wristband.errors import ContractViolation, DomainError
 from wristband.pairwise import (
     ALPHA_UNIFORM_STD,
     DEFAULT_TILE,
     KernelConfig,
-    _accumulate_grads,
     _basis,
+    _cotangents,
     _pairwise_value_grad,
-    _row_sums,
     angular_kernel,
     pairwise_repulsion_loss,
     pairwise_value_from_wristband,
@@ -24,7 +26,7 @@ from wristband.parity import finite_difference_check
 from wristband.spectral import _spectral_value_grad
 from wristband.wristband_map import WristbandBatch, _backward, wristband_backward, wristband_forward
 
-from pairwise_cotangents import reduction_cotangents
+from test_pairwise_properties import dense_weighted_pass, row_sums, row_weights
 
 
 def unit_rows(rng, n, d):
@@ -172,7 +174,7 @@ class TestRepulsionLoss:
         u = np.array([[0.6, 0.8]])
         wb = WristbandBatch(u=u, t=np.array([t]), s=np.ones(1), norm_floored=np.zeros(1, dtype=bool))
         for cfg in (KernelConfig.direct_benchmark(), KernelConfig(beta=1024.0, alpha=0.8)):
-            assert _row_sums(wb, cfg, DEFAULT_TILE)[0] == 1.0
+            assert row_sums(wb, cfg, DEFAULT_TILE)[0] == 1.0
 
     def test_two_identical_points_hand_value(self):
         # u1 = u2, t1 = t2 = t: kernel matrix is constant
@@ -285,7 +287,7 @@ class TestRepulsionLoss:
             with pytest.raises(ContractViolation):
                 pairwise_value_from_wristband(wb, cfg, tile)
             with pytest.raises(ContractViolation):
-                _accumulate_grads(wb, cfg, None, tile)
+                _cotangents(wb, cfg, tile)
 
     def test_value_pass_memory_is_bounded_by_one_tile_pair(self):
         # Live N-sized float64 arrays of the value pass: y (N x (d+1)),
@@ -315,9 +317,21 @@ class TestRepulsionLoss:
         # reduction runs the unit-weight pass, per-point the weighted one.
         wb = wristband_forward(np.random.default_rng(12).normal(size=(40, 5)))
         cfg = KernelConfig(beta=8.0, alpha=1.0, reduction=reduction)
-        w = None if reduction == "global" else np.full(40, 0.01)
-        grad_u, grad_t, _, _ = _accumulate_grads(wb, cfg, w, 16)
+        _, grad_u, grad_t = _cotangents(wb, cfg, 16)
         assert grad_u.base is None and grad_t.base is None
+
+    @pytest.mark.parametrize("reduction, mirrors", [("global", [True]), ("per_point", [True, False])],
+                             ids=["global", "per_point"])
+    def test_cotangents_build_one_basis(self, reduction, mirrors):
+        # Per-point reduction sweeps twice on one basis: the row sums, then
+        # the weighted products, which reuse those sums and take no column sums.
+        wb = wristband_forward(np.random.default_rng(13).normal(size=(40, 5)))
+        cfg = KernelConfig(beta=8.0, alpha=1.0, reduction=reduction)
+        with mock.patch.object(pairwise, "_basis", wraps=pairwise._basis) as basis, \
+                mock.patch.object(pairwise, "_sweep", wraps=pairwise._sweep) as sweep:
+            _cotangents(wb, cfg, 16)
+        assert basis.call_count == 1
+        assert [c.kwargs.get("mirror", True) for c in sweep.call_args_list] == mirrors
 
 
 class TestFusedGlobalPass:
@@ -341,15 +355,13 @@ class TestFusedGlobalPass:
         x = rng.normal(size=(n, 6))
         cfg = KernelConfig.direct_benchmark()
         wb = wristband_forward(x)
-        rows = _row_sums(wb, cfg, tile)
-        a = float(np.sum(rows)) / (3.0 * n * n - n)  # rows exclude the real self-terms
-        w = np.full(n, 1.0 / (cfg.beta * (a + cfg.eps) * (3.0 * n * n - n)))
-        ref_u, ref_t, _, _ = _accumulate_grads(wb, cfg, w, tile)
+        # The global loss's row weights are one constant, dL/d(kernel total).
+        w = row_weights(row_sums(wb, cfg, tile), cfg)
+        assert np.all(w == w[0])
+        ref_u, ref_t, _ = dense_weighted_pass(wb, cfg, w)
         ref = wristband_backward(x, wb, ref_u, ref_t)
         grad = pairwise_repulsion_loss(x, cfg, tile).grad
         assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
-        # With unit pair weights the weighted row sums are the kernel row sums.
-        assert np.array_equal(_accumulate_grads(wb, cfg, None, tile)[2], rows)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradient_fd_direct_benchmark(self, seed):
@@ -382,7 +394,7 @@ class TestValueGradPass:
         cfg = KernelConfig(beta=beta, alpha=1.0, reduction=reduction)
         wb = wristband_forward(x)
         assert _basis(wb, cfg, DEFAULT_TILE).bases == bases
-        value, grad_u, grad_t = reduction_cotangents(wb, cfg, DEFAULT_TILE)
+        value, grad_u, grad_t = _cotangents(wb, cfg, DEFAULT_TILE)
         assert value == pairwise_value_from_wristband(wb, cfg)
         extra_t, row = np.random.default_rng(41).normal(size=n), np.arange(float(d))
         zero_t, zero_row = np.zeros(n), np.zeros(d)

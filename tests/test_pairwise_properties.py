@@ -19,10 +19,11 @@ from wristband import pairwise
 from wristband.pairwise import (
     ALPHA_UNIFORM_STD,
     KernelConfig,
-    _accumulate_grads,
     _basis,
+    _cotangents,
     _kernel_blocks,
-    _row_sums,
+    _rows,
+    _sweep,
     angular_kernel,
     pairwise_repulsion_loss,
     pairwise_value_from_wristband,
@@ -30,8 +31,6 @@ from wristband.pairwise import (
 )
 from wristband.parity import finite_difference_check
 from wristband.wristband_map import WristbandBatch
-
-from pairwise_cotangents import reduction_cotangents
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -72,9 +71,32 @@ def direct_value(wb: WristbandBatch, cfg: KernelConfig) -> float:
         t[:, None], t[None, :], cfg.beta
     )
     np.fill_diagonal(k, np.exp(-4.0 * cfg.beta * t**2) + np.exp(-4.0 * cfg.beta * (1.0 - t) ** 2))
+    return float(loss_of_rows(np.sum(k, axis=1), cfg))
+
+
+def loss_of_rows(rows, cfg: KernelConfig):
+    """The loss of kernel row sums as each reduction defines it; complex rows pass through."""
+    n = rows.shape[0]
     if cfg.reduction == "global":
-        return math.log(np.sum(k) / (3.0 * n * n - n) + cfg.eps) / cfg.beta
-    return float(np.mean(np.log(np.sum(k, axis=1) / (3.0 * n - 1.0) + cfg.eps))) / cfg.beta
+        return np.log(np.sum(rows) / (3.0 * n * n - n) + cfg.eps) / cfg.beta
+    return np.mean(np.log(rows / (3.0 * n - 1.0) + cfg.eps)) / cfg.beta
+
+
+def row_weights(rows, cfg: KernelConfig) -> np.ndarray:
+    """The reduction's row weights w_i = dL/d(row sum i), by a complex step on `loss_of_rows`.
+
+    The step's imaginary part carries the derivative without cancellation,
+    so the weights are exact to rounding, taken from the loss's definition
+    rather than written out.
+    """
+    h, n = 1e-100, rows.shape[0]
+    return np.array([loss_of_rows(rows + 1j * h * (np.arange(n) == i), cfg).imag / h for i in range(n)])
+
+
+def row_sums(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> np.ndarray:
+    """The tiled kernel row sums without the real self-interactions, as the per-point value reads them."""
+    basis = _basis(wb, cfg, tile)
+    return _rows(_sweep(basis)[0], basis)
 
 
 def assert_cotangents_close(got, want):
@@ -96,7 +118,7 @@ def test_matches_direct_double_sum(wb, cfg, tile):
     ref = direct_value(wb, cfg)
     value = pairwise_value_from_wristband(wb, cfg, tile)
     assert abs(value - ref) <= 1e-12 * abs(ref)
-    assert reduction_cotangents(wb, cfg, tile)[0] == value
+    assert _cotangents(wb, cfg, tile)[0] == value
 
 
 @PROPERTY_SETTINGS
@@ -105,7 +127,7 @@ def test_matches_direct_double_sum(wb, cfg, tile):
 def test_global_value_is_the_row_sum_total(wb, cfg, tile):
     """The global pass sums block row sums, mirrored blocks twice: the same total as the rows'."""
     n = wb.n
-    ref = math.log(np.sum(_row_sums(wb, cfg, tile)) / (3.0 * n * n - n) + cfg.eps) / cfg.beta
+    ref = math.log(np.sum(row_sums(wb, cfg, tile)) / (3.0 * n * n - n) + cfg.eps) / cfg.beta
     value = pairwise_value_from_wristband(wb, cfg, tile)
     assert abs(value - ref) <= 1e-13 * abs(ref)
 
@@ -113,8 +135,8 @@ def test_global_value_is_the_row_sum_total(wb, cfg, tile):
 @PROPERTY_SETTINGS
 @given(wb=wristband_batches(), cfg=configs, tile=tiles, other=tiles)
 def test_tile_size_invariance(wb, cfg, tile, other):
-    value, grad_u, grad_t = reduction_cotangents(wb, cfg, tile)
-    value2, grad_u2, grad_t2 = reduction_cotangents(wb, cfg, other)
+    value, grad_u, grad_t = _cotangents(wb, cfg, tile)
+    value2, grad_u2, grad_t2 = _cotangents(wb, cfg, other)
     assert abs(value2 - value) <= 1e-13 * abs(value)
     assert_cotangents_close((grad_u2, grad_t2), (grad_u, grad_t))
 
@@ -125,8 +147,8 @@ def test_permutation_invariance(wb, cfg, tile, seed):
     perm = np.random.default_rng(seed).permutation(wb.n)
     permuted = WristbandBatch(u=wb.u[perm], t=wb.t[perm], s=wb.s[perm],
                               norm_floored=wb.norm_floored[perm])
-    value, grad_u, grad_t = reduction_cotangents(wb, cfg, tile)
-    value2, grad_u2, grad_t2 = reduction_cotangents(permuted, cfg, tile)
+    value, grad_u, grad_t = _cotangents(wb, cfg, tile)
+    value2, grad_u2, grad_t2 = _cotangents(permuted, cfg, tile)
     assert abs(value2 - value) <= 1e-13 * abs(value)
     assert_cotangents_close((grad_u2, grad_t2), (grad_u[perm], grad_t[perm]))
 
@@ -137,8 +159,8 @@ def test_rotation_invariance(wb, cfg, tile, seed):
     d = wb.dim
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
     rotated = WristbandBatch(u=wb.u @ q.T, t=wb.t, s=wb.s, norm_floored=wb.norm_floored)
-    value, grad_u, grad_t = reduction_cotangents(wb, cfg, tile)
-    value2, grad_u2, grad_t2 = reduction_cotangents(rotated, cfg, tile)
+    value, grad_u, grad_t = _cotangents(wb, cfg, tile)
+    value2, grad_u2, grad_t2 = _cotangents(rotated, cfg, tile)
     assert abs(value2 - value) <= 1e-12 * abs(value)
     assert_cotangents_close((grad_u2, grad_t2), (grad_u @ q.T, grad_t))
 
@@ -164,21 +186,17 @@ def dense_weighted_pass(wb: WristbandBatch, cfg: KernelConfig, w: np.ndarray):
 
 
 @PROPERTY_SETTINGS
-@given(wb=wristband_batches(), cfg=configs, tile=tiles, seed=st.integers(0, 2**32 - 1))
-def test_weighted_pass_matches_dense_oracle(wb, cfg, tile, seed):
-    """The per-point pass with arbitrary row weights, against the dense double sum.
+@given(wb=wristband_batches(), cfg=configs, tile=tiles)
+def test_weighted_pass_matches_dense_oracle(wb, cfg, tile):
+    """The cotangents of either reduction, against the dense double sum under its row weights.
 
-    Weights are scaled so the weighted row mass stays below about 2, the
-    regime `assert_cotangents_close` is derived for.  A kernel entry's
-    exponent comes from a Gram-form product, which errs by a few
-    eps beta (|y|^2 + |y^(m)|^2) <= a few eps beta (2 alpha^2 + 5): that
-    is the relative bound on a row sum, above the subnormal range.
+    The oracle's weights are `row_weights` of the pass's own row sums, so
+    the check is on the pair-weighted sums.  Under either reduction the
+    weighted row mass stays below 2 / beta <= 2, the regime
+    `assert_cotangents_close` is derived for.
     """
-    w = np.random.default_rng(seed).uniform(0.1, 1.0, wb.n) / (3.0 * wb.n)
-    grad_u, grad_t, rows, _ = _accumulate_grads(wb, cfg, w, tile)
-    ref_u, ref_t, ref_rows = dense_weighted_pass(wb, cfg, w)
-    rtol = 8.0 * np.finfo(np.float64).eps * cfg.beta * (cfg.alpha**2 + 4.0)
-    assert np.all(np.abs(rows - ref_rows) <= rtol * ref_rows + 1e-300)
+    _, grad_u, grad_t = _cotangents(wb, cfg, tile)
+    ref_u, ref_t, _ = dense_weighted_pass(wb, cfg, row_weights(row_sums(wb, cfg, tile), cfg))
     assert_cotangents_close((grad_u, grad_t), (ref_u, ref_t))
 
 
@@ -226,43 +244,40 @@ def straddling_configs(draw):
     return KernelConfig(beta=beta, alpha=alpha, reduction=draw(st.sampled_from(["global", "per_point"])))
 
 
-def basis_results(wb, cfg, tile, w):
-    """Value, unit row sums and weighted pass of one basis, after checking its exact equalities."""
+def basis_results(wb, cfg, tile):
+    """Value, unit row sums and cotangents of one basis, after checking its exact equality."""
     value = pairwise_value_from_wristband(wb, cfg, tile)
-    assert reduction_cotangents(wb, cfg, tile)[0] == value
-    rows = _row_sums(wb, cfg, tile)
-    assert np.array_equal(_accumulate_grads(wb, cfg, None, tile)[2], rows)
-    return value, rows, _accumulate_grads(wb, cfg, w, tile)[:3]
+    cotangents = _cotangents(wb, cfg, tile)
+    assert cotangents[0] == value
+    return value, row_sums(wb, cfg, tile), cotangents[1:]
 
 
 @PROPERTY_SETTINGS
-@given(wb=boundary_batches(), cfg=straddling_configs(), tile=st.integers(8, 256),
-       seed=st.integers(0, 2**32 - 1))
-def test_two_bases_match_three_images(wb, cfg, tile, seed):
+@given(wb=boundary_batches(), cfg=straddling_configs(), tile=st.integers(8, 256))
+def test_two_bases_match_three_images(wb, cfg, tile):
     """Across the basis bound, the chosen basis and the three-image basis both match the oracles.
 
     Below the bound the chosen basis is the two-base form, so this pins
     it against the three images up to the bound; the tolerances are
     those of test_matches_direct_double_sum and
-    test_weighted_pass_matches_dense_oracle.  Tiles start at 8: smaller
-    ones only multiply the blocks of ten passes, and the tile tests
-    above cover them.
+    test_weighted_pass_matches_dense_oracle, and a row sum's relative
+    bound is a few eps beta (|y|^2 + |y^(m)|^2) <= a few eps beta
+    (2 alpha^2 + 5), the error of a Gram-form exponent.  Tiles start at
+    8: smaller ones only multiply the blocks of every pass, and the tile
+    tests above cover them.
     """
-    w = np.random.default_rng(seed).uniform(0.1, 1.0, wb.n) / (3.0 * wb.n)
-    chosen = basis_results(wb, cfg, tile, w)
+    chosen = basis_results(wb, cfg, tile)
     with mock.patch.object(pairwise, "_TWO_BASE_LIMIT", 0.0):
         assert _basis(wb, cfg, tile).bases == 3
-        three = basis_results(wb, cfg, tile, w)
+        three = basis_results(wb, cfg, tile)
     ref = direct_value(wb, cfg)
     ref_rows = dense_weighted_pass(wb, cfg, np.full(wb.n, 0.5))[2]
-    ref_u, ref_t, ref_weighted = dense_weighted_pass(wb, cfg, w)
     rtol = 8.0 * np.finfo(np.float64).eps * cfg.beta * (cfg.alpha**2 + 4.0)
-    for value, rows, (grad_u, grad_t, weighted) in (chosen, three):
+    for value, rows, cotangents in (chosen, three):
         assert abs(value - ref) <= 1e-12 * abs(ref)
         assert np.all(np.abs(rows - ref_rows) <= rtol * ref_rows + 1e-300)
-        assert np.all(np.abs(weighted - ref_weighted) <= rtol * ref_weighted + 1e-300)
-        assert_cotangents_close((grad_u, grad_t), (ref_u, ref_t))
-    assert_cotangents_close(chosen[2][:2], three[2][:2])
+        assert_cotangents_close(cotangents, dense_weighted_pass(wb, cfg, row_weights(rows, cfg))[:2])
+    assert_cotangents_close(chosen[2], three[2])
 
 
 @pytest.mark.parametrize("cfg, bases", [
