@@ -15,7 +15,8 @@ A table remembers which repulsion path (pairwise or spectral) it
 calibrated; scoring through the other path is refused because the two
 have different null means.
 
-Tables serialize to versioned JSON with floats as full-precision decimal
+A table checks its fields when it is built, loaded or replaced.  Tables
+serialize to versioned JSON with floats as full-precision decimal
 strings (shortest round-trip repr), so a save/load cycle reproduces the
 table bit for bit; unknown versions are rejected.
 """
@@ -42,6 +43,8 @@ from .io import _json_real, jsonify
 from .pairwise import (
     KernelConfig,
     LossValueGrad,
+    _is_integer,
+    _is_real,
     _pairwise_value_grad,
     pairwise_value_from_wristband,
 )
@@ -55,14 +58,6 @@ LOSS_PATHS = ("pairwise", "spectral")
 FORMAT_VERSION = 1
 
 _FLOAT_FIELDS = ("mu_rep", "mu_rad", "mu_mom", "sd_rep", "sd_rad", "sd_mom", "sd_numerator")
-
-
-def _json_int(doc: dict, name: str) -> int:
-    """An integer field of a table document; a float or a boolean there is malformed, not truncated."""
-    value = doc[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"calibration table field {name} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -83,6 +78,30 @@ class CalibrationTable:
     seed: int
     loss_path: str
 
+    def __post_init__(self):
+        # Runs on construction, `from_json` and `dataclasses.replace`.  The constants
+        # are stored as Python floats, so `to_json` writes what `from_json` reads back.
+        for name in ("n", "dim", "reps"):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= 2):
+                raise ContractViolation(
+                    f"calibration table {name} must be an integer >= 2, got {value!r}"
+                )
+        if not _is_integer(self.seed):
+            raise ContractViolation(f"calibration table seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.cfg, KernelConfig):
+            raise ContractViolation(f"calibration table cfg must be a KernelConfig, got {self.cfg!r}")
+        if self.loss_path not in LOSS_PATHS:
+            raise ContractViolation(f"loss_path must be one of {LOSS_PATHS}, got {self.loss_path!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value)
+                    and (value > 0.0 or name.startswith("mu_"))):
+                raise ContractViolation(
+                    f"calibration table {name} must be a finite real, and > 0 for an sd, got {value!r}"
+                )
+            object.__setattr__(self, name, float(value))
+
     def to_json(self) -> str:
         """Versioned JSON with floats as full-precision decimal strings."""
         doc = {"format_version": FORMAT_VERSION, **jsonify(asdict(self))}
@@ -101,28 +120,20 @@ class CalibrationTable:
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported calibration table format_version {version!r}")
         try:
-            table = cls(
-                n=_json_int(doc, "n"),
-                dim=_json_int(doc, "dim"),
+            return cls(
+                n=doc["n"],
+                dim=doc["dim"],
                 cfg=KernelConfig.from_dict(doc["cfg"]),
-                reps=_json_int(doc, "reps"),
-                seed=_json_int(doc, "seed"),
+                reps=doc["reps"],
+                seed=doc["seed"],
                 loss_path=doc["loss_path"],
                 **{name: _json_real(doc[name]) for name in _FLOAT_FIELDS},
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        # OverflowError: an integer constant beyond the range of a double.
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(
                 f"calibration table is missing or has malformed fields: {exc}"
             ) from exc
-        if table.loss_path not in LOSS_PATHS:
-            raise FormatError(f"calibration table has unknown loss_path {table.loss_path!r}")
-        if table.reps < 2:
-            raise FormatError(f"calibration table needs reps >= 2, got {table.reps}")
-        for name in _FLOAT_FIELDS:
-            value = getattr(table, name)
-            if not math.isfinite(value) or (name.startswith("sd_") and value <= 0.0):
-                raise FormatError(f"calibration table field {name} is {value!r}")
-        return table
 
 
 def calibrate_null(
@@ -162,21 +173,8 @@ def calibrate_null(
     sd_s = float(numerator.std(ddof=1))
     if sd_s <= 0.0 or not math.isfinite(sd_s):
         raise CalibrationError(f"degenerate numerator std {sd_s}")
-    return CalibrationTable(
-        n=n,
-        dim=dim,
-        cfg=cfg,
-        reps=reps,
-        mu_rep=float(mu[0]),
-        mu_rad=float(mu[1]),
-        mu_mom=float(mu[2]),
-        sd_rep=float(sd[0]),
-        sd_rad=float(sd[1]),
-        sd_mom=float(sd[2]),
-        sd_numerator=sd_s,
-        seed=int(seed),
-        loss_path=loss_path,
-    )
+    return CalibrationTable(n=n, dim=dim, cfg=cfg, reps=reps, seed=int(seed), loss_path=loss_path,
+                            **dict(zip(_FLOAT_FIELDS, (*mu, *sd, sd_s))))
 
 
 def standardized_wristband_loss(batch, table: CalibrationTable) -> LossValueGrad:
@@ -192,15 +190,13 @@ def standardized_wristband_loss(batch, table: CalibrationTable) -> LossValueGrad
 
 
 def _validate_for_table(batch, table: CalibrationTable) -> np.ndarray:
-    """The validated batch, checked against the table's shape and path."""
+    """The validated batch, checked against the table's shape."""
     x = validate_point_batch(batch, min_n=2)
     if x.shape != (table.n, table.dim):
         raise ContractViolation(
             f"batch shape {x.shape} does not match the calibration table "
             f"({table.n}, {table.dim})"
         )
-    if table.loss_path not in LOSS_PATHS:
-        raise ContractViolation(f"table has unknown loss_path {table.loss_path!r}")
     return x
 
 

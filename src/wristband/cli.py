@@ -23,7 +23,13 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .calibration import LOSS_PATHS, CalibrationTable, calibrate_null, standardized_wristband_loss
+from .calibration import (
+    _FLOAT_FIELDS,
+    LOSS_PATHS,
+    CalibrationTable,
+    calibrate_null,
+    standardized_wristband_loss,
+)
 from .errors import WristbandError
 from .evaluation import barycentric_reference, barycentric_z_score
 from .generators import (
@@ -102,13 +108,7 @@ def _cmd_calibrate(args) -> tuple[int, dict, dict]:
     with open(args.out, "w") as fh:
         fh.write(table.to_json())
     metrics = {
-        "mu_rep": table.mu_rep,
-        "mu_rad": table.mu_rad,
-        "mu_mom": table.mu_mom,
-        "sd_rep": table.sd_rep,
-        "sd_rad": table.sd_rad,
-        "sd_mom": table.sd_mom,
-        "sd_numerator": table.sd_numerator,
+        **{name: getattr(table, name) for name in _FLOAT_FIELDS},
         "loss_path": table.loss_path,
         "reduction": cfg.reduction,
     }

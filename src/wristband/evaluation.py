@@ -23,7 +23,7 @@ matching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -63,14 +63,8 @@ class BarycentricReference:
     stream_label: str
 
     def provenance(self) -> dict:
-        return {
-            "num_batches": self.num_batches,
-            "n": self.n,
-            "dim": self.dim,
-            "seed": self.seed,
-            "depth": self.depth,
-            "stream_label": self.stream_label,
-        }
+        """Every field but the batch."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "batch"}
 
 
 def hungarian_assign(cost) -> Assignment:

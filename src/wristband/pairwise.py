@@ -86,12 +86,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .io import _json_real, jsonify
+from .io import _json_real
 from .wristband_map import WristbandBatch, _backward, wristband_forward
 
 __all__ = [
@@ -150,7 +150,7 @@ class KernelConfig:
     modes: int = 6
 
     def __post_init__(self):
-        # Stored as Python floats, so `to_dict` writes what `from_dict` reads back.
+        # Stored as Python floats, so a table's JSON holds what `from_dict` reads back.
         for name in ("beta", "alpha", "eps"):
             v = getattr(self, name)
             if not (_is_real(v) and v > 0.0 and math.isfinite(v)):
@@ -170,9 +170,6 @@ class KernelConfig:
         """Defaults for direct point-cloud optimization runs."""
         cfg = cls(beta=64.0, alpha=0.8, reduction="global")
         return replace(cfg, **overrides) if overrides else cfg
-
-    def to_dict(self) -> dict:
-        return jsonify(asdict(self))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KernelConfig":

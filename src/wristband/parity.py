@@ -26,6 +26,9 @@ __all__ = [
 # repetitions, not a few that one pre-emption of the process can move.
 MIN_CELL_SECONDS = 0.2
 
+# Untimed calls per path and cell before timing starts (first-call costs).
+WARMUP_CALLS = 1
+
 
 @dataclass(frozen=True)
 class FDReport:
@@ -87,15 +90,14 @@ def gradient_cosine(batch, cfg: KernelConfig, modes: int) -> tuple[float, float,
     return pw.value, sp.value, _cosine(pw.grad, sp.grad)
 
 
-def parity_suite(d: int, n: int, modes: int, seeds, cfg: KernelConfig,
-                 kinds=PARITY_KINDS) -> dict:
+def parity_suite(d: int, n: int, modes: int, seeds, cfg: KernelConfig) -> dict:
     """Gradient parity over the structured generators x seeds at one (d, n).
 
     Reports mean/min gradient cosine and the Pearson correlation between
     the two paths' loss values across all evaluated batches.
     """
     rows = []
-    for kind in kinds:
+    for kind in PARITY_KINDS:
         for seed in seeds:
             stream = RngStream(seed, f"parity/{kind}/d{d}/n{n}")
             batch = parity_batch(kind, n, d, stream)
@@ -118,10 +120,10 @@ def parity_suite(d: int, n: int, modes: int, seeds, cfg: KernelConfig,
 
 
 def timing_sweep(dims, batch_sizes, modes: int, repetitions: int, cfg: KernelConfig,
-                 seed: int = 0, warmup: int = 1) -> list[dict]:
+                 seed: int = 0) -> list[dict]:
     """Median forward+backward wall time per (d, N, path) with warm-up.
 
-    One Gaussian batch per cell; `warmup` untimed calls precede the
+    One Gaussian batch per cell; WARMUP_CALLS untimed calls precede the
     timed ones for each path.  A path's cell is timed until it has
     `repetitions` calls and has run for MIN_CELL_SECONDS.
     """
@@ -138,7 +140,7 @@ def timing_sweep(dims, batch_sizes, modes: int, repetitions: int, cfg: KernelCon
                 ("pairwise", lambda b: pairwise_repulsion_loss(b, cfg)),
                 ("spectral", lambda b: spectral_loss(b, sp_cfg)),
             ):
-                for _ in range(warmup):
+                for _ in range(WARMUP_CALLS):
                     fn(batch)
                 start = time.perf_counter()
                 while len(times[name]) < repetitions or time.perf_counter() - start < MIN_CELL_SECONDS:

@@ -1,4 +1,7 @@
+import json
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from wristband.accelerators import (
     radial_w2_loss,
 )
 from wristband.calibration import (
+    _FLOAT_FIELDS,
+    LOSS_PATHS,
     CalibrationTable,
     _standardized_step,
     _step_buffers,
@@ -99,6 +104,91 @@ def test_json_rejects_malformed_tables(small_table, edit):
     text = json.dumps(MALFORMED_TABLE_EDITS[edit](json.loads(small_table.to_json())))
     with pytest.raises(FormatError):
         CalibrationTable.from_json(text)
+
+
+# Each edit breaks one table invariant.  At n = 64.0 the batch shape still
+# matches, an sd of 0 divides by zero and a NaN constant gives a NaN value.
+BROKEN_TABLE_EDITS = {
+    "zero-sd": {"sd_rep": 0.0},
+    "negative-sd": {"sd_numerator": -1.0},
+    "nan-sd": {"sd_numerator": math.nan},
+    "nan-mean": {"mu_rad": math.nan},
+    "inf-sd": {"sd_mom": math.inf},
+    "string-mean": {"mu_rep": "0.5"},
+    "unknown-path": {"loss_path": "fourier"},
+    "float-n": {"n": 64.0},
+    "bool-n": {"n": True},
+    "one-rep": {"reps": 1},
+    "one-dim": {"dim": 1},
+    "bool-seed": {"seed": True},
+    "dict-cfg": {"cfg": {"beta": 8.0}},
+}
+
+
+@pytest.mark.parametrize("edit", BROKEN_TABLE_EDITS)
+def test_table_refuses_broken_invariants(small_table, edit):
+    # `replace` builds a new table through the constructor, as a hand-built table does.
+    x = gaussian_batch(64, 4, RngStream(6, "broken"))
+    with pytest.raises(ContractViolation):
+        standardized_wristband_loss(x, replace(small_table, **BROKEN_TABLE_EDITS[edit]))
+
+
+def test_constants_are_stored_as_python_floats(small_table):
+    table = replace(small_table, mu_rep=np.float32(0.25), sd_rep=2, seed=np.int64(3))
+    assert type(table.mu_rep) is float and type(table.sd_rep) is float
+    assert CalibrationTable.from_json(table.to_json()) == table
+
+
+def assert_table_invariants(table):
+    """The table invariants, restated here rather than read from the constructor."""
+    for name in ("n", "dim", "reps"):
+        assert type(getattr(table, name)) is int and getattr(table, name) >= 2, name
+    assert type(table.seed) is int
+    assert isinstance(table.cfg, KernelConfig)
+    assert table.loss_path in LOSS_PATHS
+    for name in _FLOAT_FIELDS:
+        value = getattr(table, name)
+        assert type(value) is float and math.isfinite(value), name
+        assert value > 0.0 or not name.startswith("sd_"), name
+    assert CalibrationTable.from_json(table.to_json()) == table
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.just(10**400),
+    st.floats(),
+    st.floats().map(repr),
+    st.sampled_from(["", "x", "1e400", "global", "per_point", "pairwise", "spectral"]),
+    st.lists(st.one_of(st.floats(), st.integers(-3, 3), st.text(max_size=2)), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+
+
+def edit_fields(data, doc):
+    """Up to three edits, each removing one top-level or cfg field or setting it
+    to a small integer or another JSON value; returns the edited document."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        fields = [(d, k) for d in (doc, doc.get("cfg")) if isinstance(d, dict) for k in sorted(d)]
+        target, key = data.draw(st.sampled_from(fields))
+        action = data.draw(st.sampled_from(["remove", "small-int", "value"]))
+        if action == "remove":
+            del target[key]
+        else:
+            target[key] = data.draw(st.integers(-2, 3) if action == "small-int" else JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_from_json_returns_a_checked_table_or_a_format_error(small_table, data):
+    doc = edit_fields(data, json.loads(small_table.to_json()))
+    try:
+        table = CalibrationTable.from_json(json.dumps(doc))
+    except FormatError:
+        return
+    assert_table_invariants(table)
 
 
 def test_spectral_path_table():
