@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, _integer
 from .generators import RngStream
 from .pairwise import LossValueGrad
 from .specfun import gaussian_quantile_grid
@@ -68,12 +68,11 @@ def sliced_w2_loss(batch, projections, stream: RngStream | None = None) -> LossV
     """
     x = validate_point_batch(batch, min_n=2)
     n, d = x.shape
-    if isinstance(projections, (int, np.integer)):
-        if projections < 1:
-            raise ContractViolation(f"projection count must be >= 1, got {projections}")
+    if np.ndim(projections) == 0:
+        count = _integer("projection count", projections, 1)
         if stream is None:
             raise ContractViolation("a stream is required when projections is a count")
-        theta = sample_projections(d, int(projections), stream)
+        theta = sample_projections(d, count, stream)
     else:
         theta = np.asarray(projections, dtype=np.float64)
         if theta.ndim != 2 or theta.shape[1] != d or theta.shape[0] < 1:

@@ -37,17 +37,10 @@ from .accelerators import (
     _radial_value_grad_t,
     radial_w2_value_from_wristband,
 )
-from .errors import CalibrationError, ContractViolation, FormatError
+from .errors import CalibrationError, ContractViolation, FormatError, _integer, _real
 from .generators import RngStream, gaussian_batch
 from .io import _json_real, jsonify
-from .pairwise import (
-    KernelConfig,
-    LossValueGrad,
-    _is_integer,
-    _is_real,
-    _pairwise_value_grad,
-    pairwise_value_from_wristband,
-)
+from .pairwise import KernelConfig, LossValueGrad, _pairwise_value_grad, pairwise_value_from_wristband
 from .spectral import _spectral_value_grad, spectral_value_from_wristband
 from .wristband_map import _forward, validate_point_batch, wristband_forward
 
@@ -79,28 +72,19 @@ class CalibrationTable:
     loss_path: str
 
     def __post_init__(self):
-        # Runs on construction, `from_json` and `dataclasses.replace`.  The constants
-        # are stored as Python floats, so `to_json` writes what `from_json` reads back.
-        for name in ("n", "dim", "reps"):
-            value = getattr(self, name)
-            if not (_is_integer(value) and value >= 2):
-                raise ContractViolation(
-                    f"calibration table {name} must be an integer >= 2, got {value!r}"
-                )
-        if not _is_integer(self.seed):
-            raise ContractViolation(f"calibration table seed must be an integer, got {self.seed!r}")
+        # Runs on construction, `from_json` and `dataclasses.replace`.  The fields
+        # are stored as Python numbers, so `to_json` writes what `from_json` reads back.
+        for name, minimum in (("n", 2), ("dim", 2), ("reps", 2), ("seed", None)):
+            value = _integer(f"calibration table {name}", getattr(self, name), minimum)
+            object.__setattr__(self, name, value)
         if not isinstance(self.cfg, KernelConfig):
             raise ContractViolation(f"calibration table cfg must be a KernelConfig, got {self.cfg!r}")
         if self.loss_path not in LOSS_PATHS:
             raise ContractViolation(f"loss_path must be one of {LOSS_PATHS}, got {self.loss_path!r}")
         for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if not (_is_real(value) and math.isfinite(value)
-                    and (value > 0.0 or name.startswith("mu_"))):
-                raise ContractViolation(
-                    f"calibration table {name} must be a finite real, and > 0 for an sd, got {value!r}"
-                )
-            object.__setattr__(self, name, float(value))
+            sd = name.startswith("sd_")
+            value = _real(f"calibration table {name}", getattr(self, name), 0.0 if sd else None, sd)
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> str:
         """Versioned JSON with floats as full-precision decimal strings."""
@@ -129,8 +113,7 @@ class CalibrationTable:
                 loss_path=doc["loss_path"],
                 **{name: _json_real(doc[name]) for name in _FLOAT_FIELDS},
             )
-        # OverflowError: an integer constant beyond the range of a double.
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(
                 f"calibration table is missing or has malformed fields: {exc}"
             ) from exc
@@ -143,12 +126,10 @@ def calibrate_null(
 
     Deterministic: identical (seed, arguments) produce bit-identical
     tables.  Batches are drawn from labeled child streams and reduced in
-    rep-index order.
+    rep-index order.  The counts, and the seed through the root stream,
+    are checked before the first rep.
     """
-    if reps < 2:
-        raise ContractViolation(f"calibration needs reps >= 2, got {reps}")
-    if n < 2:
-        raise ContractViolation(f"calibration needs batches of n >= 2 points, got {n}")
+    n, dim, reps = _integer("n", n, 2), _integer("dim", dim, 1), _integer("reps", reps, 2)
     if loss_path not in LOSS_PATHS:
         raise ContractViolation(f"loss_path must be one of {LOSS_PATHS}, got {loss_path!r}")
     rep_value = {"pairwise": pairwise_value_from_wristband,
@@ -173,7 +154,7 @@ def calibrate_null(
     sd_s = float(numerator.std(ddof=1))
     if sd_s <= 0.0 or not math.isfinite(sd_s):
         raise CalibrationError(f"degenerate numerator std {sd_s}")
-    return CalibrationTable(n=n, dim=dim, cfg=cfg, reps=reps, seed=int(seed), loss_path=loss_path,
+    return CalibrationTable(n=n, dim=dim, cfg=cfg, reps=reps, seed=seed, loss_path=loss_path,
                             **dict(zip(_FLOAT_FIELDS, (*mu, *sd, sd_s))))
 
 

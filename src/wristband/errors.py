@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a caller's numbers.
+
+Every entry point that takes a count, a seed or a real reads it through
+`_integer` or `_real`: a boolean or a value of another type is refused,
+never truncated or parsed, and an accepted value comes back as a Python
+int or float.
+"""
+
+import math
+import numbers
 
 
 class WristbandError(Exception):
@@ -34,3 +43,28 @@ class OptimizationFailure(WristbandError, RuntimeError):
     def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
+
+
+def _integer(name: str, value, minimum: int | None = None, error=ContractViolation) -> int:
+    """`value` as a Python int, if it is an integer (not a boolean) >= `minimum`; else `error`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value, minimum: float | None = None, strict: bool = False,
+          error=ContractViolation) -> float:
+    """`value` as a Python float, if it is a real (not a boolean) that is finite as a float
+    and >= `minimum` (> with `strict`); else `error`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer or fraction beyond the range of a double
+        x = math.inf
+    if not math.isfinite(x) or (minimum is not None and (x < minimum or strict and x == minimum)):
+        bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum}"
+        raise error(f"{name} must be a finite real{bound}, got {value!r}")
+    return x

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ContractViolation
+from .errors import ContractViolation, _integer
 from .generators import RngStream, gaussian_batch
 from .wristband_map import validate_point_batch
 
@@ -142,6 +142,7 @@ def barycentric_reference(n: int, d: int, num_batches: int, stream: RngStream) -
     adjacently, and each pair replaced by the midpoint of its matched
     points.
     """
+    n, d, num_batches = _integer("n", n, 1), _integer("d", d, 1), _integer("num_batches", num_batches)
     if num_batches < 2 or num_batches > 128 or num_batches & (num_batches - 1):
         raise ContractViolation(
             f"num_batches must be a power of two in [2, 128], got {num_batches}"
@@ -182,8 +183,7 @@ def barycentric_z_score(candidate, ref: BarycentricReference, null_batches: int,
         raise ContractViolation(
             f"candidate shape {candidate.shape} does not match reference {ref.batch.shape}"
         )
-    if null_batches < 2:
-        raise ContractViolation(f"need at least 2 null batches, got {null_batches}")
+    null_batches = _integer("null_batches", null_batches, 2)
     w = w2_exact(candidate, ref.batch)
     nulls = np.array(
         [

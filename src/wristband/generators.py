@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accelerators import _centered_moment_summary
-from .errors import ContractViolation, DomainError
+from .errors import ContractViolation, DomainError, _integer
 from .wristband_map import validate_point_batch
 
 __all__ = [
@@ -67,7 +67,8 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        digest = hashlib.sha256(f"{int(self.seed)}:{self.label}".encode()).digest()
+        self.seed = _integer("seed", self.seed)
+        digest = hashlib.sha256(f"{self.seed}:{self.label}".encode()).digest()
         key = int.from_bytes(digest[:16], "little")
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
@@ -109,9 +110,7 @@ class RngStream:
 
 def gaussian_batch(n: int, d: int, stream: RngStream) -> np.ndarray:
     """n i.i.d. standard normal points in R^d."""
-    if n < 1 or d < 1:
-        raise ContractViolation(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    return stream.normal_matrix(n, d)
+    return stream.normal_matrix(_integer("n", n, 1), _integer("d", d, 1))
 
 
 def x_batch(n: int, d: int, stream: RngStream) -> np.ndarray:
@@ -121,8 +120,7 @@ def x_batch(n: int, d: int, stream: RngStream) -> np.ndarray:
     Has identity covariance by construction but is maximally far from
     elliptical symmetry.
     """
-    if n < 1 or d < 2:
-        raise ContractViolation(f"need n >= 1 and d >= 2, got n={n}, d={d}")
+    n, d = _integer("n", n, 1), _integer("d", d, 2)
     axes = stream.indices(n, d)
     half_width = math.sqrt(3.0 * d)
     vals = (2.0 * stream.uniform(n) - 1.0) * half_width
@@ -147,8 +145,7 @@ def rac_batch(n: int, d: int, stream: RngStream) -> np.ndarray:
     exact, and large radii sit on spread (small u_j^4) directions, so
     E[x_j^4] is ~2.38 against 3 at d=10 (measured from 2e5 points).
     """
-    if n < 1 or d < 2:
-        raise ContractViolation(f"need n >= 1 and d >= 2, got n={n}, d={d}")
+    n, d = _integer("n", n, 1), _integer("d", d, 2)
     raw = stream.normal_matrix(n, d)
     norms = np.sqrt(np.einsum("ij,ij->i", raw, raw))
     u = raw / norms[:, None]
@@ -207,8 +204,8 @@ def parity_batch(kind: str, n: int, d: int, stream: RngStream) -> np.ndarray:
     fixed internal seed and shared across calls, so the distribution
     shapes do not depend on the caller's seed.
     """
-    if n < 2 * d:
-        raise ContractViolation(f"parity batches need n >= 2d for whitening, got n={n}, d={d}")
+    d = _integer("d", d, 1)
+    n = _integer("n", n, 2 * d)  # whitening needs n >= 2d
     if kind == "mixture5":
         means = _mixture5_means(d)
         comp = stream.indices(n, means.shape[0])

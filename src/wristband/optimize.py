@@ -19,9 +19,9 @@ from .calibration import (
     _step_buffers,
     _validate_for_table,
 )
-from .errors import ContractViolation, OptimizationFailure
+from .errors import ContractViolation, OptimizationFailure, _integer, _real
 from .generators import RngStream
-from .pairwise import KernelConfig, LossValueGrad, _is_integer, _is_real
+from .pairwise import KernelConfig, LossValueGrad
 from .wristband_map import validate_point_batch
 
 __all__ = ["LOSS_KINDS", "SCHEDULES", "AdamState", "OptimizeConfig", "adam_step",
@@ -66,21 +66,12 @@ class OptimizeConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ContractViolation(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        for name in ("steps", "seed", "log_stride", "sliced_projections"):
-            if not _is_integer(getattr(self, name)):
-                raise ContractViolation(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.steps < 1:
-            raise ContractViolation(f"steps must be >= 1, got {self.steps}")
-        if not (_is_real(self.lr) and self.lr > 0.0 and math.isfinite(self.lr)):
-            raise ContractViolation(f"lr must be a positive real, got {self.lr!r}")
+        for name, minimum in (("steps", 1), ("seed", None), ("log_stride", 1),
+                              ("sliced_projections", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
+        object.__setattr__(self, "lr", _real("lr", self.lr, 0.0, True))
         if self.schedule not in SCHEDULES:
             raise ContractViolation(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
-        if self.log_stride < 1:
-            raise ContractViolation(f"log_stride must be >= 1, got {self.log_stride}")
-        if self.sliced_projections < 1:
-            raise ContractViolation(
-                f"sliced_projections must be >= 1, got {self.sliced_projections}"
-            )
 
 
 def adam_step(params, grads, state: AdamState, lr: float):

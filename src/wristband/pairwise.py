@@ -60,7 +60,8 @@ symmetric).  A pass may ask for two things more: the mirrored column
 sums of an off-diagonal block, which make the row sums true row sums
 (per-point values, row weights, the gradient), and one product per
 base and side against source columns (the gradient).  The global value
-reads the total and takes neither.  Both passes read their value
+reads the total and takes neither; a pass that reads no sums takes no
+row-sum products either.  Both passes read their value
 through one `_reduce` of the same row-sum vectors, added in the same
 order, so they agree on it to the bit.  Tile traversal order is fixed,
 so results are deterministic for a given tile size; the tile size (an
@@ -74,7 +75,7 @@ so one unit-weight pass yields the total and a gradient rescaled once
 at the end.  Under per-point reduction w_i depends on row i's sum, so
 the row sums take a pass of their own first; the weighted pass then
 carries w in its source columns, reuses the first pass's row sums
-instead of taking column sums, and combines w_i (K s)_i + (K (w s))_i
+instead of taking sums of its own, and combines w_i (K s)_i + (K (w s))_i
 once after the walk, never forming a block-sized weight matrix.  Both
 reductions build one basis, and `_cotangents` is the one place that
 composes value, weights and cotangents.  The gradient pass ends on the
@@ -85,12 +86,11 @@ batch: it pulls those (u, t) cotangents back through the map's adjoint
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError
+from .errors import DomainError, _integer, _real
 from .io import _json_real
 from .wristband_map import WristbandBatch, _backward, wristband_forward
 
@@ -122,16 +122,6 @@ REDUCTIONS = ("global", "per_point")
 _TWO_BASE_LIMIT = -math.log(np.finfo(np.float64).tiny)
 
 
-def _is_real(value) -> bool:
-    """A real number that is not a boolean."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    """An integer that is not a boolean."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class KernelConfig:
     """Kernel bandwidths, weights, and reduction mode for the wristband losses.
@@ -150,20 +140,16 @@ class KernelConfig:
     modes: int = 6
 
     def __post_init__(self):
-        # Stored as Python floats, so a table's JSON holds what `from_dict` reads back.
+        # Stored as Python numbers, so a table's JSON holds what `from_dict` reads back.
         for name in ("beta", "alpha", "eps"):
-            v = getattr(self, name)
-            if not (_is_real(v) and v > 0.0 and math.isfinite(v)):
-                raise DomainError(f"{name} must be positive and finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, True, DomainError))
         if self.reduction not in REDUCTIONS:
             raise DomainError(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
-        if len(self.weights) != 3 or not all(_is_real(w) and w >= 0.0 and math.isfinite(w)
-                                             for w in self.weights):
+        if not isinstance(self.weights, (tuple, list)) or len(self.weights) != 3:
             raise DomainError(f"weights must be three nonnegative reals, got {self.weights!r}")
-        if not _is_integer(self.modes) or self.modes < 1:
-            raise DomainError(f"modes must be an integer >= 1, got {self.modes!r}")
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights",
+                           tuple(_real("weights", w, 0.0, False, DomainError) for w in self.weights))
+        object.__setattr__(self, "modes", _integer("modes", self.modes, 1, DomainError))
 
     @classmethod
     def direct_benchmark(cls, **overrides) -> "KernelConfig":
@@ -220,8 +206,7 @@ def radial_neumann_kernel(t, t2, beta: float, images: int = 10):
     moderate beta a handful of images already reproduces the infinite
     reflection to machine precision.
     """
-    if images < 1:
-        raise DomainError(f"images must be >= 1, got {images}")
+    images = _integer("images", images, 1, DomainError)
     t = np.asarray(t, dtype=np.float64)
     t2 = np.asarray(t2, dtype=np.float64)
     total = np.zeros(np.broadcast(t, t2).shape)
@@ -268,8 +253,7 @@ def _tile_major(a: np.ndarray, tile: int) -> np.ndarray:
 
 def _basis(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> _Basis:
     """The two-base (real, mirror at 1/2) or three-image basis of a batch, for tiles of `tile`."""
-    if not _is_integer(tile) or tile < 1:
-        raise ContractViolation(f"tile must be an integer >= 1, got {tile!r}")
+    tile = _integer("tile", tile, 1)
     (n, d), t, beta = wb.u.shape, wb.t, cfg.beta
     au = cfg.alpha * wb.u
     au2 = np.einsum("ij,ij->i", au, au)
@@ -288,9 +272,9 @@ def _basis(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> _Basis:
     a[:, :, d + 1] = 1.0
     a[:, :, d + 2] = -beta * (au2 + zt * zt + c[:, None])
     np.multiply(scale, base_of == np.arange(len(terms))[:, None, None], out=a[:, :, d + 3:])
-    a = _tile_major(a, int(tile))
+    a = _tile_major(a, tile)
     return _Basis(
-        tile=int(tile),
+        tile=tile,
         terms=terms,
         base_of=base_of,
         rows=np.column_stack([2.0 * beta * au, 2.0 * beta * t, -beta * (au2 + t * t), np.ones(n)]),
@@ -331,30 +315,33 @@ def _rows(sums: np.ndarray, basis: _Basis) -> np.ndarray:
     return np.einsum("ij,ij->i", sums, basis.scale) + (basis.self_images[0] + basis.self_images[1])
 
 
-def _sweep(basis: _Basis, src: tuple | list = (), mirror: bool = True):
+def _sweep(basis: _Basis, src: tuple | list = (), read: str | None = "rows"):
     """The one walk over the kernel blocks: (sums, total, acc), unscaled per-term N x 3 sums.
 
-    Per block, the row sums are one product with the block's `sum_w`
-    slice, the only such call, so every pass adds the same vectors in
-    the same order.  They go to `sums`, and to `total` with an
-    off-diagonal block counted twice (in place, exact): total's sum is
-    the kernel total, though its row i is not row i's sum.  With
-    `mirror`, an off-diagonal block's column sums go to `sums` too, one
-    product of the rows' factors with the block, of which each term
-    keeps its own base's columns; `sums` then holds true row sums.  For
-    each base b with a source array src[b], acc[b] receives the base's
-    block times src[b], one product per side of the pair.
+    `read` names the sums the caller reads: "total", "rows" (the true
+    row sums and the total) or None, which leaves both zero.  Per
+    block, the row sums are one product with the block's `sum_w` slice,
+    the only such call, so every pass adds the same vectors in the same
+    order.  They go to `sums`, and to `total` with an off-diagonal block
+    counted twice (in place, exact): total's sum is the kernel total,
+    though its row i is not row i's sum.  For "rows", an off-diagonal
+    block's column sums go to `sums` too, one product of the rows'
+    factors with the block, of which each term keeps its own base's
+    columns; `sums` then holds true row sums.  For each base b with a
+    source array src[b], acc[b] receives the base's block times src[b],
+    one product per side of the pair.
     """
     n, nb = basis.rows.shape[0], basis.bases
     sums, total = np.zeros((n, 3)), np.zeros((n, 3))
     acc = [np.zeros_like(s) for s in src]
     for lo, hi, clo, chi, e in _kernel_blocks(basis):
-        r = e @ basis.sum_w[nb * clo:nb * chi]
-        sums[lo:hi] += r
-        if clo != lo:
-            r *= 2.0
-        total[lo:hi] += r
-        if mirror and clo != lo:
+        if read is not None:
+            r = e @ basis.sum_w[nb * clo:nb * chi]
+            sums[lo:hi] += r
+            if clo != lo:
+                r *= 2.0
+            total[lo:hi] += r
+        if read == "rows" and clo != lo:
             c = basis.scale[lo:hi].T @ e
             sums[clo:chi] += c.reshape(3, nb, -1)[np.arange(3), basis.base_of].T
         nj = chi - clo
@@ -389,7 +376,8 @@ def pairwise_value_from_wristband(wb: WristbandBatch, cfg: KernelConfig,
     Global reduction reads the kernel total alone, so its sweep takes no column sums.
     """
     basis = _basis(wb, cfg, tile)
-    return _reduce(basis, cfg, *_sweep(basis, mirror=cfg.reduction == "per_point")[:2])[0]
+    read = "rows" if cfg.reduction == "per_point" else "total"
+    return _reduce(basis, cfg, *_sweep(basis, read=read)[:2])[0]
 
 
 def _cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int):
@@ -417,7 +405,7 @@ def _cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int):
     true row sums and the products, and both cotangents are rescaled by
     2w once at the end.  Per-point reduction: the row-sum sweep gives the
     value and w; the weighted sweep's sources gain the w-weighted factors
-    and sources, [s, w factors, w s], and it takes no column sums, since
+    and sources, [s, w factors, w s], and it takes no sums, since
     after it w_i (K s)_i + (K (w s))_i gives the gradient products and
     w_i r_i + (K (w factors))_i the weighted sums from the first sweep's r.
     """
@@ -434,7 +422,7 @@ def _cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int):
     if per_point:
         src = [np.hstack([s, w[:, None] * basis.scale[:, ts], w[:, None] * s])
                for s, ts in zip(src, basis.terms)]
-        grads = _sweep(basis, src, mirror=False)[2]
+        grads = _sweep(basis, src, read=None)[2]
         pair_w = 2.0 * w
         for b, ts in enumerate(basis.terms):
             a, k = grads[b], (ts.stop - ts.start) * (d + 1)
@@ -457,19 +445,15 @@ def _cotangents(wb: WristbandBatch, cfg: KernelConfig, tile: int):
 
 
 def _pairwise_value_grad(x: np.ndarray, wb: WristbandBatch, cfg: KernelConfig, scale: float,
-                         grad_t: np.ndarray, row: np.ndarray, out: np.ndarray) -> float:
-    """`_value_grad` at DEFAULT_TILE: the signature of `spectral._spectral_value_grad`."""
-    return _value_grad(x, wb, cfg, scale, grad_t, row, out, DEFAULT_TILE)
-
-
-def _value_grad(x: np.ndarray, wb: WristbandBatch, cfg: KernelConfig, scale: float,
-                grad_t: np.ndarray, row: np.ndarray, out: np.ndarray, tile: int) -> float:
+                         grad_t: np.ndarray, row: np.ndarray, out: np.ndarray,
+                         tile: int = DEFAULT_TILE) -> float:
     """Loss value; writes `scale` times its gradient w.r.t. the points x to `out`.
 
-    The contract of `spectral._spectral_value_grad`: x is the validated
-    batch that wb maps; the pullback of the extra t-cotangent `grad_t`
-    (N,) and the d-vector `row` are added; out is C-contiguous (N, d),
-    does not overlap x, and may be wb.u, which is overwritten once read.
+    The contract of `spectral._spectral_value_grad`, plus the tile size:
+    x is the validated batch that wb maps; the pullback of the extra
+    t-cotangent `grad_t` (N,) and the d-vector `row` are added; out is
+    C-contiguous (N, d), does not overlap x, and may be wb.u, which is
+    overwritten once read.
     The map adjoint `_backward` pulls the scaled `_cotangents` back into out.
     """
     value, g_u, g_t = _cotangents(wb, cfg, tile)
@@ -493,5 +477,5 @@ def pairwise_repulsion_loss(batch, cfg: KernelConfig, tile: int = DEFAULT_TILE) 
     x = np.asarray(batch, dtype=np.float64)  # validated by wristband_forward
     n, d = x.shape
     # The gradient overwrites the directions, which only this call holds.
-    value = _value_grad(x, wb, cfg, 1.0, np.zeros(n), np.zeros(d), wb.u, tile)
+    value = _pairwise_value_grad(x, wb, cfg, 1.0, np.zeros(n), np.zeros(d), wb.u, tile)
     return LossValueGrad(value=value, grad=wb.u)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, _integer
 from .generators import PARITY_KINDS, RngStream, parity_batch
 from .pairwise import KernelConfig, pairwise_repulsion_loss
 from .spectral import spectral_loss
@@ -127,8 +127,7 @@ def timing_sweep(dims, batch_sizes, modes: int, repetitions: int, cfg: KernelCon
     timed ones for each path.  A path's cell is timed until it has
     `repetitions` calls and has run for MIN_CELL_SECONDS.
     """
-    if repetitions < 1:
-        raise ContractViolation(f"repetitions must be >= 1, got {repetitions}")
+    repetitions = _integer("repetitions", repetitions, 1)
     results = []
     for d in dims:
         sp_cfg = replace(cfg, modes=modes)

@@ -24,7 +24,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _real
 
 __all__ = [
     "log_gamma",
@@ -37,24 +37,14 @@ __all__ = [
 ]
 
 
-def _require_finite(name: str, x: float) -> float:
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
-
-
 def log_gamma(a: float) -> float:
     """Natural log of the Gamma function for a > 0."""
-    a = _require_finite("a", a)
-    if a <= 0.0:
-        raise DomainError(f"log_gamma requires a > 0, got {a}")
-    return float(special.gammaln(a))
+    return float(special.gammaln(_real("a", a, 0.0, True, DomainError)))
 
 
 def chi2_cdf(d: int, s: float) -> float:
     """CDF of the chi-squared distribution with d degrees of freedom."""
-    return float(chi2_cdf_array(d, s))
+    return float(chi2_cdf_array(d, _real("s", s, error=DomainError)))
 
 
 def chi2_pdf(d: int, s: float) -> float:
@@ -63,7 +53,7 @@ def chi2_pdf(d: int, s: float) -> float:
     Defined for s > 0 only; callers working near the origin must floor s
     first (the d = 1 density diverges at 0).
     """
-    return float(chi2_pdf_array(d, s))
+    return float(chi2_pdf_array(d, _real("s", s, error=DomainError)))
 
 
 def scaled_bessel_i(nu: float, c: float) -> float:
@@ -72,19 +62,13 @@ def scaled_bessel_i(nu: float, c: float) -> float:
     The scaling keeps the result representable where the unscaled
     function overflows (I_nu(c) grows like e^c / sqrt(2 pi c)).
     """
-    nu = _require_finite("nu", nu)
-    c = _require_finite("c", c)
-    if nu < 0.0:
-        raise DomainError(f"scaled_bessel_i requires nu >= 0, got {nu}")
-    if c < 0.0:
-        raise DomainError(f"scaled_bessel_i requires c >= 0, got {c}")
+    nu, c = _real("nu", nu, 0.0, False, DomainError), _real("c", c, 0.0, False, DomainError)
     return float(special.ive(nu, c))
 
 
 def chi2_cdf_array(d: int, s: np.ndarray) -> np.ndarray:
     """chi2_cdf over an array of finite nonnegative arguments."""
-    if d < 1:
-        raise DomainError(f"chi2_cdf requires d >= 1, got {d}")
+    d = _integer("d", d, 1, DomainError)
     s = np.asarray(s, dtype=np.float64)
     if not np.all(np.isfinite(s)) or np.any(s < 0.0):
         raise DomainError("chi2_cdf requires finite s >= 0")
@@ -93,8 +77,7 @@ def chi2_cdf_array(d: int, s: np.ndarray) -> np.ndarray:
 
 def chi2_pdf_array(d: int, s: np.ndarray) -> np.ndarray:
     """chi2_pdf over an array of finite positive arguments."""
-    if d < 1:
-        raise DomainError(f"chi2_pdf requires d >= 1, got {d}")
+    d = _integer("d", d, 1, DomainError)
     s = np.asarray(s, dtype=np.float64)
     if not np.all(np.isfinite(s)) or np.any(s <= 0.0):
         raise DomainError("chi2_pdf requires finite s > 0")
@@ -107,12 +90,14 @@ def chi2_pdf_array(d: int, s: np.ndarray) -> np.ndarray:
     )
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def gaussian_quantile_grid(n: int) -> np.ndarray:
     """Standard normal quantiles at the midpoints (i - 1/2)/n.
 
-    Cached per n, so the returned array is read-only.
+    Cached per n and its type (so True misses 1's entry and is refused),
+    and the returned array is read-only.
     """
+    n = _integer("n", n, 1, DomainError)
     grid = special.ndtri((np.arange(n) + 0.5) / n)
     grid.flags.writeable = False
     return grid

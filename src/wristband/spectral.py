@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .errors import DomainError, UnsupportedDimension
+from .errors import DomainError, UnsupportedDimension, _integer, _real
 from .pairwise import KernelConfig, LossValueGrad
 from .specfun import chi2_pdf_array, log_gamma, scaled_bessel_i
 from .wristband_map import WristbandBatch, wristband_forward
@@ -95,10 +95,7 @@ def radial_cosine_coeffs(beta: float, modes: int) -> np.ndarray:
     for k >= 1, in the unnormalized basis cos(k pi t).  The factor 2 is
     the conversion from the orthonormal basis sqrt(2) cos(k pi t).
     """
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if modes < 1:
-        raise DomainError(f"modes must be >= 1, got {modes}")
+    beta, modes = _real("beta", beta, 0.0, True, DomainError), _integer("modes", modes, 1, DomainError)
     k = np.arange(modes, dtype=np.float64)
     a = 2.0 * math.sqrt(math.pi / beta) * np.exp(-(math.pi**2) * k * k / (4.0 * beta))
     a[0] = math.sqrt(math.pi / beta)
@@ -124,8 +121,7 @@ def _summarize(wb: WristbandBatch, modes: int):
     a summary costs 2N transcendental calls instead of 2KN; the rounding
     error grows about linearly in k (below 1e-13 absolute at K = 64).
     """
-    if modes < 1:
-        raise DomainError(f"modes must be >= 1, got {modes}")
+    modes = _integer("modes", modes, 1, DomainError)
     n, d = wb.u.shape
     cosmat = np.empty((modes, n))
     sinmat = np.empty((modes, n))

@@ -121,6 +121,8 @@ BROKEN_TABLE_EDITS = {
     "one-rep": {"reps": 1},
     "one-dim": {"dim": 1},
     "bool-seed": {"seed": True},
+    "float-seed": {"seed": 1.5},
+    "huge-mean": {"mu_rep": 10**400},
     "dict-cfg": {"cfg": {"beta": 8.0}},
 }
 

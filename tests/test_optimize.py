@@ -163,6 +163,7 @@ class TestSettingsContract:
     @pytest.mark.parametrize("field, value", [
         ("steps", 2.5), ("steps", True), ("seed", 1.5), ("seed", False), ("log_stride", 2.5),
         ("sliced_projections", 4.0), ("lr", "0.05"), ("lr", True), ("lr", None),
+        ("lr", 10**400), ("steps", "8"), ("seed", None),
     ])
     def test_settings_refuse_other_types(self, field, value):
         # A float count was truncated or failed mid-run (steps=2.5), a

@@ -126,7 +126,7 @@ class TestConfig:
             KernelConfig(reduction="rowwise")
         with pytest.raises(DomainError):
             KernelConfig(weights=(1.0, -0.1, 1.0))
-        for modes in (0, 2.5, 6.0, True, "6"):
+        for modes in (0, 2.5, 6.0, True, "6", None):
             with pytest.raises(DomainError, match="modes"):
                 KernelConfig(modes=modes)
         assert KernelConfig(modes=np.int64(3)).modes == 3
@@ -134,7 +134,8 @@ class TestConfig:
         for field, value in (("beta", True), ("alpha", False), ("eps", True), ("beta", np.True_),
                              ("beta", "8.0"), ("alpha", "0.5"), ("eps", None),
                              ("weights", (1.0, True, 1.0)), ("weights", (1.0, 0.1, "1.0")),
-                             ("weights", (None, 0.1, 1.0))):
+                             ("weights", (None, 0.1, 1.0)), ("beta", 10**400),
+                             ("weights", (1.0, 0.1, 10**400)), ("weights", None)):
             with pytest.raises(DomainError, match=field):
                 KernelConfig(**{field: value})
 
@@ -322,18 +323,18 @@ class TestRepulsionLoss:
         _, grad_u, grad_t = _cotangents(wb, cfg, 16)
         assert grad_u.base is None and grad_t.base is None
 
-    @pytest.mark.parametrize("reduction, mirrors", [("global", [True]), ("per_point", [True, False])],
+    @pytest.mark.parametrize("reduction, reads", [("global", ["rows"]), ("per_point", ["rows", None])],
                              ids=["global", "per_point"])
-    def test_cotangents_build_one_basis(self, reduction, mirrors):
+    def test_cotangents_build_one_basis(self, reduction, reads):
         # Per-point reduction sweeps twice on one basis: the row sums, then
-        # the weighted products, which reuse those sums and take no column sums.
+        # the weighted products, which reuse those sums and take none of their own.
         wb = wristband_forward(np.random.default_rng(13).normal(size=(40, 5)))
         cfg = KernelConfig(beta=8.0, alpha=1.0, reduction=reduction)
         with mock.patch.object(pairwise, "_basis", wraps=pairwise._basis) as basis, \
                 mock.patch.object(pairwise, "_sweep", wraps=pairwise._sweep) as sweep:
             _cotangents(wb, cfg, 16)
         assert basis.call_count == 1
-        assert [c.kwargs.get("mirror", True) for c in sweep.call_args_list] == mirrors
+        assert [c.kwargs.get("read", "rows") for c in sweep.call_args_list] == reads
 
 
 class TestFusedGlobalPass:
@@ -379,7 +380,11 @@ class TestValueGradPass:
     """The pairwise gradient pass writes on the batch, under the spectral pass's contract."""
 
     def test_signature_is_the_spectral_pass(self):
-        assert inspect.signature(_pairwise_value_grad) == inspect.signature(_spectral_value_grad)
+        # The spectral pass's parameters, then the tile size with its default.
+        sig = inspect.signature(_pairwise_value_grad)
+        *params, tile = sig.parameters.values()
+        assert tile.name == "tile" and tile.default == DEFAULT_TILE
+        assert sig.replace(parameters=params) == inspect.signature(_spectral_value_grad)
 
     @pytest.mark.parametrize("reduction", ["global", "per_point"])
     @pytest.mark.parametrize("beta, bases", [(8.0, 2), (200.0, 3)])
