@@ -75,7 +75,11 @@ class OptimizeConfig:
 
 
 def adam_step(params, grads, state: AdamState, lr: float):
-    """One bias-corrected Adam update; returns (new_params, new_state)."""
+    """One bias-corrected Adam update; returns (new_params, new_state).
+
+    lr is read as `OptimizeConfig.lr` is: a finite real > 0.
+    """
+    lr = _real("lr", lr, 0.0, True)
     params = np.array(params, dtype=np.float64, order="C")
     grads = np.asarray(grads, dtype=np.float64)
     if not (params.shape == grads.shape == state.m.shape == state.v.shape):

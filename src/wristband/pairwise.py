@@ -39,12 +39,15 @@ configuration picks the basis; there is no option.
 One matrix product of rows [2 beta y, -beta |y|^2, 1] with columns
 [z, 1, -beta (|z|^2 + c)] (z a base point, c = 1 for the mirror at 1/2
 and 0 otherwise) gives a block's exponent over all its bases, and one
-exp its kernel.  The gradient takes one narrow product per base and
-side on that block.  The self-interactions do not come from the
-product: every base's diagonal is set to -inf before the exp, so the
-real one is excluded exactly instead of subtracted from a rounded sum,
-and the reflected ones, exp(-4 beta t^2) + exp(-4 beta (1 - t)^2), are
-added with their cotangents in closed form.
+exp its kernel.  The columns are stored row-major, one (d + 3) x
+bases N array, so the product reads a block's columns as a slice of
+that array, not as a transposed view, which BLAS multiplies faster.
+The gradient takes one narrow product per base and side on that
+block.  The self-interactions do not come from the product: every
+base's diagonal is set to -inf before the exp, so the real one is
+excluded exactly instead of subtracted from a rounded sum, and the
+reflected ones, exp(-4 beta t^2) + exp(-4 beta (1 - t)^2), are added
+with their cotangents in closed form.
 
 Every pass is one walk, `_sweep`, over tile pairs (I, J >= I), row
 tile outer and column tile inner from the diagonal.  A block is the
@@ -54,10 +57,10 @@ N is, so it stays in cache through the exp, the sums and the products.
 A diagonal pair holds the within-tile square; an off-diagonal pair is
 evaluated once, so every off-diagonal pair of points is evaluated
 exactly once.  Per block the walk takes the unscaled per-term row sums
-in one narrow product and adds them to the row sums and, an
-off-diagonal block twice, to the kernel total (the kernel is
-symmetric).  A pass may ask for two things more: the mirrored column
-sums of an off-diagonal block, which make the row sums true row sums
+in one narrow product and adds them to the kernel total, an
+off-diagonal block twice (the kernel is symmetric).  A pass may ask
+for two things more: the row sums themselves with the mirrored column
+sums of an off-diagonal block, which make them true row sums
 (per-point values, row weights, the gradient), and one product per
 base and side against source columns (the gradient).  The global value
 reads the total and takes neither; a pass that reads no sums takes no
@@ -222,18 +225,19 @@ class _Basis:
 
     Term c (the real point, its image at 0, its image at 1) is
     scale[i, c] B_b(i, j) scale[j, c] with b = base_of[c], B_b the kernel
-    against base b.  `cols` and `sum_w` are tile-major: the rows of tile
-    J are its points in base 0, then in base 1, and so on, so a block's
-    columns are one contiguous slice.  Row (b, j) of `sum_w` holds
-    scale[j, c] in the columns c of base b's terms and 0 elsewhere, so a
-    block times its `sum_w` slice gives the unscaled per-term row sums.
+    against base b.  The columns of `cols` and the rows of `sum_w` are
+    tile-major: tile J's are its points in base 0, then in base 1, and
+    so on, so a block's are one slice of each.  Row (b, j) of `sum_w`
+    holds scale[j, c] in the columns c of base b's terms and 0
+    elsewhere, so a block times its `sum_w` slice gives the unscaled
+    per-term row sums.
     """
 
     tile: int
     terms: tuple[slice, ...]  # the terms of each base, a contiguous range
     base_of: np.ndarray  # (3,) base of each term
     rows: np.ndarray  # N x (d + 3): [2 beta y, -beta |y|^2, 1]
-    cols: np.ndarray  # bases * N x (d + 3): [z, 1, -beta (|z|^2 + c)]
+    cols: np.ndarray  # (d + 3) x bases * N, C-contiguous: columns [z, 1, -beta (|z|^2 + c)]
     sum_w: np.ndarray  # bases * N x 3
     scale: np.ndarray  # N x 3
     self_images: np.ndarray  # 2 x N: exp(-4 beta t^2), exp(-4 beta (1 - t)^2)
@@ -243,12 +247,12 @@ class _Basis:
         return len(self.terms)
 
 
-def _tile_major(a: np.ndarray, tile: int) -> np.ndarray:
-    """Stack a (bases, N, k) array tile by tile: each tile's points in base 0, then base 1, ..."""
-    nb, n, k = a.shape
+def _tile_order(bases: int, n: int, tile: int) -> np.ndarray:
+    """Base-major (base, point) indices stacked tile by tile: each tile's points in base 0, then 1, ..."""
+    idx = np.arange(bases * n).reshape(bases, n)
     full = n - n % tile
-    head = a[:, :full].reshape(nb, -1, tile, k).swapaxes(0, 1).reshape(-1, k)
-    return np.concatenate([head, a[:, full:].reshape(-1, k)])
+    head = idx[:, :full].reshape(bases, -1, tile).swapaxes(0, 1).reshape(-1)
+    return np.concatenate([head, idx[:, full:].reshape(-1)])
 
 
 def _basis(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> _Basis:
@@ -264,22 +268,25 @@ def _basis(wb: WristbandBatch, cfg: KernelConfig, tile: int) -> _Basis:
     else:
         terms, zt, c = (slice(0, 1), slice(1, 2), slice(2, 3)), np.stack([t, -t, 2.0 - t]), np.zeros(3)
         scale = np.ones((n, 3))
+    nb = len(terms)
     base_of = np.concatenate([np.full(ts.stop - ts.start, b) for b, ts in enumerate(terms)])
     # Per base and point: the column [z, 1, -beta (|z|^2 + c)] and the sum weights.
-    a = np.empty((len(terms), n, d + 6))
-    a[:, :, :d] = au
-    a[:, :, d] = zt
-    a[:, :, d + 1] = 1.0
-    a[:, :, d + 2] = -beta * (au2 + zt * zt + c[:, None])
-    np.multiply(scale, base_of == np.arange(len(terms))[:, None, None], out=a[:, :, d + 3:])
-    a = _tile_major(a, tile)
+    cols = np.empty((d + 3, nb, n))
+    cols[:d] = au.T[:, None]
+    cols[d] = zt
+    cols[d + 1] = 1.0
+    cols[d + 2] = -beta * (au2 + zt * zt + c[:, None])
+    sum_w = np.zeros((nb, n, 3))
+    for b, ts in enumerate(terms):
+        sum_w[b, :, ts] = scale[:, ts]
+    order = _tile_order(nb, n, tile)
     return _Basis(
         tile=tile,
         terms=terms,
         base_of=base_of,
         rows=np.column_stack([2.0 * beta * au, 2.0 * beta * t, -beta * (au2 + t * t), np.ones(n)]),
-        cols=a[:, :d + 3],
-        sum_w=a[:, d + 3:],
+        cols=np.take(cols.reshape(d + 3, -1), order, axis=1),
+        sum_w=np.take(sum_w.reshape(-1, 3), order, axis=0),
         scale=scale,
         self_images=np.exp(-4.0 * beta * np.stack([t, 1.0 - t]) ** 2),
     )
@@ -290,22 +297,27 @@ def _kernel_blocks(basis: _Basis):
 
     Rows are i in lo:hi, columns the bases of the points j in clo:chi,
     for tile pairs clo >= lo: row tile outer, column tile inner from the
-    diagonal.  A diagonal pair (clo == lo) is the within-tile square with
-    every base's self-interaction set to 0; an off-diagonal pair is
-    evaluated once and mirrored by `_sweep`.  The blocks share one
-    tile x bases tile buffer, so each is valid only until the next is yielded.
+    diagonal.  The exponent is one product of the rows with a column
+    slice of the row-major `cols`.  A diagonal pair (clo == lo) is the
+    within-tile square with every base's self-interaction set to 0, its
+    exponent set to -inf through flat indices built once per tile length
+    (the full tile and the last one); an off-diagonal pair is evaluated
+    once and mirrored by `_sweep`.  The blocks share one tile x bases
+    tile buffer, so each is valid only until the next is yielded.
     """
     n, nb, tile = basis.rows.shape[0], basis.bases, basis.tile
     buf = np.empty(nb * min(tile, n) ** 2)
+    # Flat indices of e[k, b m + k] in an m x nb m diagonal block, for the full and the last tile.
+    diagonal = {m: (np.arange(m)[:, None] * (nb * m + 1) + m * np.arange(nb)).ravel()
+                for m in {min(tile, n), (n - 1) % tile + 1}}
     for lo in range(0, n, tile):
         hi = min(lo + tile, n)
         for clo in range(lo, n, tile):
             chi = min(clo + tile, n)
             e = buf[:(hi - lo) * nb * (chi - clo)].reshape(hi - lo, -1)
-            np.matmul(basis.rows[lo:hi], basis.cols[nb * clo:nb * chi].T, out=e)
+            np.matmul(basis.rows[lo:hi], basis.cols[:, nb * clo:nb * chi], out=e)
             if clo == lo:
-                k = np.arange(hi - lo)
-                e.reshape(hi - lo, nb, -1)[k, :, k] = -np.inf
+                np.put(e, diagonal[hi - lo], -np.inf)
             np.exp(e, out=e)
             yield lo, hi, clo, chi, e
 
@@ -318,32 +330,35 @@ def _rows(sums: np.ndarray, basis: _Basis) -> np.ndarray:
 def _sweep(basis: _Basis, src: tuple | list = (), read: str | None = "rows"):
     """The one walk over the kernel blocks: (sums, total, acc), unscaled per-term N x 3 sums.
 
-    `read` names the sums the caller reads: "total", "rows" (the true
-    row sums and the total) or None, which leaves both zero.  Per
-    block, the row sums are one product with the block's `sum_w` slice,
-    the only such call, so every pass adds the same vectors in the same
-    order.  They go to `sums`, and to `total` with an off-diagonal block
-    counted twice (in place, exact): total's sum is the kernel total,
-    though its row i is not row i's sum.  For "rows", an off-diagonal
-    block's column sums go to `sums` too, one product of the rows'
-    factors with the block, of which each term keeps its own base's
-    columns; `sums` then holds true row sums.  For each base b with a
+    `read` names the sums the caller reads: "total" (`sums` stays zero),
+    "rows" (the true row sums and the total) or None, which leaves both
+    zero.  Per block, the row sums are one product with the block's
+    `sum_w` slice, the only such call, so every pass adds the same
+    vectors in the same order.  They go to `total` with an off-diagonal
+    block counted twice (in place, exact): total's sum is the kernel
+    total, though its row i is not row i's sum.  For "rows" they go to
+    `sums` too, with an off-diagonal block's column sums: one product
+    of the rows' factors with the block, of which each term keeps its
+    own base's columns, picked by one index built per sweep; `sums`
+    then holds true row sums.  For each base b with a
     source array src[b], acc[b] receives the base's block times src[b],
     one product per side of the pair.
     """
     n, nb = basis.rows.shape[0], basis.bases
     sums, total = np.zeros((n, 3)), np.zeros((n, 3))
     acc = [np.zeros_like(s) for s in src]
+    pick = np.arange(3), basis.base_of
     for lo, hi, clo, chi, e in _kernel_blocks(basis):
         if read is not None:
             r = e @ basis.sum_w[nb * clo:nb * chi]
-            sums[lo:hi] += r
+            if read == "rows":
+                sums[lo:hi] += r
+                if clo != lo:
+                    c = basis.scale[lo:hi].T @ e
+                    sums[clo:chi] += c.reshape(3, nb, -1)[pick].T
             if clo != lo:
                 r *= 2.0
             total[lo:hi] += r
-        if read == "rows" and clo != lo:
-            c = basis.scale[lo:hi].T @ e
-            sums[clo:chi] += c.reshape(3, nb, -1)[np.arange(3), basis.base_of].T
         nj = chi - clo
         for b, (s, a) in enumerate(zip(src, acc)):
             kb = e[:, b * nj:(b + 1) * nj]

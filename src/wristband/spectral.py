@@ -68,6 +68,7 @@ def angular_eigenvalues(d: int, beta: float, alpha: float) -> tuple[float, float
     (d >= 313 at beta = 8 and alpha = sqrt(1/12)); the loss would then
     divide by a zero eigenvalue, so that is refused.
     """
+    d = _integer("d", d, None, DomainError)
     if d < 3:
         raise UnsupportedDimension(f"the spectral path requires d >= 3, got {d}")
     c = 2.0 * beta * alpha * alpha

@@ -1,8 +1,8 @@
 """Every entry point that takes a count, a seed or a real refuses a bad one with a typed error.
 
 A float, a boolean, a string or None where an integer belongs, and a
-boolean, a string, None or an integer beyond the range of a double where
-a real belongs, must raise the named `WristbandError` subclass: never
+boolean, a string, None, NaN or an integer beyond the range of a double
+where a real belongs, must raise the named `WristbandError` subclass: never
 truncate (a seed of 1.5 drawing seed 1's batches), never fail later as a
 bare TypeError or OverflowError.
 """
@@ -20,7 +20,7 @@ from wristband.calibration import calibrate_null
 from wristband.errors import ContractViolation, DomainError, WristbandError
 from wristband.evaluation import barycentric_reference, barycentric_z_score
 from wristband.generators import RngStream, gaussian_batch, parity_batch, rac_batch, x_batch
-from wristband.optimize import OptimizeConfig
+from wristband.optimize import AdamState, OptimizeConfig, adam_step
 from wristband.pairwise import (
     KernelConfig,
     pairwise_repulsion_loss,
@@ -37,11 +37,11 @@ from wristband.specfun import (
     log_gamma,
     scaled_bessel_i,
 )
-from wristband.spectral import radial_cosine_coeffs, spectral_summary
+from wristband.spectral import angular_eigenvalues, radial_cosine_coeffs, spectral_summary
 from wristband.wristband_map import wristband_forward
 
 BAD_INTEGERS = {"16.0": 16.0, "1.5": 1.5, "True": True, "'8'": "8", "None": None}
-BAD_REALS = {"True": True, "'8'": "8", "None": None, "10**400": 10**400}
+BAD_REALS = {"True": True, "'8'": "8", "None": None, "10**400": 10**400, "nan": float("nan")}
 
 CFG = KernelConfig()
 
@@ -103,6 +103,7 @@ INTEGER_SLOTS = [
     ("gaussian_quantile_grid.n", lambda v: gaussian_quantile_grid(v), DomainError),
     ("radial_cosine_coeffs.modes", lambda v: radial_cosine_coeffs(8.0, v), DomainError),
     ("spectral_summary.modes", lambda v: spectral_summary(wristband_forward(_batch()), v), DomainError),
+    ("angular_eigenvalues.d", lambda v: angular_eigenvalues(v, 8.0, 1.0), DomainError),
 ]
 
 REAL_SLOTS = [
@@ -111,6 +112,8 @@ REAL_SLOTS = [
     ("KernelConfig.eps", lambda v: KernelConfig(eps=v), DomainError),
     ("KernelConfig.weights", lambda v: KernelConfig(weights=(1.0, v, 1.0)), DomainError),
     ("OptimizeConfig.lr", lambda v: OptimizeConfig(lr=v), ContractViolation),
+    ("adam_step.lr", lambda v: adam_step(np.ones((2, 2)), np.ones((2, 2)), AdamState.zeros((2, 2)), v),
+     ContractViolation),
     ("CalibrationTable.mu_rep", lambda v: replace(_table(), mu_rep=v), ContractViolation),
     ("CalibrationTable.sd_numerator", lambda v: replace(_table(), sd_numerator=v), ContractViolation),
     ("log_gamma.a", lambda v: log_gamma(v), DomainError),
