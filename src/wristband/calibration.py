@@ -16,16 +16,16 @@ calibrated; scoring through the other path is refused because the two
 have different null means.
 
 A table checks its fields when it is built, loaded or replaced.  Tables
-serialize to versioned JSON with floats as full-precision decimal
-strings (shortest round-trip repr), so a save/load cycle reproduces the
-table bit for bit; unknown versions are rejected.
+serialize to versioned plain JSON, whose numbers are the shortest reprs
+of the stored doubles, so a save/load cycle reproduces the table bit
+for bit; other versions are rejected.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.linalg.blas import dgemm
@@ -39,7 +39,6 @@ from .accelerators import (
 )
 from .errors import CalibrationError, ContractViolation, FormatError, _integer, _real
 from .generators import RngStream, gaussian_batch
-from .io import _json_real, jsonify
 from .pairwise import KernelConfig, LossValueGrad, _pairwise_value_grad, pairwise_value_from_wristband
 from .spectral import _spectral_value_grad, spectral_value_from_wristband
 from .wristband_map import _forward, validate_point_batch, wristband_forward
@@ -48,7 +47,7 @@ __all__ = ["LOSS_PATHS", "CalibrationTable", "calibrate_null", "standardized_wri
 
 LOSS_PATHS = ("pairwise", "spectral")
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _FLOAT_FIELDS = ("mu_rep", "mu_rad", "mu_mom", "sd_rep", "sd_rad", "sd_mom", "sd_numerator")
 
@@ -87,8 +86,8 @@ class CalibrationTable:
             object.__setattr__(self, name, value)
 
     def to_json(self) -> str:
-        """Versioned JSON with floats as full-precision decimal strings."""
-        doc = {"format_version": FORMAT_VERSION, **jsonify(asdict(self))}
+        """Versioned plain JSON; every float is written as its shortest repr."""
+        doc = {"format_version": FORMAT_VERSION, **asdict(self)}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
@@ -104,15 +103,8 @@ class CalibrationTable:
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported calibration table format_version {version!r}")
         try:
-            return cls(
-                n=doc["n"],
-                dim=doc["dim"],
-                cfg=KernelConfig.from_dict(doc["cfg"]),
-                reps=doc["reps"],
-                seed=doc["seed"],
-                loss_path=doc["loss_path"],
-                **{name: _json_real(doc[name]) for name in _FLOAT_FIELDS},
-            )
+            values = {f.name: doc[f.name] for f in fields(cls)}
+            return cls(**{**values, "cfg": KernelConfig.from_dict(values["cfg"])})
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(
                 f"calibration table is missing or has malformed fields: {exc}"

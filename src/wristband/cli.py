@@ -5,7 +5,8 @@ Subcommands: gen, calibrate, optimize, score, parity, selftest.  Each
 timing data; `_run` times it and, given --report, writes a report that
 embeds the full argv, configuration and seeds.  ``wristband --replay
 report.json`` re-executes a recorded run into a temporary directory and
-checks that the metrics match.
+checks that its metrics are identical: the same JSON text, so every
+double matches bit for bit.
 
 Exit codes: 0 success, 1 numeric/convergence failure, 2 usage error.
 """
@@ -13,6 +14,7 @@ Exit codes: 0 success, 1 numeric/convergence failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -41,7 +43,7 @@ from .generators import (
     rac_batch,
     x_batch,
 )
-from .io import build_report, read_batch, read_report, report_floats, write_batch, write_report
+from .io import build_report, read_batch, read_report, write_batch, write_report
 from .optimize import LOSS_KINDS, SCHEDULES, OptimizeConfig, optimize_point_cloud
 from .pairwise import DEFAULT_TILE, REDUCTIONS, KernelConfig, pairwise_repulsion_loss
 from .parity import finite_difference_check, parity_suite, timing_sweep
@@ -359,25 +361,13 @@ def _replay(path: str) -> int:
             print(f"replay: rerun exited with {code}")
             return 1
         fresh = read_report(report_path)
-        old_metrics = report_floats(original["metrics"])
-        new_metrics = report_floats(fresh["metrics"])
-        if _metrics_match(old_metrics, new_metrics):
+        # Compared as canonical text, not with `==`, so a NaN metric matches itself.
+        recorded, rerun = (json.dumps(r["metrics"], sort_keys=True) for r in (original, fresh))
+        if recorded == rerun:
             print("replay: metrics match")
             return 0
         print("replay: METRICS MISMATCH")
         return 1
-
-
-def _metrics_match(a, b, rel=1e-9) -> bool:
-    if isinstance(a, float) and isinstance(b, float):
-        if math.isnan(a) and math.isnan(b):
-            return True
-        return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_metrics_match(a[k], b[k], rel) for k in a)
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(_metrics_match(x, y, rel) for x, y in zip(a, b))
-    return a == b
 
 
 def cli_dispatch(argv) -> int:
@@ -421,8 +411,8 @@ def _run(argv, out_dir: str | None = None, report: str | None = None) -> int:
             config = {k: v for k, v in vars(args).items() if k != "func"}
             config["pairwise_tile"] = DEFAULT_TILE
             seeds = {"seed": args.seed} if "seed" in config else {}
-            write_report(args.report, build_report(args.subcommand, argv, config, seeds, metrics,
-                                                   timing, os.cpu_count() or 1))
+            write_report(args.report,
+                         build_report(args.subcommand, argv, config, seeds, metrics, timing))
             print(f"report written to {args.report}")
         return code
     except (WristbandError, OSError) as exc:

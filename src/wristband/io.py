@@ -8,12 +8,12 @@ Batch files are a fixed little-endian binary layout:
     bytes 16..23  uint64 d
     bytes 24..    n*d IEEE-754 binary64, row-major
 
-Run reports are JSON documents carrying the full configuration echo,
-seeds, and metrics.  Floats inside reports, calibration tables and
-kernel configs are encoded by `jsonify` as their shortest round-trip
-decimal strings, so a document parses back to the exact same doubles;
-wall-clock times live under a report's "timing" key, the single part
-of a report that is not reproducible across reruns.
+Run reports are plain JSON documents carrying the full configuration
+echo, seeds, and metrics.  Python's `json` writes a float as its
+shortest repr, which parses back to the same double, so a report (like
+a calibration table) round-trips bit for bit; wall-clock times live
+under a report's "timing" key, the single part of a report that is not
+reproducible across reruns.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from importlib import metadata
 
 import numpy as np
 
-from .errors import ContractViolation, FormatError
+from .errors import FormatError
 from .wristband_map import validate_point_batch
 
 __all__ = [
@@ -32,17 +32,15 @@ __all__ = [
     "BATCH_VERSION",
     "write_batch",
     "read_batch",
-    "jsonify",
     "build_report",
     "write_report",
     "read_report",
-    "report_floats",
 ]
 
 BATCH_MAGIC = b"WBPC"
 BATCH_VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 
 def tool_version() -> str:
@@ -89,69 +87,25 @@ def read_batch(path) -> np.ndarray:
     return data
 
 
-def jsonify(value):
-    """Recursively convert a metrics tree to report JSON conventions.
-
-    Floats become full-precision decimal strings; numpy scalars and
-    arrays become native Python values.
-    """
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
-        return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [jsonify(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
-    raise ContractViolation(f"cannot serialize {type(value).__name__} into a report")
-
-
-def _json_real(value):
-    """A JSON float field: a decimal string as its double, any other value as is,
-    for the record it builds to check."""
-    return float(value) if isinstance(value, str) else value
-
-
-def report_floats(value):
-    """Inverse of :func:`jsonify` for numeric leaves: parse float strings."""
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            return value
-    if isinstance(value, dict):
-        return {k: report_floats(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [report_floats(v) for v in value]
-    return value
-
-
 def build_report(subcommand: str, argv, config: dict, seeds: dict, metrics: dict,
-                 timing: dict, threads: int) -> dict:
+                 timing: dict) -> dict:
     return {
         "format_version": REPORT_FORMAT_VERSION,
         "tool": "wristband",
         "tool_version": tool_version(),
         "subcommand": subcommand,
         "argv": list(argv),
-        "config": jsonify(config),
-        "seeds": jsonify(seeds),
-        "metrics": jsonify(metrics),
-        "timing": jsonify(timing),
-        "threads": threads,
+        "config": config,
+        "seeds": seeds,
+        "metrics": metrics,
+        "timing": timing,
     }
 
 
 def write_report(path, report: dict) -> None:
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_report(path) -> dict:

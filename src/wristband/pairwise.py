@@ -89,12 +89,11 @@ batch: it pulls those (u, t) cotangents back through the map's adjoint
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import DomainError, _integer, _real
-from .io import _json_real
 from .wristband_map import WristbandBatch, _backward, wristband_forward
 
 __all__ = [
@@ -162,16 +161,8 @@ class KernelConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KernelConfig":
-        if not isinstance(obj["weights"], list):
-            raise TypeError(f"weights must be a list, got {obj['weights']!r}")
-        return cls(
-            beta=_json_real(obj["beta"]),
-            alpha=_json_real(obj["alpha"]),
-            eps=_json_real(obj["eps"]),
-            reduction=obj["reduction"],
-            weights=tuple(_json_real(w) for w in obj["weights"]),
-            modes=obj["modes"],
-        )
+        """The config of a loaded table's `cfg` object: every field present, checked as built."""
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)

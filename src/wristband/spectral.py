@@ -62,15 +62,16 @@ class SpectralSummary:
 def angular_eigenvalues(d: int, beta: float, alpha: float) -> tuple[float, float]:
     """Funk-Hecke eigenvalues (degrees 0 and 1) of the chordal Gaussian kernel.
 
-    lambda_l = Gamma(nu + 1) (2/c)^nu e^{-c} I_{nu+l}(c), joined in log
-    space so large d does not overflow the Gamma/power prefactor.  The
+    lambda_l = Gamma(nu + 1) (2/c)^nu e^{-c} I_{nu+l}(c), nu = (d - 2)/2,
+    joined in log space so large d does not overflow the Gamma/power
+    prefactor.  At d = 2 (the circle) it is e^{-c} I_l(c).  The
     scaled Bessel factor underflows to 0 once nu is large against c
     (d >= 313 at beta = 8 and alpha = sqrt(1/12)); the loss would then
     divide by a zero eigenvalue, so that is refused.
     """
     d = _integer("d", d, None, DomainError)
-    if d < 3:
-        raise UnsupportedDimension(f"the spectral path requires d >= 3, got {d}")
+    if d < 2:
+        raise UnsupportedDimension(f"the spectral path requires d >= 2, got {d}")
     c = 2.0 * beta * alpha * alpha
     if not (c > 0.0 and math.isfinite(c)):
         raise DomainError(f"need 2*beta*alpha^2 > 0, got {c}")
@@ -107,8 +108,13 @@ def radial_cosine_coeffs(beta: float, modes: int) -> np.ndarray:
 def spectral_coefficients(d: int, cfg: KernelConfig) -> SpectralCoeffs:
     """All coefficients the spectral loss needs for a given dimension and config.
 
-    Cached per (d, cfg), so the returned `a` array is read-only.
+    Cached per (d, cfg), so the returned `a` array is read-only.  Every
+    spectral value and gradient reads its config here, so this is where
+    a per-point config is refused: the spectral energy is one global
+    V-statistic with no per-point row sums to reduce.
     """
+    if cfg.reduction != "global":
+        raise DomainError(f"the spectral path has global reduction only, got {cfg.reduction!r}")
     lam0, lam1 = angular_eigenvalues(d, cfg.beta, cfg.alpha)
     a = radial_cosine_coeffs(cfg.beta, cfg.modes)
     a.flags.writeable = False

@@ -64,12 +64,23 @@ def test_json_roundtrip_of_numpy_scalar_config():
 
 
 def test_json_rejects_bad_version(small_table):
-    import json
-
     doc = json.loads(small_table.to_json())
-    doc["format_version"] = 2
-    with pytest.raises(FormatError):
-        CalibrationTable.from_json(json.dumps(doc))
+    assert doc["format_version"] == 2
+    for version in (1, 3, "2", None):
+        with pytest.raises(FormatError, match="format_version"):
+            CalibrationTable.from_json(json.dumps({**doc, "format_version": version}))
+
+
+def test_json_is_plain_numbers_and_refuses_version_1(small_table):
+    # Version 1 wrote every float as its decimal string; no reader for it is kept.
+    doc = json.loads(small_table.to_json())
+    assert all(type(doc[name]) is float for name in _FLOAT_FIELDS)
+    assert type(doc["cfg"]["beta"]) is float and type(doc["n"]) is int
+    v1 = {**doc, "format_version": 1, **{name: repr(doc[name]) for name in _FLOAT_FIELDS}}
+    v1["cfg"] = {**doc["cfg"], "beta": repr(doc["cfg"]["beta"])}
+    for bad in (v1, {**v1, "format_version": 2}):
+        with pytest.raises(FormatError):
+            CalibrationTable.from_json(json.dumps(bad))
 
 
 MALFORMED_TABLE_EDITS = {
@@ -77,10 +88,12 @@ MALFORMED_TABLE_EDITS = {
     "string": lambda doc: "x",
     "null-float": lambda doc: {**doc, "mu_rep": None},
     "unknown-path": lambda doc: {**doc, "loss_path": "fourier"},
-    "negative-sd": lambda doc: {**doc, "sd_rep": "-1.0"},
-    "zero-sd-numerator": lambda doc: {**doc, "sd_numerator": "0.0"},
-    "nan-mean": lambda doc: {**doc, "mu_rad": "nan"},
-    "inf-sd": lambda doc: {**doc, "sd_mom": "inf"},
+    "negative-sd": lambda doc: {**doc, "sd_rep": -1.0},
+    "zero-sd-numerator": lambda doc: {**doc, "sd_numerator": 0.0},
+    "nan-mean": lambda doc: {**doc, "mu_rad": math.nan},
+    "inf-sd": lambda doc: {**doc, "sd_mom": math.inf},
+    "string-mean": lambda doc: {**doc, "mu_rep": repr(doc["mu_rep"])},
+    "cfg-string-beta": lambda doc: {**doc, "cfg": {**doc["cfg"], "beta": "8.0"}},
     "one-rep": lambda doc: {**doc, "reps": 1},
     "cfg-list": lambda doc: {**doc, "cfg": []},
     "cfg-null-beta": lambda doc: {**doc, "cfg": {**doc["cfg"], "beta": None}},
@@ -99,8 +112,6 @@ MALFORMED_TABLE_EDITS = {
 
 @pytest.mark.parametrize("edit", MALFORMED_TABLE_EDITS)
 def test_json_rejects_malformed_tables(small_table, edit):
-    import json
-
     text = json.dumps(MALFORMED_TABLE_EDITS[edit](json.loads(small_table.to_json())))
     with pytest.raises(FormatError):
         CalibrationTable.from_json(text)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 from dataclasses import asdict, fields
@@ -22,11 +23,12 @@ from wristband.generators import (
 from wristband.io import (
     BATCH_MAGIC,
     BATCH_VERSION,
-    jsonify,
+    REPORT_FORMAT_VERSION,
+    build_report,
     read_batch,
     read_report,
-    report_floats,
     write_batch,
+    write_report,
 )
 from wristband.optimize import SCHEDULES, OptimizeConfig
 from wristband.pairwise import REDUCTIONS, KernelConfig
@@ -140,14 +142,16 @@ def test_read_batch_returns_the_file_or_a_format_error(tmp_path_factory, case):
 
 
 class TestReportEncoding:
-    def test_floats_roundtrip(self):
+    def test_floats_roundtrip(self, tmp_path):
+        # Plain JSON numbers: each float is written as its shortest repr, which
+        # reads back as the same double (float `==` compares the bits here).
         tree = {"a": 0.1 + 0.2, "b": [1.0 / 3.0, {"c": 2.0**-52}], "n": 7, "s": "txt"}
-        encoded = jsonify(tree)
-        assert isinstance(encoded["a"], str)
-        decoded = report_floats(json.loads(json.dumps(encoded)))
-        assert decoded["a"] == tree["a"]
-        assert decoded["b"][0] == tree["b"][0]
-        assert decoded["b"][1]["c"] == tree["b"][1]["c"]
+        path = tmp_path / "r.json"
+        write_report(path, build_report("gen", ["gen"], {}, {}, tree, {}))
+        text = path.read_text()
+        assert '"a": 0.30000000000000004' in text and '"c": 2.220446049250313e-16' in text
+        back = read_report(path)["metrics"]
+        assert back == tree and type(back["b"][0]) is float
 
 
 def run(argv):
@@ -188,7 +192,7 @@ class TestCliSpellings:
         assert read_batch(out).tobytes() == want.tobytes()
         report = read_report(rpt)
         assert report["config"]["kind"] == report["metrics"]["kind"] == kind
-        constants = report_floats(report["metrics"]).get("generator_constants")
+        constants = report["metrics"].get("generator_constants")
         assert constants == (dict(PARITY_CONSTANTS) if gen is None else None)
         if "-" in kind:
             assert run(["gen", "--kind", kind.replace("-", "_"), "--n", "16", "--d", "3",
@@ -208,7 +212,7 @@ class TestCliSpellings:
         assert run(argv) == 0
         report = read_report(rpt)
         assert report["config"]["loss"] == loss
-        assert report_floats(report["metrics"])["steps"] == 2
+        assert report["metrics"]["steps"] == 2
         if "-" in loss:
             assert run([a.replace(loss, loss.replace("-", "_")) for a in argv]) == 2
 
@@ -270,7 +274,9 @@ def test_every_subcommand_writes_a_report(sub, tmp_path):
     assert report["config"]["pairwise_tile"] == 128
     assert report["seeds"] == ({} if sub == "selftest" else {"seed": 0})
     assert report["metrics"]
-    assert float(report["timing"]["wall_time_s"]) > 0.0
+    assert report["timing"]["wall_time_s"] > 0.0
+    assert "threads" not in report
+    assert run(["--replay", str(rpt)]) == 0
 
 
 class TestCli:
@@ -315,13 +321,13 @@ class TestCli:
                     "--lr", "0.05", "--calib", str(calib), "--in", str(raw),
                     "--seed", "3", "--out", str(opt), "--report", str(report)]) == 0
         rpt = read_report(report)
-        metrics = report_floats(rpt["metrics"])
+        metrics = rpt["metrics"]
         assert metrics["final_loss"] < metrics["initial_loss"]
         score_report = tmp_path / "score.json"
         assert run(["score", "--in", str(opt), "--ref-batches", "8",
                     "--null-batches", "16", "--seed", "4",
                     "--report", str(score_report)]) == 0
-        z = report_floats(read_report(score_report)["metrics"])["z"]
+        z = read_report(score_report)["metrics"]["z"]
         assert np.isfinite(z)
 
     @pytest.mark.parametrize("start", [["--kind", "x", "--n", "99", "--d", "7"], ["--n", "99"]],
@@ -359,7 +365,7 @@ class TestCli:
         assert run(["score", "--in", str(raw), "--ref-batches", "16",
                     "--null-batches", "32", "--seed", "8",
                     "--report", str(report)]) == 0
-        z = report_floats(read_report(report)["metrics"])["z"]
+        z = read_report(report)["metrics"]["z"]
         assert z > 10.0
 
     def test_parity_subcommand(self, tmp_path):
@@ -405,6 +411,34 @@ class TestCli:
                     "--seed", "2", "--out", str(out), "--report", str(rpt)]) == 0
         assert run(["--replay", str(rpt)]) == 0
 
+    def test_replay_is_exact(self, tmp_path, capsys):
+        # One ulp in one recorded metric is a mismatch.
+        rpt = tmp_path / "g.json"
+        assert run(["gen", "--kind", "gaussian", "--n", "16", "--d", "3", "--seed", "5",
+                    "--out", str(tmp_path / "g.wbpc"), "--report", str(rpt)]) == 0
+        doc = json.loads(rpt.read_text())
+        doc["metrics"]["mean_norm"] = math.nextafter(doc["metrics"]["mean_norm"], math.inf)
+        rpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["--replay", str(rpt)]) == 1
+        assert "METRICS MISMATCH" in capsys.readouterr().out
+
+    def test_version_1_report_refused(self, tmp_path, capsys):
+        # Version 1 wrote floats as decimal strings; no reader for it is kept.
+        rpt = tmp_path / "g.json"
+        assert run(["gen", "--kind", "gaussian", "--n", "8", "--d", "2",
+                    "--out", str(tmp_path / "g.wbpc"), "--report", str(rpt)]) == 0
+        doc = json.loads(rpt.read_text())
+        assert doc["format_version"] == REPORT_FORMAT_VERSION == 2
+        doc["format_version"] = 1
+        doc["metrics"]["mean_norm"] = repr(doc["metrics"]["mean_norm"])
+        rpt.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="format_version 1"):
+            read_report(rpt)
+        capsys.readouterr()
+        assert run(["--replay", str(rpt)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_replay_leaves_equals_form_outputs_untouched(self, tmp_path, monkeypatch):
         # Recorded as --out=FILE --report=FILE: the replay writes into its
         # own directory, not over the recorded files or into the cwd.
@@ -443,7 +477,7 @@ class TestCli:
         assert run(["calibrate", "--n", "16", "--d", "3", "--reps", "4",
                     "--out", str(calib)]) == 0
         doc = json.loads(calib.read_text())
-        doc["sd_rep"] = "-1.0"
+        doc["sd_rep"] = -1.0
         calib.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["optimize", "--loss", "wristband-pairwise", "--kind", "gaussian",

@@ -13,6 +13,8 @@ rotation; their gradient rows are zero.  Examples are derandomized, so
 the suite sees the same cases on every run.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,11 +39,11 @@ LOSSES = ("spectral", "radial", "moment", "standardized_pairwise", "standardized
 
 
 @st.composite
-def batches(draw, min_d=2, zeros=False):
+def batches(draw, zeros=False):
     """An (N, d) batch with row scales over a few decades, and either some
     duplicate rows or (zeros=True) up to two rows at the origin."""
     n = draw(st.integers(2, 64))
-    d = draw(st.integers(min_d, 12))
+    d = draw(st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=(n, d)) * np.exp(0.5 * rng.normal(size=(n, 1)))
     if zeros:
@@ -69,8 +71,14 @@ def table_for(x, cfg, path):
                             loss_path=path)
 
 
+def for_loss(name, cfg):
+    """The drawn config as the loss `name` takes it: the spectral path has global reduction only."""
+    return replace(cfg, reduction="global") if name.endswith("spectral") else cfg
+
+
 def loss_and_scale(name, x, cfg):
     """(value, gradient, scale), scale bounding the magnitude of the value's terms."""
+    cfg = for_loss(name, cfg)
     if name == "spectral":
         lvg = spectral_loss(x, cfg)
         return lvg.value, lvg.grad, abs(lvg.value)
@@ -107,15 +115,11 @@ def assert_same_loss(got, want):
     assert err <= 1e-9 * np.max(np.abs(grad)) + 1e-300, err
 
 
-def min_dim(name):
-    return 3 if name.endswith("spectral") else 2
-
-
 @pytest.mark.parametrize("name", LOSSES)
 @PROPERTY_SETTINGS
 @given(data=st.data(), cfg=configs, seed=st.integers(0, 2**32 - 1))
 def test_rotation_invariance(name, data, cfg, seed):
-    x = data.draw(batches(min_d=min_dim(name)))
+    x = data.draw(batches())
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(x.shape[1],) * 2))
     value, grad, scale = loss_and_scale(name, x, cfg)
     assert_same_loss(loss_and_scale(name, x @ q.T, cfg), (value, grad @ q.T, scale))
@@ -125,7 +129,7 @@ def test_rotation_invariance(name, data, cfg, seed):
 @PROPERTY_SETTINGS
 @given(data=st.data(), cfg=configs, seed=st.integers(0, 2**32 - 1))
 def test_permutation_invariance(name, data, cfg, seed):
-    x = data.draw(batches(min_d=min_dim(name), zeros=True))
+    x = data.draw(batches(zeros=True))
     perm = np.random.default_rng(seed).permutation(x.shape[0])
     value, grad, scale = loss_and_scale(name, x, cfg)
     assert_same_loss(loss_and_scale(name, x[perm], cfg), (value, grad[perm], scale))
@@ -157,13 +161,13 @@ def test_radial_gradient_matches_written_out_formula(x):
 
 
 @st.composite
-def fd_batches(draw, min_d):
-    """Batches of N = d + 2..24 distinct points in d = min_d..6, radii over a few decades.
+def fd_batches(draw):
+    """Batches of N = d + 2..24 distinct points in d = 2..6, radii over a few decades.
 
     Distinct points keep the radial penalty's sort order fixed under the
     difference steps, and N > d keeps the covariance of full rank.
     """
-    d = draw(st.integers(min_d, 6))
+    d = draw(st.integers(2, 6))
     n = draw(st.integers(d + 2, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng.normal(size=(n, d)) * np.exp(0.5 * rng.normal(size=(n, 1)))
@@ -172,6 +176,7 @@ def fd_batches(draw, min_d):
 def fd_loss(name, cfg, x):
     """The loss of `name` as a function of the batch; a standardized loss
     reads a 4-rep null table of the batch's shape and the config."""
+    cfg = for_loss(name, cfg)
     if name == "spectral":
         return lambda b: spectral_loss(b, cfg)
     n, d = x.shape
@@ -184,7 +189,7 @@ def fd_loss(name, cfg, x):
 @given(data=st.data(), cfg=configs)
 def test_gradient_fd_random_batches(name, data, cfg):
     """The analytic gradient against central differences, under the bars of the fixed-batch FD tests."""
-    x = data.draw(fd_batches(min_dim(name)))
+    x = data.draw(fd_batches())
     report = finite_difference_check(fd_loss(name, cfg, x), x)
     assert report.rel_l2_error <= 1e-5
     assert report.cosine >= 0.99999

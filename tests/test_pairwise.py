@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import tracemalloc
 from dataclasses import asdict
@@ -9,7 +10,6 @@ import pytest
 
 from wristband import pairwise
 from wristband.errors import ContractViolation, DomainError
-from wristband.io import jsonify
 from wristband.pairwise import (
     ALPHA_UNIFORM_STD,
     DEFAULT_TILE,
@@ -143,13 +143,13 @@ class TestConfig:
         cfg = KernelConfig(beta=np.float64(8.0), alpha=np.float32(0.5), eps=1, weights=(1, np.float32(0.5), 0))
         for v in (cfg.beta, cfg.alpha, cfg.eps, *cfg.weights):
             assert type(v) is float
-        doc = jsonify(asdict(cfg))
-        assert doc["beta"] == "8.0" and doc["alpha"] == "0.5"
+        doc = json.loads(json.dumps(asdict(cfg)))
+        assert doc["beta"] == 8.0 and doc["alpha"] == 0.5 and doc["weights"] == [1.0, 0.5, 0.0]
         assert KernelConfig.from_dict(doc) == cfg
 
     def test_roundtrip_dict(self):
         cfg = KernelConfig(beta=64.0, alpha=0.8, reduction="per_point", weights=(1, 0.25, 2))
-        assert KernelConfig.from_dict(jsonify(asdict(cfg))) == cfg
+        assert KernelConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_direct_benchmark_defaults(self):
         cfg = KernelConfig.direct_benchmark()

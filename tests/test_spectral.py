@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wristband.calibration import calibrate_null
 from wristband.errors import DomainError, UnsupportedDimension
 from wristband.pairwise import KernelConfig
 from wristband.parity import finite_difference_check
@@ -51,7 +52,20 @@ class TestAngularEigenvalues:
 
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimension):
-            angular_eigenvalues(2, 8.0, 1.0)
+            angular_eigenvalues(1, 8.0, 1.0)
+
+    def test_circle_eigenvalues_are_scaled_bessel(self):
+        # At d = 2 (nu = 0) lambda_l = e^{-c} I_l(c), and the zonal series
+        # lambda_0 + 2 sum_l lambda_l cos(l theta) is the angular kernel.
+        beta, alpha = 8.0, 1.0
+        c = 2.0 * beta * alpha**2
+        lam0, lam1 = angular_eigenvalues(2, beta, alpha)
+        assert lam0 == pytest.approx(scaled_bessel_i(0, c), rel=1e-15)
+        assert lam1 == pytest.approx(scaled_bessel_i(1, c), rel=1e-15)
+        theta = 0.7
+        series = scaled_bessel_i(0, c) + 2.0 * sum(
+            scaled_bessel_i(ell, c) * math.cos(ell * theta) for ell in range(1, 80))
+        assert series == pytest.approx(math.exp(-c * (1.0 - math.cos(theta))), rel=1e-14)
 
     def test_underflowing_eigenvalue_refused(self):
         # At beta = 8 and the canonical alpha the degree-1 eigenvalue's
@@ -138,7 +152,7 @@ class TestSpectralLoss:
     def test_v_statistic_identity(self):
         # Brute-force truncated-kernel double sum (self-pairs included).
         rng = np.random.default_rng(15)
-        for d in (3, 8):
+        for d in (2, 3, 8):
             cfg = KernelConfig(beta=8.0, alpha=1.0, modes=5)
             x = rng.normal(size=(32, d))
             wb = wristband_forward(x)
@@ -186,6 +200,15 @@ class TestSpectralLoss:
         assert report.rel_l2_error <= 1e-5
         assert report.cosine >= 0.99999
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_fd_circle(self, seed):
+        # d = 2: the directions live on the circle, where nu = 0.
+        x = np.random.default_rng(seed).normal(size=(20, 2))
+        cfg = KernelConfig(beta=8.0, alpha=1.0, modes=6)
+        report = finite_difference_check(lambda b: spectral_loss(b, cfg), x)
+        assert report.rel_l2_error <= 1e-5
+        assert report.cosine >= 0.99999
+
     def test_value_equals_value_only_path_exactly(self):
         rng = np.random.default_rng(30)
         x = rng.normal(size=(150, 5))
@@ -225,8 +248,20 @@ class TestSpectralLoss:
             assert np.max(np.abs(grad - scale * unit)) <= 1e-15 * np.max(np.abs(scale * unit))
 
     def test_d2_refused(self):
+        # The spectral path runs from d = 2; d = 1 has no sphere to expand on.
         with pytest.raises(UnsupportedDimension):
-            spectral_loss(np.ones((8, 2)), KernelConfig())
+            spectral_loss(np.ones((8, 1)), KernelConfig())
+
+    def test_per_point_reduction_refused(self):
+        # The spectral energy is one V-statistic with no per-point row sums,
+        # so a per-point config would only be mislabeled.
+        cfg = KernelConfig(beta=8.0, alpha=1.0, reduction="per_point")
+        x = np.random.default_rng(34).normal(size=(16, 4))
+        for call in (lambda: spectral_loss(x, cfg),
+                     lambda: spectral_value_from_wristband(wristband_forward(x), cfg),
+                     lambda: calibrate_null(16, 4, cfg, 4, seed=1, loss_path="spectral")):
+            with pytest.raises(DomainError, match="global reduction only"):
+                call()
 
     def test_monotone_spectrum(self):
         coeffs = spectral_coefficients(8, KernelConfig(beta=8.0, alpha=1.0, modes=12))

@@ -1,6 +1,7 @@
 """Print one `name sha256` line per reproducible output of the package.
 
-The outputs cover calibration JSON for both paths and both reductions;
+The outputs cover calibration tables for the pairwise path under both
+reductions and for the spectral path (global reduction, its only one);
 pairwise values and gradients at tiles 7, 16 and 128, in the two-base and
 three-image bases, at d = 3, 10 and 64; a standardized step on each path;
 a 40-step optimize at the direct-benchmark setting (512 x 10); and a
@@ -13,8 +14,11 @@ the checkout under test:
     diff old.txt new.txt
 
 `python tools/digests.py NAME...` prints only the named outputs.  A
-digest hashes the shape and float64 bytes of every array, the IEEE bytes
-of every float and the UTF-8 bytes of every string of an output.
+digest hashes the shape and float64 bytes of every array and number
+and the UTF-8 bytes of every string of an output.  A calibration table
+is hashed by its field values (its seven constants, its counts, seed
+and path, and its config's fields), not by its JSON text, so the digest
+does not move when only the file encoding does.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import functools
 import hashlib
 import sys
 from collections.abc import Callable
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -45,9 +49,19 @@ CALIBRATION = KernelConfig(beta=8.0, alpha=ALPHA_UNIFORM_STD)
 PAIRWISE_N = 300  # two full tiles of 128 and a short last one
 
 
+def _leaves(value):
+    """The non-tuple values of a nested tuple, depth first."""
+    if isinstance(value, tuple):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
 def _sha(*parts) -> str:
+    """The digest of the parts; a tuple (a dataclass's `astuple`) is hashed leaf by leaf."""
     h = hashlib.sha256()
-    for part in parts:
+    for part in _leaves(parts):
         if isinstance(part, str):
             h.update(part.encode())
         else:
@@ -63,7 +77,7 @@ def _table(loss_path: str, reduction: str):
 
 
 def _calibration(loss_path: str, reduction: str) -> str:
-    return _sha(_table(loss_path, reduction).to_json())
+    return _sha(astuple(_table(loss_path, reduction)))
 
 
 def _pairwise(kind: str, basis: str, d: int, tile: int, reduction: str) -> str:
@@ -87,7 +101,7 @@ def _optimize() -> str:
     raw = rac_batch(512, 10, RngStream(21, "racbench").child("raw"))
     opt = OptimizeConfig(loss="wristband_pairwise", steps=40, lr=0.05, seed=5, log_stride=10)
     final, trajectory = optimize_point_cloud(raw, opt, cfg, table)
-    return _sha(table.to_json(), final, np.array(trajectory))
+    return _sha(astuple(table), final, np.array(trajectory))
 
 
 def _barycentric() -> str:
@@ -100,9 +114,8 @@ def _barycentric() -> str:
 def entries() -> dict[str, Callable[[], str]]:
     """Every output's name and the function that computes its digest."""
     out: dict[str, Callable[[], str]] = {}
-    for path in ("pairwise", "spectral"):
-        for reduction in ("global", "per_point"):
-            out[f"calibration.{path}.{reduction}"] = functools.partial(_calibration, path, reduction)
+    for path, reduction in (("pairwise", "global"), ("pairwise", "per_point"), ("spectral", "global")):
+        out[f"calibration.{path}.{reduction}"] = functools.partial(_calibration, path, reduction)
     for kind in ("value", "loss"):
         for basis in BASES:
             for d in (3, 10, 64):
