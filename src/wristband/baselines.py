@@ -54,29 +54,22 @@ def mmd_loss(batch) -> LossValueGrad:
 
 def sample_projections(d: int, count: int, stream: RngStream) -> np.ndarray:
     """count random unit directions in R^d from the given stream."""
-    dirs = stream.normal_matrix(count, d)
+    dirs = stream.normal_matrix(_integer("projection count", count, 1), d)
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def sliced_w2_loss(batch, projections, stream: RngStream | None = None) -> LossValueGrad:
+def sliced_w2_loss(batch, projections) -> LossValueGrad:
     """Mean 1-D squared W2 between projected values and Gaussian quantiles.
 
-    `projections` is either an integer count (directions drawn from
-    `stream`) or a precomputed (P, d) array of unit directions.  The
-    gradient is routed through the per-projection sort permutations
-    (stable, ties by index).
+    `projections` is a (P, d) array of unit directions (`sample_projections`
+    draws them).  The gradient is routed through the per-projection sort
+    permutations (stable, ties by index).
     """
     x = validate_point_batch(batch, min_n=2)
     n, d = x.shape
-    if np.ndim(projections) == 0:
-        count = _integer("projection count", projections, 1)
-        if stream is None:
-            raise ContractViolation("a stream is required when projections is a count")
-        theta = sample_projections(d, count, stream)
-    else:
-        theta = np.asarray(projections, dtype=np.float64)
-        if theta.ndim != 2 or theta.shape[1] != d or theta.shape[0] < 1:
-            raise ContractViolation(f"projections must be (P, {d}) with P >= 1, got {theta.shape}")
+    theta = np.asarray(projections, dtype=np.float64)
+    if theta.ndim != 2 or theta.shape[1] != d or theta.shape[0] < 1:
+        raise ContractViolation(f"projections must be (P, {d}) with P >= 1, got {theta.shape}")
     p = theta.shape[0]
 
     v = x @ theta.T  # (N, P)

@@ -2,11 +2,13 @@
 
 Subcommands: gen, calibrate, optimize, score, parity, selftest.  Each
 ``_cmd_*`` does its work and returns its exit code, metrics and any extra
-timing data; `_run` times it and, given --report, writes a report that
-embeds the full argv, configuration and seeds.  ``wristband --replay
-report.json`` re-executes a recorded run into a temporary directory and
-checks that its metrics are identical: the same JSON text, so every
-double matches bit for bit.
+timing data; `_run` times it and, given --report, writes a report: the
+argv, the parsed flags once as ``config``, the metrics, the SHA-256 of
+the file --out wrote under ``outputs``, and wall-clock data under
+``timing``.  Everything but ``timing`` is reproducible, and ``wristband
+--replay report.json`` checks all of it: it re-executes the recorded
+argv into a temporary directory and compares the canonical JSON text of
+every other key, so every double and every output byte must match.
 
 Exit codes: 0 success, 1 numeric/convergence failure, 2 usage error.
 """
@@ -14,6 +16,7 @@ Exit codes: 0 success, 1 numeric/convergence failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -43,7 +46,7 @@ from .generators import (
     rac_batch,
     x_batch,
 )
-from .io import build_report, read_batch, read_report, write_batch, write_report
+from .io import REPORT_FORMAT_VERSION, read_batch, read_report, write_batch, write_report
 from .optimize import LOSS_KINDS, SCHEDULES, OptimizeConfig, optimize_point_cloud
 from .pairwise import DEFAULT_TILE, REDUCTIONS, KernelConfig, pairwise_repulsion_loss
 from .parity import finite_difference_check, parity_suite, timing_sweep
@@ -129,21 +132,13 @@ def _cmd_optimize(args) -> tuple[int, dict, dict]:
         initial = _generate(args.kind, args.n, args.d, args.seed)
     else:
         raise WristbandError("optimize needs either --in or --kind with --n and --d, not both")
-    loss = _library_name(args.loss)
-
     table = None
-    kernel_cfg = KernelConfig()
-    if loss.startswith("wristband"):
-        if not args.calib:
-            raise WristbandError(f"loss {args.loss} requires --calib TABLE")
+    if args.calib is not None:
         with open(args.calib) as fh:
             table = CalibrationTable.from_json(fh.read())
-        kernel_cfg = table.cfg
-    elif args.calib is not None:
-        raise WristbandError(f"loss {args.loss} takes no --calib")
-
+    kernel_cfg = KernelConfig() if table is None else table.cfg
     opt_cfg = OptimizeConfig(
-        loss=loss,
+        loss=_library_name(args.loss),
         steps=args.steps,
         lr=args.lr,
         schedule=args.schedule,
@@ -352,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _replay(path: str) -> int:
-    """Rerun a report's argv with its output files redirected to a temporary directory."""
+    """Rerun a report's argv with its output files redirected to a temporary directory,
+    then compare every key of the two reports but `timing`."""
     original = read_report(path)
     with tempfile.TemporaryDirectory() as tmp:
         report_path = os.path.join(tmp, "replay-report.json")
@@ -361,13 +357,15 @@ def _replay(path: str) -> int:
             print(f"replay: rerun exited with {code}")
             return 1
         fresh = read_report(report_path)
-        # Compared as canonical text, not with `==`, so a NaN metric matches itself.
-        recorded, rerun = (json.dumps(r["metrics"], sort_keys=True) for r in (original, fresh))
-        if recorded == rerun:
-            print("replay: metrics match")
-            return 0
-        print("replay: METRICS MISMATCH")
+    # Compared as canonical text, not with `==`, so a NaN matches itself.
+    recorded, rerun = ({k: json.dumps(v, sort_keys=True) for k, v in r.items() if k != "timing"}
+                       for r in (original, fresh))
+    differ = sorted(k for k in recorded.keys() | rerun.keys() if recorded.get(k) != rerun.get(k))
+    if differ:
+        print(f"replay: MISMATCH in {', '.join(differ)}")
         return 1
+    print("replay: report matches")
+    return 0
 
 
 def cli_dispatch(argv) -> int:
@@ -388,17 +386,20 @@ def cli_dispatch(argv) -> int:
 def _run(argv, out_dir: str | None = None, report: str | None = None) -> int:
     """Parse, run and time one subcommand, then write its report; returns the exit code.
 
-    The report echoes every parsed argument but `func` as its config, and
-    `--seed` as its seeds.  `out_dir` moves the parsed --out to its base
-    name in that directory and `report` replaces --report.  Both act on
-    the parsed arguments, so they hold however argv spelled the flags
-    (`--out PATH`, `--out=PATH`).
+    The report echoes every parsed argument but `func` once, as its
+    config.  `out_dir` moves the parsed --out to its base name in that
+    directory and `report` replaces --report.  Both act on the parsed
+    arguments after the echo is taken, so a replay's config equals the
+    recorded one, however argv spelled the flags (`--out PATH`,
+    `--out=PATH`).
     """
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config["pairwise_tile"] = DEFAULT_TILE
     if out_dir is not None and getattr(args, "out", None) is not None:
         args.out = os.path.join(out_dir, os.path.basename(args.out))
     if report is not None:
@@ -408,11 +409,20 @@ def _run(argv, out_dir: str | None = None, report: str | None = None) -> int:
         code, metrics, timing = args.func(args)
         timing["wall_time_s"] = time.perf_counter() - t0
         if args.report:
-            config = {k: v for k, v in vars(args).items() if k != "func"}
-            config["pairwise_tile"] = DEFAULT_TILE
-            seeds = {"seed": args.seed} if "seed" in config else {}
-            write_report(args.report,
-                         build_report(args.subcommand, argv, config, seeds, metrics, timing))
+            outputs = {}
+            if getattr(args, "out", None) is not None:
+                with open(args.out, "rb") as fh:
+                    outputs["out"] = hashlib.sha256(fh.read()).hexdigest()
+            write_report(args.report, {
+                "format_version": REPORT_FORMAT_VERSION,
+                "tool": "wristband",
+                "tool_version": __version__,
+                "argv": list(argv),
+                "config": config,
+                "metrics": metrics,
+                "outputs": outputs,
+                "timing": timing,
+            })
             print(f"report written to {args.report}")
         return code
     except (WristbandError, OSError) as exc:

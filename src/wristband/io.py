@@ -8,19 +8,17 @@ Batch files are a fixed little-endian binary layout:
     bytes 16..23  uint64 d
     bytes 24..    n*d IEEE-754 binary64, row-major
 
-Run reports are plain JSON documents carrying the full configuration
-echo, seeds, and metrics.  Python's `json` writes a float as its
-shortest repr, which parses back to the same double, so a report (like
-a calibration table) round-trips bit for bit; wall-clock times live
-under a report's "timing" key, the single part of a report that is not
-reproducible across reruns.
+Run reports are plain JSON documents.  Python's `json` writes a float
+as its shortest repr, which parses back to the same double, so a report
+(like a calibration table) round-trips bit for bit; wall-clock times
+live under a report's "timing" key, the single part of a report that is
+not reproducible across reruns.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from importlib import metadata
 
 import numpy as np
 
@@ -32,7 +30,6 @@ __all__ = [
     "BATCH_VERSION",
     "write_batch",
     "read_batch",
-    "build_report",
     "write_report",
     "read_report",
 ]
@@ -40,14 +37,7 @@ __all__ = [
 BATCH_MAGIC = b"WBPC"
 BATCH_VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
-REPORT_FORMAT_VERSION = 2
-
-
-def tool_version() -> str:
-    try:
-        return metadata.version("wristband")
-    except metadata.PackageNotFoundError:
-        return "unknown"
+REPORT_FORMAT_VERSION = 3
 
 
 def write_batch(path, batch) -> None:
@@ -85,21 +75,6 @@ def read_batch(path) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise FormatError("batch payload contains non-finite values")
     return data
-
-
-def build_report(subcommand: str, argv, config: dict, seeds: dict, metrics: dict,
-                 timing: dict) -> dict:
-    return {
-        "format_version": REPORT_FORMAT_VERSION,
-        "tool": "wristband",
-        "tool_version": tool_version(),
-        "subcommand": subcommand,
-        "argv": list(argv),
-        "config": config,
-        "seeds": seeds,
-        "metrics": metrics,
-        "timing": timing,
-    }
 
 
 def write_report(path, report: dict) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import mmd_loss, sliced_w2_loss
+from .baselines import mmd_loss, sample_projections, sliced_w2_loss
 from .calibration import (
     CalibrationTable,
     _standardized_step,
@@ -149,6 +149,8 @@ def _make_loss_fn(opt_cfg: OptimizeConfig, table: CalibrationTable | None, shape
             return _standardized_step(_validate_for_table(x, table), table, buffers)
 
         return loss_fn
+    if table is not None:
+        raise ContractViolation(f"loss {opt_cfg.loss!r} takes no calibration table")
     if opt_cfg.loss == "mmd":
         def loss_fn(x, step):
             return mmd_loss(x)
@@ -158,7 +160,9 @@ def _make_loss_fn(opt_cfg: OptimizeConfig, table: CalibrationTable | None, shape
     root = RngStream(opt_cfg.seed, "sliced_w2/projections")
 
     def loss_fn(x, step):
-        return sliced_w2_loss(x, opt_cfg.sliced_projections, root.child(f"step{step:06d}"))
+        theta = sample_projections(x.shape[1], opt_cfg.sliced_projections,
+                                   root.child(f"step{step:06d}"))
+        return sliced_w2_loss(x, theta)
 
     return loss_fn
 
@@ -169,7 +173,7 @@ def optimize_point_cloud(initial, opt_cfg: OptimizeConfig, kernel_cfg: KernelCon
 
     The wristband losses take their kernel from the calibration table,
     and `kernel_cfg` must equal `table.cfg`; the baseline losses (mmd,
-    sliced_w2) do not read it.
+    sliced_w2) do not read it and refuse a table.
 
     Returns (final_batch, trajectory), where trajectory is a list of
     (step, loss_value) pairs sampled every `log_stride` steps plus the

@@ -88,21 +88,23 @@ class TestSlicedW2:
 
     def test_projection_stream_determinism(self):
         x = gaussian_batch(64, 5, RngStream(5, "s"))
-        a = sliced_w2_loss(x, 32, RngStream(6, "proj"))
-        b = sliced_w2_loss(x, 32, RngStream(6, "proj"))
+        a = sliced_w2_loss(x, sample_projections(5, 32, RngStream(6, "proj")))
+        b = sliced_w2_loss(x, sample_projections(5, 32, RngStream(6, "proj")))
         assert a.value == b.value
         assert np.array_equal(a.grad, b.grad)
 
     def test_large_gaussian_batch_small_value(self):
         x = gaussian_batch(8000, 3, RngStream(7, "null"))
-        out = sliced_w2_loss(x, 64, RngStream(8, "proj"))
+        out = sliced_w2_loss(x, sample_projections(3, 64, RngStream(8, "proj")))
         assert out.value < 0.01
 
     def test_projections_must_be_nonempty(self):
         x = gaussian_batch(16, 3, RngStream(9, "empty"))
-        for projections in (0, -1, np.empty((0, 3))):
-            with pytest.raises(ContractViolation, match="projection"):
-                sliced_w2_loss(x, projections, RngStream(10, "proj"))
+        for count in (0, -1):
+            with pytest.raises(ContractViolation, match="projection count"):
+                sample_projections(3, count, RngStream(10, "proj"))
+        with pytest.raises(ContractViolation, match="projections"):
+            sliced_w2_loss(x, np.empty((0, 3)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradient_fd_frozen_projections(self, seed):

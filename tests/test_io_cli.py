@@ -1,14 +1,17 @@
+import hashlib
 import json
 import math
 import re
 import struct
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wristband import __version__
 from wristband.calibration import LOSS_PATHS, CalibrationTable
 from wristband.cli import _build_parser, cli_dispatch
 from wristband.errors import FormatError
@@ -24,7 +27,6 @@ from wristband.io import (
     BATCH_MAGIC,
     BATCH_VERSION,
     REPORT_FORMAT_VERSION,
-    build_report,
     read_batch,
     read_report,
     write_batch,
@@ -147,7 +149,8 @@ class TestReportEncoding:
         # reads back as the same double (float `==` compares the bits here).
         tree = {"a": 0.1 + 0.2, "b": [1.0 / 3.0, {"c": 2.0**-52}], "n": 7, "s": "txt"}
         path = tmp_path / "r.json"
-        write_report(path, build_report("gen", ["gen"], {}, {}, tree, {}))
+        write_report(path, {"format_version": REPORT_FORMAT_VERSION, "argv": ["gen"],
+                            "metrics": tree})
         text = path.read_text()
         assert '"a": 0.30000000000000004' in text and '"c": 2.220446049250313e-16' in text
         back = read_report(path)["metrics"]
@@ -269,13 +272,19 @@ def test_every_subcommand_writes_a_report(sub, tmp_path):
     argv = [sub] + [a.format(tmp=tmp_path) for a in SUBCOMMAND_ARGV[sub]] + ["--report", str(rpt)]
     assert run(argv) == 0
     report = read_report(rpt)
-    assert report["subcommand"] == report["config"]["subcommand"] == sub
+    # Each input once: the flags under `config`, no top-level copy of them.
+    assert set(report) == {"format_version", "tool", "tool_version", "argv", "config",
+                           "metrics", "outputs", "timing"}
+    assert report["format_version"] == 3 and report["tool_version"] == __version__
+    assert report["config"]["subcommand"] == sub
     assert report["argv"] == argv
     assert report["config"]["pairwise_tile"] == 128
-    assert report["seeds"] == ({} if sub == "selftest" else {"seed": 0})
+    assert report["config"].get("seed") == (None if sub == "selftest" else 0)
+    out = report["config"].get("out")
+    assert report["outputs"] == ({} if out is None else
+                                 {"out": hashlib.sha256(Path(out).read_bytes()).hexdigest()})
     assert report["metrics"]
     assert report["timing"]["wall_time_s"] > 0.0
-    assert "threads" not in report
     assert run(["--replay", str(rpt)]) == 0
 
 
@@ -342,11 +351,15 @@ class TestCli:
 
     @pytest.mark.parametrize("loss", ["mmd", "sliced-w2"])
     def test_optimize_refuses_calib_for_baseline_losses(self, tmp_path, capsys, loss):
-        out = tmp_path / "opt.wbpc"
+        # A readable table: the library refuses it, not a missing file.
+        calib, out = tmp_path / "calib.json", tmp_path / "opt.wbpc"
+        assert run(["calibrate", "--n", "16", "--d", "3", "--reps", "4",
+                    "--out", str(calib)]) == 0
+        capsys.readouterr()
         assert run(["optimize", "--loss", loss, "--kind", "x", "--n", "16", "--d", "3",
-                    "--steps", "2", "--calib", str(tmp_path / "missing.json"),
-                    "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+                    "--steps", "2", "--calib", str(calib), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "takes no calibration table" in err
         assert not out.exists()
 
     def test_optimize_rejects_zero_projections(self, tmp_path, capsys):
@@ -421,7 +434,45 @@ class TestCli:
         rpt.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["--replay", str(rpt)]) == 1
-        assert "METRICS MISMATCH" in capsys.readouterr().out
+        assert "replay: MISMATCH in metrics\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key,edit", [
+        ("config", lambda doc: doc["config"].update(n=17)),
+        ("config", lambda doc: doc["config"].update(seed=6)),
+        ("tool_version", lambda doc: doc.update(tool_version="9.9")),
+        ("outputs", lambda doc: doc["outputs"].update(out="0" * 64)),
+    ], ids=["config.n", "config.seed", "tool_version", "outputs.out"])
+    def test_replay_checks_every_key_but_timing(self, tmp_path, capsys, key, edit):
+        # Any edit outside `timing` is a mismatch, named by its top-level key;
+        # an edit inside `timing` is not.
+        rpt = tmp_path / "g.json"
+        assert run(["gen", "--kind", "gaussian", "--n", "16", "--d", "3", "--seed", "5",
+                    "--out", str(tmp_path / "g.wbpc"), "--report", str(rpt)]) == 0
+        doc = json.loads(rpt.read_text())
+        doc["timing"]["wall_time_s"] = -1.0
+        rpt.write_text(json.dumps(doc))
+        assert run(["--replay", str(rpt)]) == 0
+        edit(doc)
+        rpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["--replay", str(rpt)]) == 1
+        assert f"replay: MISMATCH in {key}\n" in capsys.readouterr().out
+
+    def test_version_2_report_refused(self, tmp_path, capsys):
+        # Version 2 repeated the seed under `seeds` and the subcommand at the
+        # top level, and recorded no output digest; no reader for it is kept.
+        rpt = tmp_path / "g.json"
+        assert run(["gen", "--kind", "gaussian", "--n", "8", "--d", "2", "--seed", "3",
+                    "--out", str(tmp_path / "g.wbpc"), "--report", str(rpt)]) == 0
+        doc = json.loads(rpt.read_text())
+        del doc["outputs"]
+        doc.update(format_version=2, seeds={"seed": 3}, subcommand="gen")
+        rpt.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="format_version 2"):
+            read_report(rpt)
+        capsys.readouterr()
+        assert run(["--replay", str(rpt)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_version_1_report_refused(self, tmp_path, capsys):
         # Version 1 wrote floats as decimal strings; no reader for it is kept.
@@ -429,7 +480,7 @@ class TestCli:
         assert run(["gen", "--kind", "gaussian", "--n", "8", "--d", "2",
                     "--out", str(tmp_path / "g.wbpc"), "--report", str(rpt)]) == 0
         doc = json.loads(rpt.read_text())
-        assert doc["format_version"] == REPORT_FORMAT_VERSION == 2
+        assert doc["format_version"] == REPORT_FORMAT_VERSION == 3
         doc["format_version"] = 1
         doc["metrics"]["mean_norm"] = repr(doc["metrics"]["mean_norm"])
         rpt.write_text(json.dumps(doc))

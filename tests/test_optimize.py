@@ -235,6 +235,15 @@ class TestOptimizePointCloud:
         with pytest.raises(ContractViolation):
             optimize_point_cloud(initial, opt, KernelConfig(), None)
 
+    @pytest.mark.parametrize("loss", ["mmd", "sliced_w2"])
+    def test_baseline_losses_refuse_a_table(self, loss):
+        cfg = KernelConfig(beta=8.0, alpha=1.0)
+        table = calibrate_null(16, 3, cfg, reps=4, seed=1)
+        initial = gaussian_batch(16, 3, RngStream(20, "init"))
+        opt = OptimizeConfig(loss=loss, steps=2, lr=0.05)
+        with pytest.raises(ContractViolation, match="takes no calibration table"):
+            optimize_point_cloud(initial, opt, cfg, table)
+
     def test_path_mismatch_rejected(self):
         cfg = KernelConfig(beta=8.0, alpha=1.0)
         table = calibrate_null(16, 3, cfg, reps=16, seed=1, loss_path="spectral")

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wristband.baselines import sliced_w2_loss
+from wristband.baselines import sample_projections, sliced_w2_loss
 from wristband.calibration import calibrate_null
 from wristband.errors import ContractViolation, DomainError, WristbandError
 from wristband.evaluation import barycentric_reference, barycentric_z_score
@@ -92,8 +92,9 @@ INTEGER_SLOTS = [
      ContractViolation),
     ("pairwise_value_from_wristband.tile",
      lambda v: pairwise_value_from_wristband(wristband_forward(_batch()), CFG, v), ContractViolation),
-    ("sliced_w2_loss.projections", lambda v: sliced_w2_loss(_batch(), v, RngStream(4)),
-     ContractViolation),
+    # The projection count behind a sliced-w2 call, refused where it is drawn.
+    ("sliced_w2_loss.projections",
+     lambda v: sliced_w2_loss(_batch(), sample_projections(3, v, RngStream(4))), ContractViolation),
     ("OptimizeConfig.steps", lambda v: OptimizeConfig(steps=v), ContractViolation),
     ("OptimizeConfig.seed", lambda v: OptimizeConfig(seed=v), ContractViolation),
     ("KernelConfig.modes", lambda v: KernelConfig(modes=v), DomainError),

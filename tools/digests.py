@@ -4,7 +4,8 @@ The outputs cover calibration tables for the pairwise path under both
 reductions and for the spectral path (global reduction, its only one);
 pairwise values and gradients at tiles 7, 16 and 128, in the two-base and
 three-image bases, at d = 3, 10 and 64; a standardized step on each path;
-a 40-step optimize at the direct-benchmark setting (512 x 10); and a
+a 40-step optimize at the direct-benchmark setting (512 x 10); a 20-step
+sliced-w2 optimize (64 x 5, fresh projections each step); and a
 barycentric reference with a z-score.  "Bytes unchanged" between two
 checkouts is then one `diff` of two runs, each importing the package from
 the checkout under test:
@@ -33,7 +34,7 @@ import numpy as np
 
 from wristband.calibration import calibrate_null, standardized_wristband_loss
 from wristband.evaluation import barycentric_reference, barycentric_z_score
-from wristband.generators import RngStream, gaussian_batch, rac_batch
+from wristband.generators import RngStream, gaussian_batch, rac_batch, x_batch
 from wristband.optimize import OptimizeConfig, optimize_point_cloud
 from wristband.pairwise import (
     ALPHA_UNIFORM_STD,
@@ -104,6 +105,14 @@ def _optimize() -> str:
     return _sha(astuple(table), final, np.array(trajectory))
 
 
+def _optimize_sliced_w2() -> str:
+    raw = x_batch(64, 5, RngStream(23, "digests/sliced_w2"))
+    opt = OptimizeConfig(loss="sliced_w2", steps=20, lr=0.05, seed=7, log_stride=5,
+                         sliced_projections=16)
+    final, trajectory = optimize_point_cloud(raw, opt, KernelConfig())
+    return _sha(final, np.array(trajectory))
+
+
 def _barycentric() -> str:
     stream = RngStream(21, "digests/barycentric")
     ref = barycentric_reference(256, 10, 4, stream.child("ref"))
@@ -126,6 +135,7 @@ def entries() -> dict[str, Callable[[], str]]:
     for path in ("pairwise", "spectral"):
         out[f"standardized.{path}"] = functools.partial(_standardized, path)
     out["optimize.direct_benchmark.512x10.steps40"] = _optimize
+    out["optimize.sliced_w2.64x5.steps20"] = _optimize_sliced_w2
     out["evaluation.barycentric"] = _barycentric
     return out
 
