@@ -30,7 +30,6 @@ from .errors import (
 )
 from .evaluation import (
     Assignment,
-    BarycentricReference,
     barycentric_reference,
     barycentric_z_score,
     hungarian_assign,

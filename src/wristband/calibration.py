@@ -91,11 +91,12 @@ class CalibrationTable:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "CalibrationTable":
-        """The table `to_json` wrote; any malformed document is a `FormatError`."""
+    def from_json(cls, text: str | bytes) -> "CalibrationTable":
+        """The table `to_json` wrote, as text or encoded bytes; any malformed document,
+        undecodable bytes included, is a `FormatError`."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, not decodable, or too deep
             raise FormatError(f"calibration table is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise FormatError(f"calibration table must be a JSON object, got {type(doc).__name__}")

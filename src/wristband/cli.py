@@ -3,12 +3,16 @@
 Subcommands: gen, calibrate, optimize, score, parity, selftest.  Each
 ``_cmd_*`` does its work and returns its exit code, metrics and any extra
 timing data; `_run` times it and, given --report, writes a report: the
-argv, the parsed flags once as ``config``, the metrics, the SHA-256 of
-the file --out wrote under ``outputs``, and wall-clock data under
-``timing``.  Everything but ``timing`` is reproducible, and ``wristband
---replay report.json`` checks all of it: it re-executes the recorded
-argv into a temporary directory and compares the canonical JSON text of
-every other key, so every double and every output byte must match.
+argv, the working directory as ``cwd``, the parsed flags once as
+``config``, the metrics, the SHA-256 of the file --out wrote under
+``outputs``, and wall-clock data under ``timing``.  A report holds each
+fact once: metrics are only what the run computed or read from an input
+file, never a flag (that is ``config``) or a code constant (that is
+``tool_version``).  Everything but ``timing`` is reproducible, and
+``wristband --replay report.json`` checks all of it: it re-executes the
+recorded argv in the recorded ``cwd``, with its output files moved into
+a temporary directory, and compares the canonical JSON text of every
+other key, so every double and every output byte must match.
 
 Exit codes: 0 success, 1 numeric/convergence failure, 2 usage error.
 """
@@ -38,7 +42,6 @@ from .calibration import (
 from .errors import WristbandError
 from .evaluation import barycentric_reference, barycentric_z_score
 from .generators import (
-    PARITY_CONSTANTS,
     PARITY_KINDS,
     RngStream,
     gaussian_batch,
@@ -48,7 +51,7 @@ from .generators import (
 )
 from .io import REPORT_FORMAT_VERSION, read_batch, read_report, write_batch, write_report
 from .optimize import LOSS_KINDS, SCHEDULES, OptimizeConfig, optimize_point_cloud
-from .pairwise import DEFAULT_TILE, REDUCTIONS, KernelConfig, pairwise_repulsion_loss
+from .pairwise import REDUCTIONS, KernelConfig, pairwise_repulsion_loss
 from .parity import finite_difference_check, parity_suite, timing_sweep
 from .spectral import spectral_loss
 from .specfun import chi2_cdf
@@ -64,8 +67,7 @@ def _library_name(name: str) -> str:
     return name.replace("-", "_")
 
 
-_CLI_PARITY_KINDS = tuple(_cli_name(k) for k in PARITY_KINDS)
-GEN_KINDS = ("gaussian", "x", "rac") + _CLI_PARITY_KINDS
+GEN_KINDS = ("gaussian", "x", "rac") + tuple(_cli_name(k) for k in PARITY_KINDS)
 
 
 def _generate(kind: str, n: int, d: int, seed: int) -> np.ndarray:
@@ -94,15 +96,7 @@ def _cmd_gen(args) -> tuple[int, dict, dict]:
     batch = _generate(args.kind, args.n, args.d, args.seed)
     write_batch(args.out, batch)
     norms = np.linalg.norm(batch, axis=1)
-    metrics = {
-        "n": args.n,
-        "d": args.d,
-        "kind": args.kind,
-        "mean_norm": float(norms.mean()),
-        "max_abs": float(np.max(np.abs(batch))),
-    }
-    if args.kind in _CLI_PARITY_KINDS:
-        metrics["generator_constants"] = dict(PARITY_CONSTANTS)
+    metrics = {"mean_norm": float(norms.mean()), "max_abs": float(np.max(np.abs(batch)))}
     print(f"gen: wrote {args.n}x{args.d} {args.kind} batch to {args.out}")
     return 0, metrics, {}
 
@@ -112,11 +106,7 @@ def _cmd_calibrate(args) -> tuple[int, dict, dict]:
     table = calibrate_null(args.n, args.d, cfg, args.reps, args.seed, args.loss_path)
     with open(args.out, "w") as fh:
         fh.write(table.to_json())
-    metrics = {
-        **{name: getattr(table, name) for name in _FLOAT_FIELDS},
-        "loss_path": table.loss_path,
-        "reduction": cfg.reduction,
-    }
+    metrics = {name: getattr(table, name) for name in _FLOAT_FIELDS}
     print(
         f"calibrate: n={args.n} d={args.d} reps={args.reps} path={args.loss_path} "
         f"mu_rep={table.mu_rep:.6f} -> {args.out}"
@@ -134,7 +124,7 @@ def _cmd_optimize(args) -> tuple[int, dict, dict]:
         raise WristbandError("optimize needs either --in or --kind with --n and --d, not both")
     table = None
     if args.calib is not None:
-        with open(args.calib) as fh:
+        with open(args.calib, "rb") as fh:
             table = CalibrationTable.from_json(fh.read())
     kernel_cfg = KernelConfig() if table is None else table.cfg
     opt_cfg = OptimizeConfig(
@@ -151,7 +141,6 @@ def _cmd_optimize(args) -> tuple[int, dict, dict]:
     metrics = {
         "initial_loss": trajectory[0][1],
         "final_loss": trajectory[-1][1],
-        "steps": args.steps,
         "trajectory": [[s, v] for s, v in trajectory],
     }
     print(
@@ -167,15 +156,7 @@ def _cmd_score(args) -> tuple[int, dict, dict]:
     stream = RngStream(args.seed, "score")
     ref = barycentric_reference(n, d, args.ref_batches, stream.child("reference"))
     z = barycentric_z_score(candidate, ref, args.null_batches, stream.child("nulls"))
-    metrics = {
-        "z": z,
-        "n": n,
-        "d": d,
-        "ref_batches": args.ref_batches,
-        "null_batches": args.null_batches,
-        "w2_convention": "distance",
-        "reference_provenance": ref.provenance(),
-    }
+    metrics = {"z": z, "n": n, "d": d}
     print(f"score: barycentric-W2 z = {z:.4f} (n={n}, d={d})")
     return 0, metrics, {}
 
@@ -188,7 +169,7 @@ def _cmd_parity(args) -> tuple[int, dict, dict]:
         for n in args.ns:
             suite = parity_suite(d, n, args.modes, seeds, cfg)
             rows.append({k: suite[k] for k in
-                         ("d", "n", "modes", "mean_cosine", "min_cosine", "value_correlation")})
+                         ("d", "n", "mean_cosine", "min_cosine", "value_correlation")})
             print(
                 f"parity: d={d} n={n} K={args.modes} mean_cos={suite['mean_cosine']:.4f} "
                 f"min_cos={suite['min_cosine']:.4f} value_corr={suite['value_correlation']:.6f}"
@@ -200,8 +181,7 @@ def _cmd_parity(args) -> tuple[int, dict, dict]:
             f"timing: d={row['d']} n={row['n']} pairwise={row['pairwise_ms']:.2f}ms "
             f"spectral={row['spectral_ms']:.2f}ms speedup={row['speedup']:.2f}x"
         )
-    metrics = {"parity": rows, "generator_constants": dict(PARITY_CONSTANTS)}
-    return 0, metrics, {"timing_rows": timing_rows}
+    return 0, {"parity": rows}, {"timing_rows": timing_rows}
 
 
 def _selftest_checks():
@@ -347,12 +327,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _replay(path: str) -> int:
-    """Rerun a report's argv with its output files redirected to a temporary directory,
-    then compare every key of the two reports but `timing`."""
+    """Rerun a report's argv in its recorded cwd with its output files redirected to a
+    temporary directory, then compare every key of the two reports but `timing`."""
     original = read_report(path)
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         report_path = os.path.join(tmp, "replay-report.json")
-        code = _run(original["argv"], out_dir=tmp, report=report_path)
+        os.chdir(original["cwd"])
+        try:
+            code = _run(original["argv"], out_dir=tmp, report=report_path)
+        finally:
+            os.chdir(home)
         if code != 0:
             print(f"replay: rerun exited with {code}")
             return 1
@@ -387,11 +372,12 @@ def _run(argv, out_dir: str | None = None, report: str | None = None) -> int:
     """Parse, run and time one subcommand, then write its report; returns the exit code.
 
     The report echoes every parsed argument but `func` once, as its
-    config.  `out_dir` moves the parsed --out to its base name in that
-    directory and `report` replaces --report.  Both act on the parsed
-    arguments after the echo is taken, so a replay's config equals the
-    recorded one, however argv spelled the flags (`--out PATH`,
-    `--out=PATH`).
+    config, and records the working directory that the run's relative
+    paths name as `cwd`.  `out_dir` moves the parsed --out to its base
+    name in that directory and `report` replaces --report.  Both act on
+    the parsed arguments after the echo is taken, so a replay's config
+    equals the recorded one, however argv spelled the flags (`--out
+    PATH`, `--out=PATH`).
     """
     try:
         args = _build_parser().parse_args(argv)
@@ -399,7 +385,6 @@ def _run(argv, out_dir: str | None = None, report: str | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     config = {k: v for k, v in vars(args).items() if k != "func"}
-    config["pairwise_tile"] = DEFAULT_TILE
     if out_dir is not None and getattr(args, "out", None) is not None:
         args.out = os.path.join(out_dir, os.path.basename(args.out))
     if report is not None:
@@ -418,6 +403,7 @@ def _run(argv, out_dir: str | None = None, report: str | None = None) -> int:
                 "tool": "wristband",
                 "tool_version": __version__,
                 "argv": list(argv),
+                "cwd": os.getcwd(),
                 "config": config,
                 "metrics": metrics,
                 "outputs": outputs,

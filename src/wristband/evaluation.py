@@ -3,9 +3,11 @@
 A deterministic Gaussian reference batch is built by recursively
 pairing Gaussian batches, solving an exact linear assignment inside
 each pair, and replacing the pair with the midpoint batch of matched
-points.  A candidate batch is then scored by its exact equal-weight W2
-distance to the reference, standardized against the distances of fresh
-Gaussian batches of the same shape.
+points; `barycentric_reference` returns that batch as a plain array,
+which its arguments rebuild.  A candidate batch is then scored by its
+exact equal-weight W2 distance (the distance, not its square) to the
+reference, standardized against the distances of fresh Gaussian batches
+of the reference's shape.
 
 Assignment solves go through scipy's `linear_sum_assignment`, Crouse's
 exact shortest-augmenting-path solver; exactness is cross-checked
@@ -23,7 +25,7 @@ matching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -34,7 +36,6 @@ from .wristband_map import validate_point_batch
 
 __all__ = [
     "Assignment",
-    "BarycentricReference",
     "hungarian_assign",
     "w2_exact",
     "barycentric_reference",
@@ -48,23 +49,6 @@ class Assignment:
 
     perm: np.ndarray
     cost: float
-
-
-@dataclass(frozen=True)
-class BarycentricReference:
-    """The reference batch plus the provenance needed to rebuild it."""
-
-    batch: np.ndarray
-    num_batches: int
-    n: int
-    dim: int
-    seed: int
-    depth: int
-    stream_label: str
-
-    def provenance(self) -> dict:
-        """Every field but the batch."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "batch"}
 
 
 def hungarian_assign(cost) -> Assignment:
@@ -134,8 +118,8 @@ def w2_exact(a, b) -> float:
     return math.sqrt(np.einsum("ij,ij->i", diff, diff).sum() / a.shape[0])
 
 
-def barycentric_reference(n: int, d: int, num_batches: int, stream: RngStream) -> BarycentricReference:
-    """Recursive Hungarian-midpoint reduction of `num_batches` Gaussian batches.
+def barycentric_reference(n: int, d: int, num_batches: int, stream: RngStream) -> np.ndarray:
+    """The (n, d) recursive Hungarian-midpoint reduction of `num_batches` Gaussian batches.
 
     num_batches must be a power of two in [2, 128].  At each level the
     surviving batches are shuffled with a labeled stream, paired
@@ -160,34 +144,26 @@ def barycentric_reference(n: int, d: int, num_batches: int, stream: RngStream) -
             merged.append(0.5 * (a + b[_matching(a, b)]))
         batches = merged
         depth += 1
-    return BarycentricReference(
-        batch=batches[0],
-        num_batches=num_batches,
-        n=n,
-        dim=d,
-        seed=stream.seed,
-        depth=depth,
-        stream_label=stream.label,
-    )
+    return batches[0]
 
 
-def barycentric_z_score(candidate, ref: BarycentricReference, null_batches: int,
-                        stream: RngStream) -> float:
-    """z-score of W2(candidate, ref) against fresh same-shape Gaussian batches.
+def barycentric_z_score(candidate, reference, null_batches: int, stream: RngStream) -> float:
+    """z-score of W2(candidate, reference) against fresh Gaussian batches of its shape.
 
     The null standard deviation uses the unbiased (n-1) estimator.  The
     numerator uses the W2 distance itself (not its square).
     """
     candidate = validate_point_batch(candidate)
-    if candidate.shape != ref.batch.shape:
+    reference = validate_point_batch(reference)
+    if candidate.shape != reference.shape:
         raise ContractViolation(
-            f"candidate shape {candidate.shape} does not match reference {ref.batch.shape}"
+            f"candidate shape {candidate.shape} does not match reference {reference.shape}"
         )
     null_batches = _integer("null_batches", null_batches, 2)
-    w = w2_exact(candidate, ref.batch)
+    w = w2_exact(candidate, reference)
     nulls = np.array(
         [
-            w2_exact(gaussian_batch(ref.n, ref.dim, stream.child(f"null{k:03d}")), ref.batch)
+            w2_exact(gaussian_batch(*reference.shape, stream.child(f"null{k:03d}")), reference)
             for k in range(null_batches)
         ]
     )

@@ -33,7 +33,7 @@ __all__ = [
 
 RAC_SCORE_EPS = 1e-12
 
-# Free constants of the parity generators; every run report records them.
+# Free constants of the parity generators; a run report's `tool_version` pins them.
 PARITY_CONSTANTS = {
     "mixture5_mean_scale": math.sqrt(2.0),  # component means ~ N(0, 2I), drawn once
     "mixture5_components": 5,

@@ -37,7 +37,7 @@ __all__ = [
 BATCH_MAGIC = b"WBPC"
 BATCH_VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
-REPORT_FORMAT_VERSION = 3
+REPORT_FORMAT_VERSION = 4
 
 
 def write_batch(path, batch) -> None:
@@ -84,10 +84,12 @@ def write_report(path, report: dict) -> None:
 
 
 def read_report(path) -> dict:
-    with open(path) as fh:
+    """The report `write_report` wrote; any malformed document, undecodable bytes
+    included, is a `FormatError`."""
+    with open(path, "rb") as fh:
         try:
             report = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, not decodable, or too deep
             raise FormatError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(report, dict):
         raise FormatError(f"report must be a JSON object, got {type(report).__name__}")
@@ -100,4 +102,6 @@ def read_report(path) -> dict:
         raise FormatError(f"report argv must be a list of strings, got {argv!r}")
     if "metrics" not in report:
         raise FormatError("report has no metrics")
+    if not isinstance(report.get("cwd"), str):
+        raise FormatError(f"report cwd must be a string, got {report.get('cwd')!r}")
     return report

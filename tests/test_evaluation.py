@@ -101,9 +101,9 @@ class TestBarycentricReference:
     def test_determinism_and_depth(self):
         r1 = barycentric_reference(32, 3, 8, RngStream(7, "ref"))
         r2 = barycentric_reference(32, 3, 8, RngStream(7, "ref"))
-        assert np.array_equal(r1.batch, r2.batch)
-        assert r1.depth == 3
-        assert r1.provenance()["num_batches"] == 8
+        # The reference is a plain (n, d) batch; its arguments rebuild it.
+        assert isinstance(r1, np.ndarray) and r1.shape == (32, 3)
+        assert np.array_equal(r1, r2)
 
     def test_variance_reduction(self):
         # The reference covariance should be closer to the identity than
@@ -121,7 +121,7 @@ class TestBarycentricReference:
                 c = (b - b.mean(0)).T @ (b - b.mean(0)) / n
                 return np.linalg.norm(c - np.eye(d))
 
-            ref_err = cov_err(ref.batch)
+            ref_err = cov_err(ref)
             med = np.median([cov_err(s) for s in sources])
             wins += ref_err < med
         assert wins >= 18
@@ -148,7 +148,7 @@ class TestZScore:
     def test_reference_scores_negative(self):
         stream = RngStream(9, "z2")
         ref = barycentric_reference(48, 3, 8, stream.child("ref"))
-        z = barycentric_z_score(ref.batch, ref, 32, stream.child("nulls"))
+        z = barycentric_z_score(ref, ref, 32, stream.child("nulls"))
         assert z < 0.0
 
     def test_raw_x_batch_enormous(self):
@@ -164,3 +164,13 @@ class TestZScore:
         ref = barycentric_reference(16, 3, 4, stream.child("ref"))
         with pytest.raises(ContractViolation):
             barycentric_z_score(np.ones((16, 4)), ref, 8, stream.child("nulls"))
+
+    def test_reference_is_checked_as_a_point_batch(self):
+        # The reference is caller input: a non-finite or 1-D one is refused.
+        stream = RngStream(12, "z5")
+        ref = barycentric_reference(16, 3, 2, stream.child("ref"))
+        bad = ref.copy()
+        bad[0, 0] = np.nan
+        for reference in (bad, ref[:, 0]):
+            with pytest.raises(ContractViolation):
+                barycentric_z_score(ref, reference, 8, stream.child("nulls"))

@@ -16,7 +16,6 @@ from wristband.calibration import LOSS_PATHS, CalibrationTable
 from wristband.cli import _build_parser, cli_dispatch
 from wristband.errors import FormatError
 from wristband.generators import (
-    PARITY_CONSTANTS,
     RngStream,
     gaussian_batch,
     parity_batch,
@@ -143,6 +142,48 @@ def test_read_batch_returns_the_file_or_a_format_error(tmp_path_factory, case):
     assert got.shape == (n, d) and got.tobytes() == blob[24:] and np.all(np.isfinite(got))
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def fuzzed_reports(draw):
+    """Arbitrary bytes, an arbitrary JSON document, or a minimal valid report
+    with each checked key kept, deleted or replaced by any JSON value."""
+    kind = draw(st.sampled_from(["bytes", "json", "report"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "json":
+        return json.dumps(draw(JSON_VALUES)).encode()
+    doc = {"format_version": REPORT_FORMAT_VERSION, "argv": ["gen"], "cwd": ".", "metrics": {}}
+    for key in list(doc):
+        edit = draw(st.sampled_from(["keep", "delete", "replace"]))
+        if edit == "delete":
+            del doc[key]
+        elif edit == "replace":
+            doc[key] = draw(JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(blob=fuzzed_reports())
+def test_read_report_returns_a_report_or_a_format_error(tmp_path_factory, blob):
+    # Any other exception (a decode or type error) is a bug.  An accepted
+    # report is never replayed here: a drawn argv could start real work.
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_bytes(blob)
+    try:
+        report = read_report(path)
+    except FormatError:
+        return
+    assert isinstance(report, dict) and "metrics" in report and isinstance(report["cwd"], str)
+    assert isinstance(report["argv"], list) and all(isinstance(a, str) for a in report["argv"])
+
+
 class TestReportEncoding:
     def test_floats_roundtrip(self, tmp_path):
         # Plain JSON numbers: each float is written as its shortest repr, which
@@ -150,7 +191,7 @@ class TestReportEncoding:
         tree = {"a": 0.1 + 0.2, "b": [1.0 / 3.0, {"c": 2.0**-52}], "n": 7, "s": "txt"}
         path = tmp_path / "r.json"
         write_report(path, {"format_version": REPORT_FORMAT_VERSION, "argv": ["gen"],
-                            "metrics": tree})
+                            "cwd": ".", "metrics": tree})
         text = path.read_text()
         assert '"a": 0.30000000000000004' in text and '"c": 2.220446049250313e-16' in text
         back = read_report(path)["metrics"]
@@ -159,6 +200,11 @@ class TestReportEncoding:
 
 def run(argv):
     return cli_dispatch(argv)
+
+
+# Two files that do not decode to JSON text: a UTF-16 byte-order mark before
+# bytes that are not JSON, and bytes that are not UTF-8.
+UNDECODABLE = (bytes.fromhex("fffe00626164"), b"\xffbad")
 
 
 # The command-line spellings, written out: the CLI derives them from the
@@ -193,10 +239,7 @@ class TestCliSpellings:
         else:
             want = gen(16, 3, stream)
         assert read_batch(out).tobytes() == want.tobytes()
-        report = read_report(rpt)
-        assert report["config"]["kind"] == report["metrics"]["kind"] == kind
-        constants = report["metrics"].get("generator_constants")
-        assert constants == (dict(PARITY_CONSTANTS) if gen is None else None)
+        assert read_report(rpt)["config"]["kind"] == kind
         if "-" in kind:
             assert run(["gen", "--kind", kind.replace("-", "_"), "--n", "16", "--d", "3",
                         "--out", str(out)]) == 2
@@ -215,7 +258,7 @@ class TestCliSpellings:
         assert run(argv) == 0
         report = read_report(rpt)
         assert report["config"]["loss"] == loss
-        assert report["metrics"]["steps"] == 2
+        assert report["config"]["steps"] == 2
         if "-" in loss:
             assert run([a.replace(loss, loss.replace("-", "_")) for a in argv]) == 2
 
@@ -272,14 +315,21 @@ def test_every_subcommand_writes_a_report(sub, tmp_path):
     argv = [sub] + [a.format(tmp=tmp_path) for a in SUBCOMMAND_ARGV[sub]] + ["--report", str(rpt)]
     assert run(argv) == 0
     report = read_report(rpt)
-    # Each input once: the flags under `config`, no top-level copy of them.
-    assert set(report) == {"format_version", "tool", "tool_version", "argv", "config",
+    # Each fact once: the flags under `config`, no top-level copy of them, and
+    # metrics that repeat neither a flag nor a code constant.
+    assert set(report) == {"format_version", "tool", "tool_version", "argv", "cwd", "config",
                            "metrics", "outputs", "timing"}
-    assert report["format_version"] == 3 and report["tool_version"] == __version__
+    assert report["format_version"] == 4 and report["tool_version"] == __version__
+    assert report["cwd"] == str(Path.cwd())
     assert report["config"]["subcommand"] == sub
     assert report["argv"] == argv
-    assert report["config"]["pairwise_tile"] == 128
     assert report["config"].get("seed") == (None if sub == "selftest" else 0)
+    assert not set(report["metrics"]) & set(report["config"])
+    assert "pairwise_tile" not in report["config"]
+    text = json.dumps(report)
+    for constant in ("generator_constants", "reference_provenance", "w2_convention"):
+        assert constant not in text
+    assert all("modes" not in row for row in report["metrics"].get("parity", []))
     out = report["config"].get("out")
     assert report["outputs"] == ({} if out is None else
                                  {"out": hashlib.sha256(Path(out).read_bytes()).hexdigest()})
@@ -474,13 +524,48 @@ class TestCli:
         assert run(["--replay", str(rpt)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_version_3_report_refused(self, tmp_path, capsys):
+        # Version 3 recorded no cwd, so a relative input could not be found
+        # from another directory; no reader for it is kept.
+        rpt = tmp_path / "g.json"
+        assert run(["gen", "--kind", "gaussian", "--n", "8", "--d", "2", "--seed", "3",
+                    "--out", str(tmp_path / "g.wbpc"), "--report", str(rpt)]) == 0
+        doc = json.loads(rpt.read_text())
+        del doc["cwd"]
+        doc["format_version"] = 3
+        doc["config"]["pairwise_tile"] = 128
+        rpt.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="format_version 3"):
+            read_report(rpt)
+        capsys.readouterr()
+        assert run(["--replay", str(rpt)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_replay_finds_relative_inputs_from_another_directory(self, tmp_path, monkeypatch):
+        # Recorded in sub/ with a relative --in, replayed from its parent: the
+        # rerun runs in the recorded cwd, and the replay changes back after it.
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        monkeypatch.chdir(sub)
+        write_batch("raw.wbpc", gaussian_batch(16, 3, RngStream(0, "raw")))
+        assert run(["score", "--in", "raw.wbpc", "--ref-batches", "2", "--null-batches", "2",
+                    "--report", "s.json"]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert run(["--replay", "sub/s.json"]) == 0
+        assert Path.cwd() == tmp_path
+        doc = json.loads((sub / "s.json").read_text())
+        doc["cwd"] = str(tmp_path / "gone")
+        (sub / "s.json").write_text(json.dumps(doc))
+        assert run(["--replay", "sub/s.json"]) == 1
+        assert Path.cwd() == tmp_path
+
     def test_version_1_report_refused(self, tmp_path, capsys):
         # Version 1 wrote floats as decimal strings; no reader for it is kept.
         rpt = tmp_path / "g.json"
         assert run(["gen", "--kind", "gaussian", "--n", "8", "--d", "2",
                     "--out", str(tmp_path / "g.wbpc"), "--report", str(rpt)]) == 0
         doc = json.loads(rpt.read_text())
-        assert doc["format_version"] == REPORT_FORMAT_VERSION == 3
+        assert doc["format_version"] == REPORT_FORMAT_VERSION == 4
         doc["format_version"] = 1
         doc["metrics"]["mean_norm"] = repr(doc["metrics"]["mean_norm"])
         rpt.write_text(json.dumps(doc))
@@ -504,19 +589,25 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.wbpc", "r.json"]
 
     @pytest.mark.parametrize("field,value", [("argv", None), ("argv", "gen --n 8"),
-                                             ("argv", ["gen", 8]), ("metrics", None)],
-                             ids=["no-argv", "argv-string", "argv-non-string", "no-metrics"])
+                                             ("argv", ["gen", 8]), ("metrics", None),
+                                             ("cwd", None), ("cwd", 3),
+                                             ("JSON", UNDECODABLE[0]), ("JSON", UNDECODABLE[1])],
+                             ids=["no-argv", "argv-string", "argv-non-string", "no-metrics",
+                                  "no-cwd", "cwd-non-string", "utf16-mark", "not-utf8"])
     def test_replay_of_malformed_report_is_a_format_error(self, tmp_path, capsys, field, value):
         out = tmp_path / "g.wbpc"
         rpt = tmp_path / "g.json"
         assert run(["gen", "--kind", "gaussian", "--n", "8", "--d", "2",
                     "--out", str(out), "--report", str(rpt)]) == 0
         doc = json.loads(rpt.read_text())
-        if value is None:
-            del doc[field]
+        if isinstance(value, bytes):
+            rpt.write_bytes(value)
         else:
-            doc[field] = value
-        rpt.write_text(json.dumps(doc))
+            if value is None:
+                del doc[field]
+            else:
+                doc[field] = value
+            rpt.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=field):
             read_report(rpt)
         capsys.readouterr()
@@ -529,13 +620,16 @@ class TestCli:
                     "--out", str(calib)]) == 0
         doc = json.loads(calib.read_text())
         doc["sd_rep"] = -1.0
-        calib.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run(["optimize", "--loss", "wristband-pairwise", "--kind", "gaussian",
-                    "--n", "16", "--d", "3", "--steps", "2", "--calib", str(calib),
-                    "--out", str(tmp_path / "o.wbpc")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "o.wbpc").exists()
+        for blob in (json.dumps(doc).encode(), *UNDECODABLE):
+            calib.write_bytes(blob)
+            with pytest.raises(FormatError):
+                CalibrationTable.from_json(blob)
+            capsys.readouterr()
+            assert run(["optimize", "--loss", "wristband-pairwise", "--kind", "gaussian",
+                        "--n", "16", "--d", "3", "--steps", "2", "--calib", str(calib),
+                        "--out", str(tmp_path / "o.wbpc")]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not (tmp_path / "o.wbpc").exists()
 
     def test_selftest_passes(self, tmp_path):
         assert run(["selftest"]) == 0

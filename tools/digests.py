@@ -117,7 +117,7 @@ def _barycentric() -> str:
     stream = RngStream(21, "digests/barycentric")
     ref = barycentric_reference(256, 10, 4, stream.child("ref"))
     z = barycentric_z_score(rac_batch(256, 10, stream.child("raw")), ref, 4, stream.child("nulls"))
-    return _sha(ref.batch, repr(sorted(ref.provenance().items())), z)
+    return _sha(ref, z)
 
 
 def entries() -> dict[str, Callable[[], str]]:
