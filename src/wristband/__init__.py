@@ -20,7 +20,6 @@ from .accelerators import (
 from .baselines import mmd_loss, sliced_w2_loss
 from .calibration import CalibrationTable, calibrate_null, standardized_wristband_loss
 from .errors import (
-    CalibrationError,
     ContractViolation,
     DomainError,
     FormatError,

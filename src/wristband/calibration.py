@@ -15,16 +15,15 @@ A table remembers which repulsion path (pairwise or spectral) it
 calibrated; scoring through the other path is refused because the two
 have different null means.
 
-A table checks its fields when it is built, loaded or replaced.  Tables
-serialize to versioned plain JSON, whose numbers are the shortest reprs
-of the stored doubles, so a save/load cycle reproduces the table bit
-for bit; other versions are rejected.
+A table checks its fields when it is built, loaded or replaced, and is
+their only check: a degenerate null (a zero or non-finite mean or sd)
+is refused there.  Tables serialize to versioned plain JSON through
+`io`; its numbers are the shortest reprs of the stored doubles, so a
+save/load cycle reproduces the table bit for bit.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -37,8 +36,9 @@ from .accelerators import (
     _radial_value_grad_t,
     radial_w2_value_from_wristband,
 )
-from .errors import CalibrationError, ContractViolation, FormatError, _integer, _real
+from .errors import ContractViolation, FormatError, _integer, _real
 from .generators import RngStream, gaussian_batch
+from .io import _document_text, _parse_document
 from .pairwise import KernelConfig, LossValueGrad, _pairwise_value_grad, pairwise_value_from_wristband
 from .spectral import _spectral_value_grad, spectral_value_from_wristband
 from .wristband_map import _forward, validate_point_batch, wristband_forward
@@ -87,22 +87,13 @@ class CalibrationTable:
 
     def to_json(self) -> str:
         """Versioned plain JSON; every float is written as its shortest repr."""
-        doc = {"format_version": FORMAT_VERSION, **asdict(self)}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _document_text({"format_version": FORMAT_VERSION, **asdict(self)})
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "CalibrationTable":
         """The table `to_json` wrote, as text or encoded bytes; any malformed document,
         undecodable bytes included, is a `FormatError`."""
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # not JSON, not decodable, or too deep
-            raise FormatError(f"calibration table is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise FormatError(f"calibration table must be a JSON object, got {type(doc).__name__}")
-        version = doc.get("format_version")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported calibration table format_version {version!r}")
+        doc = _parse_document(text, "calibration table", FORMAT_VERSION)
         try:
             values = {f.name: doc[f.name] for f in fields(cls)}
             return cls(**{**values, "cfg": KernelConfig.from_dict(values["cfg"])})
@@ -122,7 +113,7 @@ def calibrate_null(
     rep-index order.  The counts, and the seed through the root stream,
     are checked before the first rep.
     """
-    n, dim, reps = _integer("n", n, 2), _integer("dim", dim, 1), _integer("reps", reps, 2)
+    n, dim, reps = _integer("n", n, 2), _integer("dim", dim, 2), _integer("reps", reps, 2)
     if loss_path not in LOSS_PATHS:
         raise ContractViolation(f"loss_path must be one of {LOSS_PATHS}, got {loss_path!r}")
     rep_value = {"pairwise": pairwise_value_from_wristband,
@@ -138,17 +129,11 @@ def calibrate_null(
 
     mu = vals.mean(axis=0)
     sd = vals.std(axis=0, ddof=1)
-    if np.any(sd <= 0.0) or not np.all(np.isfinite(sd)) or not np.all(np.isfinite(mu)):
-        raise CalibrationError(
-            f"degenerate component statistics: mu={mu.tolist()}, sd={sd.tolist()}"
-        )
-    w = np.asarray(cfg.weights)
-    numerator = (vals - mu) / sd @ w
-    sd_s = float(numerator.std(ddof=1))
-    if sd_s <= 0.0 or not math.isfinite(sd_s):
-        raise CalibrationError(f"degenerate numerator std {sd_s}")
+    # A zero sd makes the numerator NaN or infinite: the table refuses both.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sd_s = float(((vals - mu) / sd @ np.asarray(cfg.weights)).std(ddof=1))
     return CalibrationTable(n=n, dim=dim, cfg=cfg, reps=reps, seed=seed, loss_path=loss_path,
-                            **dict(zip(_FLOAT_FIELDS, (*mu, *sd, sd_s))))
+                            **dict(zip(_FLOAT_FIELDS, (*mu.tolist(), *sd.tolist(), sd_s))))
 
 
 def standardized_wristband_loss(batch, table: CalibrationTable) -> LossValueGrad:

@@ -102,7 +102,8 @@ def _cmd_gen(args) -> tuple[int, dict, dict]:
 
 
 def _cmd_calibrate(args) -> tuple[int, dict, dict]:
-    cfg = KernelConfig(**{f.name: getattr(args, f.name) for f in fields(KernelConfig)})
+    cfg = KernelConfig(**{**{f.name: getattr(args, f.name) for f in fields(KernelConfig)},
+                          "reduction": _library_name(args.reduction)})
     table = calibrate_null(args.n, args.d, cfg, args.reps, args.seed, args.loss_path)
     with open(args.out, "w") as fh:
         fh.write(table.to_json())
@@ -268,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=kernel.beta)
     p.add_argument("--alpha", type=float, default=kernel.alpha)
     p.add_argument("--eps", type=float, default=kernel.eps)
-    p.add_argument("--reduction", choices=REDUCTIONS, default=kernel.reduction)
+    p.add_argument("--reduction", choices=tuple(_cli_name(r) for r in REDUCTIONS),
+                   default=_cli_name(kernel.reduction))
     p.add_argument("--weights", type=_parse_weights, default=kernel.weights,
                    help="w_rep,w_rad,w_mom")
     p.add_argument("--modes", type=int, default=kernel.modes)

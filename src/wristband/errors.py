@@ -22,10 +22,6 @@ class ContractViolation(WristbandError, ValueError):
     """Inputs violate a structural precondition (shape, finiteness, config)."""
 
 
-class CalibrationError(WristbandError, RuntimeError):
-    """Null calibration produced unusable statistics (e.g. zero variance)."""
-
-
 class UnsupportedDimension(WristbandError, ValueError):
     """The requested embedding dimension is outside the supported range."""
 

@@ -126,7 +126,7 @@ def barycentric_reference(n: int, d: int, num_batches: int, stream: RngStream) -
     adjacently, and each pair replaced by the midpoint of its matched
     points.
     """
-    n, d, num_batches = _integer("n", n, 1), _integer("d", d, 1), _integer("num_batches", num_batches)
+    n, d, num_batches = _integer("n", n, 1), _integer("d", d, 2), _integer("num_batches", num_batches)
     if num_batches < 2 or num_batches > 128 or num_batches & (num_batches - 1):
         raise ContractViolation(
             f"num_batches must be a power of two in [2, 128], got {num_batches}"
@@ -151,19 +151,15 @@ def barycentric_z_score(candidate, reference, null_batches: int, stream: RngStre
     """z-score of W2(candidate, reference) against fresh Gaussian batches of its shape.
 
     The null standard deviation uses the unbiased (n-1) estimator.  The
-    numerator uses the W2 distance itself (not its square).
+    numerator uses the W2 distance itself (not its square).  The first
+    `w2_exact` checks the two batches, so every refusal comes before a
+    solve.
     """
-    candidate = validate_point_batch(candidate)
-    reference = validate_point_batch(reference)
-    if candidate.shape != reference.shape:
-        raise ContractViolation(
-            f"candidate shape {candidate.shape} does not match reference {reference.shape}"
-        )
     null_batches = _integer("null_batches", null_batches, 2)
     w = w2_exact(candidate, reference)
     nulls = np.array(
         [
-            w2_exact(gaussian_batch(*reference.shape, stream.child(f"null{k:03d}")), reference)
+            w2_exact(gaussian_batch(*np.shape(reference), stream.child(f"null{k:03d}")), reference)
             for k in range(null_batches)
         ]
     )

@@ -8,11 +8,14 @@ Batch files are a fixed little-endian binary layout:
     bytes 16..23  uint64 d
     bytes 24..    n*d IEEE-754 binary64, row-major
 
-Run reports are plain JSON documents.  Python's `json` writes a float
-as its shortest repr, which parses back to the same double, so a report
-(like a calibration table) round-trips bit for bit; wall-clock times
-live under a report's "timing" key, the single part of a report that is
-not reproducible across reruns.
+Run reports and calibration tables are versioned plain JSON documents,
+written by `_document_text` and checked on reading by `_parse_document`:
+the bytes decode, the document is a JSON object, and its
+`format_version` is the reader's.  Python's `json` writes a float as
+its shortest repr, which parses back to the same double, so both
+round-trip bit for bit; wall-clock times live under a report's
+"timing" key, the single part of a report that is not reproducible
+across reruns.
 """
 
 from __future__ import annotations
@@ -77,26 +80,35 @@ def read_batch(path) -> np.ndarray:
     return data
 
 
+def _document_text(doc: dict) -> str:
+    """A versioned document as JSON text: sorted keys, two-space indent, a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _parse_document(text: str | bytes, noun: str, version: int) -> dict:
+    """The JSON object `text` holds if its format_version is `version`; else a
+    `FormatError` that names the document as `noun`."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, not decodable, or too deep
+        raise FormatError(f"{noun} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{noun} must be a JSON object, got {type(doc).__name__}")
+    if doc.get("format_version") != version:
+        raise FormatError(f"unsupported {noun} format_version {doc.get('format_version')!r}")
+    return doc
+
+
 def write_report(path, report: dict) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(_document_text(report))
 
 
 def read_report(path) -> dict:
     """The report `write_report` wrote; any malformed document, undecodable bytes
     included, is a `FormatError`."""
     with open(path, "rb") as fh:
-        try:
-            report = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not JSON, not decodable, or too deep
-            raise FormatError(f"report is not valid JSON: {exc}") from exc
-    if not isinstance(report, dict):
-        raise FormatError(f"report must be a JSON object, got {type(report).__name__}")
-    if report.get("format_version") != REPORT_FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported report format_version {report.get('format_version')!r}"
-        )
+        report = _parse_document(fh.read(), "report", REPORT_FORMAT_VERSION)
     argv = report.get("argv")
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         raise FormatError(f"report argv must be a list of strings, got {argv!r}")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .baselines import mmd_loss, sample_projections, sliced_w2_loss
 from .calibration import (
+    LOSS_PATHS,
     CalibrationTable,
     _standardized_step,
     _step_buffers,
@@ -132,15 +133,20 @@ def _adam_update(x, g, m, v, t: int, lr: float):
         xb -= tmp
 
 
-def _make_loss_fn(opt_cfg: OptimizeConfig, table: CalibrationTable | None, shape):
-    if opt_cfg.loss in ("wristband_pairwise", "wristband_spectral"):
+def _make_loss_fn(opt_cfg: OptimizeConfig, kernel_cfg: KernelConfig,
+                  table: CalibrationTable | None, shape):
+    path = opt_cfg.loss.removeprefix("wristband_")  # a wristband loss names its table's path
+    if path in LOSS_PATHS:
         if table is None:
             raise ContractViolation(f"loss {opt_cfg.loss!r} requires a calibration table")
-        expected = "pairwise" if opt_cfg.loss == "wristband_pairwise" else "spectral"
-        if table.loss_path != expected:
+        if table.loss_path != path:
             raise ContractViolation(
                 f"calibration table was built for the {table.loss_path!r} path, "
-                f"but the optimizer requested {expected!r}"
+                f"but the optimizer requested {path!r}"
+            )
+        if kernel_cfg != table.cfg:
+            raise ContractViolation(
+                f"kernel config {kernel_cfg} does not match the calibration table's {table.cfg}"
             )
 
         buffers = _step_buffers(shape)
@@ -186,11 +192,7 @@ def optimize_point_cloud(initial, opt_cfg: OptimizeConfig, kernel_cfg: KernelCon
     until the next step; the returned batch is the call's own array.
     """
     x = validate_point_batch(initial).copy()
-    loss_fn = _make_loss_fn(opt_cfg, table, x.shape)
-    if opt_cfg.loss.startswith("wristband") and kernel_cfg != table.cfg:
-        raise ContractViolation(
-            f"kernel config {kernel_cfg} does not match the calibration table's {table.cfg}"
-        )
+    loss_fn = _make_loss_fn(opt_cfg, kernel_cfg, table, x.shape)
     m, v = np.zeros_like(x), np.zeros_like(x)
     trajectory: list[tuple[int, float]] = []
 

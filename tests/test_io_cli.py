@@ -3,6 +3,7 @@ import json
 import math
 import re
 import struct
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from wristband import __version__
 from wristband.calibration import LOSS_PATHS, CalibrationTable
-from wristband.cli import _build_parser, cli_dispatch
+from wristband import cli
+from wristband.cli import _build_parser, cli_dispatch, main
 from wristband.errors import FormatError
 from wristband.generators import (
     RngStream,
@@ -224,6 +226,7 @@ CLI_LOSSES = {
     "mmd": None,
     "sliced-w2": None,
 }
+CLI_REDUCTIONS = {"global": "global", "per-point": "per_point"}  # spelling -> library name
 
 
 class TestCliSpellings:
@@ -262,6 +265,28 @@ class TestCliSpellings:
         if "-" in loss:
             assert run([a.replace(loss, loss.replace("-", "_")) for a in argv]) == 2
 
+    @pytest.mark.parametrize("reduction", CLI_REDUCTIONS)
+    def test_calibrate_reduction(self, reduction, tmp_path):
+        out = tmp_path / "t.json"
+
+        def argv(spelling):
+            return ["calibrate", "--n", "16", "--d", "3", "--reps", "2",
+                    "--reduction", spelling, "--out", str(out)]
+
+        assert run(argv(reduction)) == 0
+        assert CalibrationTable.from_json(out.read_text()).cfg.reduction == CLI_REDUCTIONS[reduction]
+        if "-" in reduction:
+            assert run(argv(CLI_REDUCTIONS[reduction])) == 2
+
+    def test_calibrate_weights(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        argv = ["calibrate", "--n", "16", "--d", "3", "--reps", "2", "--out", str(out), "--weights"]
+        assert run(argv + ["1,0.5,1"]) == 0
+        assert CalibrationTable.from_json(out.read_text()).cfg.weights == (1.0, 0.5, 1.0)
+        capsys.readouterr()
+        assert run(argv + ["1,2"]) == 2
+        assert "weights must be w_rep,w_rad,w_mom" in capsys.readouterr().err
+
     def test_optimize_flags(self, capsys):
         assert run(["optimize", "--help"]) == 0
         text = capsys.readouterr().out
@@ -282,7 +307,8 @@ class TestCliSpellings:
         assert (args.steps, args.lr, args.schedule, args.seed, args.log_stride,
                 args.projections) == (opt.steps, opt.lr, opt.schedule, opt.seed,
                                       opt.log_stride, opt.sliced_projections)
-        for sub, flag, choices in [("calibrate", "--reduction", REDUCTIONS),
+        assert tuple(CLI_REDUCTIONS.values()) == REDUCTIONS
+        for sub, flag, choices in [("calibrate", "--reduction", tuple(CLI_REDUCTIONS)),
                                    ("calibrate", "--loss-path", LOSS_PATHS),
                                    ("optimize", "--schedule", SCHEDULES)]:
             assert run([sub, "--help"]) == 0
@@ -446,6 +472,20 @@ class TestCli:
                     "--out", "/tmp/x"]) == 2
         assert run(["frobnicate"]) == 2
 
+    def test_main_exits_with_the_dispatch_code(self, monkeypatch, capsys):
+        for argv, code in ((["--version"], 0), (["frobnicate"], 2)):
+            monkeypatch.setattr(sys, "argv", ["wristband"] + argv)
+            with pytest.raises(SystemExit) as exc:
+                main()
+            assert exc.value.code == code
+        assert capsys.readouterr().out == f"{__version__}\n"
+
+    def test_score_refuses_one_dimension_before_the_reference(self, tmp_path, capsys):
+        path = tmp_path / "line.wbpc"
+        write_batch(path, gaussian_batch(256, 1, RngStream(0, "line")))
+        assert run(["score", "--in", str(path)]) == 1
+        assert capsys.readouterr().err == "error: d must be >= 2, got 1\n"
+
     def test_numeric_errors_exit_1(self, tmp_path):
         missing = tmp_path / "missing.wbpc"
         assert run(["score", "--in", str(missing), "--seed", "0"]) == 1
@@ -473,6 +513,31 @@ class TestCli:
         assert run(["gen", "--kind", "two-mode", "--n", "32", "--d", "4",
                     "--seed", "2", "--out", str(out), "--report", str(rpt)]) == 0
         assert run(["--replay", str(rpt)]) == 0
+
+    @pytest.mark.parametrize("argv", [["--replay"], ["--replay", "a.json", "b.json"]],
+                             ids=["no-file", "two-files"])
+    def test_replay_usage_exits_2(self, argv, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "usage: wristband --replay REPORT.json\n"
+
+    def test_replay_of_a_failing_rerun_exits_1(self, tmp_path, capsys):
+        # A rerun that fails (its input is gone: exit 1) or no longer parses
+        # (a report recorded before `--reduction` took the spelling per-point: exit 2).
+        batch, calib = tmp_path / "in.wbpc", tmp_path / "c.json"
+        write_batch(batch, gaussian_batch(16, 3, RngStream(0, "in")))
+        score, cal = tmp_path / "score.json", tmp_path / "cal.json"
+        assert run(["score", "--in", str(batch), "--ref-batches", "2", "--null-batches", "2",
+                    "--report", str(score)]) == 0
+        assert run(["calibrate", "--n", "16", "--d", "3", "--reps", "2", "--reduction",
+                    "per-point", "--out", str(calib), "--report", str(cal)]) == 0
+        batch.unlink()
+        doc = json.loads(cal.read_text())
+        doc["argv"] = [a.replace("per-point", "per_point") for a in doc["argv"]]
+        cal.write_text(json.dumps(doc))
+        for rpt, code in ((score, 1), (cal, 2)):
+            capsys.readouterr()
+            assert run(["--replay", str(rpt)]) == 1
+            assert f"replay: rerun exited with {code}\n" in capsys.readouterr().out
 
     def test_replay_is_exact(self, tmp_path, capsys):
         # One ulp in one recorded metric is a mismatch.
@@ -630,6 +695,24 @@ class TestCli:
                         "--out", str(tmp_path / "o.wbpc")]) == 1
             assert capsys.readouterr().err.startswith("error: ")
             assert not (tmp_path / "o.wbpc").exists()
+
+    def test_selftest_reports_failed_and_crashed_checks(self, tmp_path, monkeypatch, capsys):
+        checks = [("passes", lambda: True), ("fails", lambda: False), ("crashes", lambda: 1 / 0)]
+        monkeypatch.setattr(cli, "_selftest_checks", lambda: checks)
+        rpt = tmp_path / "selftest.json"
+        assert run(["selftest", "--report", str(rpt)]) == 1
+        assert read_report(rpt)["metrics"] == {"passes": "PASS", "fails": "FAIL", "crashes": "ERROR"}
+        out = capsys.readouterr().out
+        assert "selftest fails: FAIL\n" in out
+        assert "selftest crashes: ERROR (division by zero)\n" in out
+        assert "selftest: 2 check(s) failed\n" in out
+
+    def test_selftest_fails_a_nondeterministic_calibration(self, monkeypatch, capsys):
+        seeds, calibrate = iter((5, 6)), cli.calibrate_null
+        monkeypatch.setattr(cli, "calibrate_null",
+                            lambda n, d, cfg, reps, seed: calibrate(n, d, cfg, reps, next(seeds)))
+        assert run(["selftest"]) == 1
+        assert "selftest calibration_determinism: FAIL\n" in capsys.readouterr().out
 
     def test_selftest_passes(self, tmp_path):
         assert run(["selftest"]) == 0

@@ -33,6 +33,17 @@ class TestFiniteDifference:
         assert report.rel_l2_error < 1e-9
         assert report.cosine > 0.9999999
 
+    def test_zero_gradients_have_defined_cosines(self):
+        # Two zero gradients agree (cosine 1); a zero gradient against a
+        # nonzero one does not (cosine 0).
+        from wristband.pairwise import LossValueGrad
+
+        x = np.ones((4, 3))
+        flat = finite_difference_check(lambda b: LossValueGrad(0.0, np.zeros_like(b)), x)
+        claims_flat = finite_difference_check(
+            lambda b: LossValueGrad(float(np.sum(b * b)), np.zeros_like(b)), x)
+        assert (flat.cosine, claims_flat.cosine) == (1.0, 0.0)
+
 
 class TestGradientCosine:
     def test_identical_points_parallel_gradients(self):

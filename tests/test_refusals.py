@@ -4,17 +4,20 @@ A float, a boolean, a string or None where an integer belongs, and a
 boolean, a string, None, NaN or an integer beyond the range of a double
 where a real belongs, must raise the named `WristbandError` subclass: never
 truncate (a seed of 1.5 drawing seed 1's batches), never fail later as a
-bare TypeError or OverflowError.
+bare TypeError or OverflowError.  The other refusals of the library are
+tabulated with the words their messages must contain.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wristband import calibration, evaluation
 from wristband.baselines import sample_projections, sliced_w2_loss
 from wristband.calibration import calibrate_null
 from wristband.errors import ContractViolation, DomainError, WristbandError
@@ -38,7 +41,7 @@ from wristband.specfun import (
     scaled_bessel_i,
 )
 from wristband.spectral import angular_eigenvalues, radial_cosine_coeffs, spectral_summary
-from wristband.wristband_map import wristband_forward
+from wristband.wristband_map import wristband_backward, wristband_forward
 
 BAD_INTEGERS = {"16.0": 16.0, "1.5": 1.5, "True": True, "'8'": "8", "None": None}
 BAD_REALS = {"True": True, "'8'": "8", "None": None, "10**400": 10**400, "nan": float("nan")}
@@ -137,8 +140,60 @@ def test_bad_number_is_refused_with_a_typed_error(call, value, error):
         call(value)
 
 
+# (entry point and refusal, call, error class, text the message contains)
+REFUSALS = [
+    ("OptimizeConfig.loss-unknown", lambda: OptimizeConfig(loss="adam"), ContractViolation,
+     "loss must be one of"),
+    ("OptimizeConfig.schedule-unknown", lambda: OptimizeConfig(schedule="linear"),
+     ContractViolation, "schedule must be one of"),
+    ("wristband_backward.wb-shape",
+     lambda: wristband_backward(_batch(), wristband_forward(_batch()[:4]), np.zeros((8, 3)),
+                                np.zeros(8)),
+     ContractViolation, "wristband batch does not match"),
+    ("angular_eigenvalues.beta-negative", lambda: angular_eigenvalues(3, -1.0, 1.0), DomainError,
+     "need 2*beta*alpha^2 > 0, got -2.0"),
+    # At beta 1e6 every pair kernel underflows: the repulsion has sd 0.0 exactly, and the
+    # table refuses it without a warning (the suite runs RuntimeWarnings as errors).
+    ("calibrate_null.degenerate-null", lambda: calibrate_null(8, 2, KernelConfig(beta=1e6), 2, 0),
+     ContractViolation, "calibration table sd_rep must be a finite real > 0.0, got 0.0"),
+    ("barycentric_reference.d-1", lambda: barycentric_reference(256, 1, 64, RngStream(1)),
+     ContractViolation, "d must be >= 2, got 1"),
+    ("calibrate_null.dim-1", lambda: calibrate_null(16, 1, CFG, 4, 1), ContractViolation,
+     "dim must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", [pytest.param(*row[1:], id=row[0]) for row in REFUSALS])
+def test_refusal_is_typed_and_named(call, error, match):
+    with pytest.raises(error, match=re.escape(match)):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: barycentric_reference(256, 1, 64, RngStream(1)),
+    lambda: calibrate_null(16, 1, CFG, 4, 1),
+], ids=["barycentric_reference", "calibrate_null"])
+def test_one_dimension_is_refused_before_a_batch_is_drawn(call, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a batch was drawn")
+
+    for module in (calibration, evaluation):
+        monkeypatch.setattr(module, "gaussian_batch", no_draw)
+    with pytest.raises(ContractViolation, match=">= 2, got 1"):
+        call()
+
+
+def test_null_distances_of_zero_variance_are_refused(monkeypatch):
+    # Every null batch drawn as the reference itself: every null distance is 0.0.
+    reference = _reference()
+    monkeypatch.setattr(evaluation, "gaussian_batch", lambda n, d, stream: reference.copy())
+    with pytest.raises(ContractViolation, match="zero variance"):
+        barycentric_z_score(gaussian_batch(8, 2, RngStream(4)), reference, 4, RngStream(3))
+
+
 def test_every_error_class_is_a_wristband_error():
-    assert all(issubclass(error, WristbandError) for _, _, error in INTEGER_SLOTS + REAL_SLOTS)
+    assert all(issubclass(error, WristbandError)
+               for _, _, error, *_ in INTEGER_SLOTS + REAL_SLOTS + REFUSALS)
 
 
 def test_numpy_numbers_are_accepted_as_python_numbers():
