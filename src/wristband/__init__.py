@@ -21,10 +21,8 @@ from .baselines import mmd_loss, sliced_w2_loss
 from .calibration import CalibrationTable, calibrate_null, standardized_wristband_loss
 from .errors import (
     ContractViolation,
-    DomainError,
     FormatError,
     OptimizationFailure,
-    UnsupportedDimension,
     WristbandError,
 )
 from .evaluation import (

@@ -14,7 +14,9 @@ recorded argv in the recorded ``cwd``, with its output files moved into
 a temporary directory, and compares the canonical JSON text of every
 other key, so every double and every output byte must match.
 
-Exit codes: 0 success, 1 numeric/convergence failure, 2 usage error.
+Exit codes: 0 success; 1 when the library refused an input, a file was
+malformed or unreadable, or the run failed, and when a replay does not
+match; 2 for a usage error, which argparse reports.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .calibration import (
     calibrate_null,
     standardized_wristband_loss,
 )
-from .errors import WristbandError
+from .errors import FormatError, WristbandError
 from .evaluation import barycentric_reference, barycentric_z_score
 from .generators import (
     PARITY_KINDS,
@@ -247,7 +249,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Wristband Gaussianization losses, calibration, and evaluation",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.add_argument("--replay", metavar="REPORT", default=None,
+                        help="rerun the run a report records and check every key but timing")
+    sub = parser.add_subparsers(dest="subcommand")
 
     kernel, opt = KernelConfig(), OptimizeConfig()
 
@@ -357,42 +361,41 @@ def _replay(path: str) -> int:
 
 def cli_dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    argv = list(argv)
-    if argv[:1] == ["--replay"]:
-        if len(argv) != 2:
-            print("usage: wristband --replay REPORT.json", file=sys.stderr)
-            return 2
-        try:
-            return _replay(argv[1])
-        except (WristbandError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    return _run(argv)
+    return _run(list(argv))
 
 
 def _run(argv, out_dir: str | None = None, report: str | None = None) -> int:
-    """Parse, run and time one subcommand, then write its report; returns the exit code.
+    """Parse argv, then replay the report it names, or run, time and report its subcommand;
+    returns the exit code.
 
-    The report echoes every parsed argument but `func` once, as its
-    config, and records the working directory that the run's relative
-    paths name as `cwd`.  `out_dir` moves the parsed --out to its base
-    name in that directory and `report` replaces --report.  Both act on
+    The report echoes every parsed argument but `func` and `replay` once,
+    as its config, and records the working directory that the run's
+    relative paths name as `cwd`.  `out_dir` moves the parsed --out to its
+    base name in that directory and `report` replaces --report.  Both act on
     the parsed arguments after the echo is taken, so a replay's config
     equals the recorded one, however argv spelled the flags (`--out
-    PATH`, `--out=PATH`).
+    PATH`, `--out=PATH`).  Only a replay's rerun sets them, and a rerun
+    runs a subcommand, never a second replay.
     """
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if (args.subcommand is None) == (args.replay is None):
+            parser.error("give either a subcommand or --replay REPORT")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    if out_dir is not None and getattr(args, "out", None) is not None:
-        args.out = os.path.join(out_dir, os.path.basename(args.out))
-    if report is not None:
-        args.report = report
-    t0 = time.perf_counter()
     try:
+        if args.replay is not None:
+            if report is not None:
+                raise FormatError("a report's argv must run a subcommand, not --replay")
+            return _replay(args.replay)
+        config = {k: v for k, v in vars(args).items() if k not in ("func", "replay")}
+        if out_dir is not None and getattr(args, "out", None) is not None:
+            args.out = os.path.join(out_dir, os.path.basename(args.out))
+        if report is not None:
+            args.report = report
+        t0 = time.perf_counter()
         code, metrics, timing = args.func(args)
         timing["wall_time_s"] = time.perf_counter() - t0
         if args.report:

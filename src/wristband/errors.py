@@ -1,5 +1,11 @@
 """Exception types shared across the package, and the one check of a caller's numbers.
 
+Each class names where a refusal comes from, not which module made it:
+a bad argument is a `ContractViolation` (a wrong shape, type, dimension,
+domain or name), a malformed file from outside the program is a
+`FormatError`, and a diverged run is an `OptimizationFailure`.  All three
+are `WristbandError`s.
+
 Every entry point that takes a count, a seed or a real reads it through
 `_integer` or `_real`: a boolean or a value of another type is refused,
 never truncated or parsed, and an accepted value comes back as a Python
@@ -14,16 +20,8 @@ class WristbandError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DomainError(WristbandError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
 class ContractViolation(WristbandError, ValueError):
-    """Inputs violate a structural precondition (shape, finiteness, config)."""
-
-
-class UnsupportedDimension(WristbandError, ValueError):
-    """The requested embedding dimension is outside the supported range."""
+    """An argument breaks a rule of the call; the message names the rule."""
 
 
 class FormatError(WristbandError, ValueError):
@@ -41,26 +39,26 @@ class OptimizationFailure(WristbandError, RuntimeError):
         self.step = step
 
 
-def _integer(name: str, value, minimum: int | None = None, error=ContractViolation) -> int:
-    """`value` as a Python int, if it is an integer (not a boolean) >= `minimum`; else `error`."""
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """`value` as a Python int, if it is an integer (not a boolean) >= `minimum`; else a
+    `ContractViolation`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise ContractViolation(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise error(f"{name} must be >= {minimum}, got {value!r}")
+        raise ContractViolation(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
 
 
-def _real(name: str, value, minimum: float | None = None, strict: bool = False,
-          error=ContractViolation) -> float:
+def _real(name: str, value, minimum: float | None = None, strict: bool = False) -> float:
     """`value` as a Python float, if it is a real (not a boolean) that is finite as a float
-    and >= `minimum` (> with `strict`); else `error`."""
+    and >= `minimum` (> with `strict`); else a `ContractViolation`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise ContractViolation(f"{name} must be a real number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:  # an integer or fraction beyond the range of a double
         x = math.inf
     if not math.isfinite(x) or (minimum is not None and (x < minimum or strict and x == minimum)):
         bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum}"
-        raise error(f"{name} must be a finite real{bound}, got {value!r}")
+        raise ContractViolation(f"{name} must be a finite real{bound}, got {value!r}")
     return x

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accelerators import _centered_moment_summary
-from .errors import ContractViolation, DomainError, _integer
+from .errors import ContractViolation, _integer
 from .wristband_map import validate_point_batch
 
 __all__ = [
@@ -235,4 +235,4 @@ def parity_batch(kind: str, n: int, d: int, stream: RngStream) -> np.ndarray:
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         radius = math.sqrt(d) * (1.0 + PARITY_CONSTANTS["ring_radial_spread"] * stream.normals(n))
         return whiten(radius[:, None] * w)
-    raise DomainError(f"unknown parity batch kind {kind!r}; expected one of {PARITY_KINDS}")
+    raise ContractViolation(f"unknown parity batch kind {kind!r}; expected one of {PARITY_KINDS}")

@@ -93,7 +93,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DomainError, _integer, _real
+from .errors import ContractViolation, _integer, _real
 from .wristband_map import WristbandBatch, _backward, wristband_forward
 
 __all__ = [
@@ -144,14 +144,14 @@ class KernelConfig:
     def __post_init__(self):
         # Stored as Python numbers, so a table's JSON holds what `from_dict` reads back.
         for name in ("beta", "alpha", "eps"):
-            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, True, DomainError))
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, True))
         if self.reduction not in REDUCTIONS:
-            raise DomainError(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
+            raise ContractViolation(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
         if not isinstance(self.weights, (tuple, list)) or len(self.weights) != 3:
-            raise DomainError(f"weights must be three nonnegative reals, got {self.weights!r}")
+            raise ContractViolation(f"weights must be three nonnegative reals, got {self.weights!r}")
         object.__setattr__(self, "weights",
-                           tuple(_real("weights", w, 0.0, False, DomainError) for w in self.weights))
-        object.__setattr__(self, "modes", _integer("modes", self.modes, 1, DomainError))
+                           tuple(_real("weights", w, 0.0) for w in self.weights))
+        object.__setattr__(self, "modes", _integer("modes", self.modes, 1))
 
     @classmethod
     def direct_benchmark(cls, **overrides) -> "KernelConfig":
@@ -200,7 +200,7 @@ def radial_neumann_kernel(t, t2, beta: float, images: int = 10):
     moderate beta a handful of images already reproduces the infinite
     reflection to machine precision.
     """
-    images = _integer("images", images, 1, DomainError)
+    images = _integer("images", images, 1)
     t = np.asarray(t, dtype=np.float64)
     t2 = np.asarray(t2, dtype=np.float64)
     total = np.zeros(np.broadcast(t, t2).shape)

@@ -1,8 +1,8 @@
 """Special functions with documented accuracy targets.
 
 Thin wrappers over :mod:`scipy.special` that check their domain first:
-NaN, infinite or out-of-domain inputs raise :class:`DomainError` where
-scipy would return a silent NaN or infinity.
+NaN, infinite or out-of-domain inputs raise :class:`ContractViolation`
+where scipy would return a silent NaN or infinity.
 
 Accuracy targets (verified by the test suite against high-precision
 oracles):
@@ -24,7 +24,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, _integer, _real
+from .errors import ContractViolation, _integer, _real
 
 __all__ = [
     "log_gamma",
@@ -39,12 +39,12 @@ __all__ = [
 
 def log_gamma(a: float) -> float:
     """Natural log of the Gamma function for a > 0."""
-    return float(special.gammaln(_real("a", a, 0.0, True, DomainError)))
+    return float(special.gammaln(_real("a", a, 0.0, True)))
 
 
 def chi2_cdf(d: int, s: float) -> float:
     """CDF of the chi-squared distribution with d degrees of freedom."""
-    return float(chi2_cdf_array(d, _real("s", s, error=DomainError)))
+    return float(chi2_cdf_array(d, _real("s", s)))
 
 
 def chi2_pdf(d: int, s: float) -> float:
@@ -53,7 +53,7 @@ def chi2_pdf(d: int, s: float) -> float:
     Defined for s > 0 only; callers working near the origin must floor s
     first (the d = 1 density diverges at 0).
     """
-    return float(chi2_pdf_array(d, _real("s", s, error=DomainError)))
+    return float(chi2_pdf_array(d, _real("s", s)))
 
 
 def scaled_bessel_i(nu: float, c: float) -> float:
@@ -62,25 +62,25 @@ def scaled_bessel_i(nu: float, c: float) -> float:
     The scaling keeps the result representable where the unscaled
     function overflows (I_nu(c) grows like e^c / sqrt(2 pi c)).
     """
-    nu, c = _real("nu", nu, 0.0, False, DomainError), _real("c", c, 0.0, False, DomainError)
+    nu, c = _real("nu", nu, 0.0), _real("c", c, 0.0)
     return float(special.ive(nu, c))
 
 
 def chi2_cdf_array(d: int, s: np.ndarray) -> np.ndarray:
     """chi2_cdf over an array of finite nonnegative arguments."""
-    d = _integer("d", d, 1, DomainError)
+    d = _integer("d", d, 1)
     s = np.asarray(s, dtype=np.float64)
     if not np.all(np.isfinite(s)) or np.any(s < 0.0):
-        raise DomainError("chi2_cdf requires finite s >= 0")
+        raise ContractViolation("chi2_cdf requires finite s >= 0")
     return special.gammainc(0.5 * d, 0.5 * s)
 
 
 def chi2_pdf_array(d: int, s: np.ndarray) -> np.ndarray:
     """chi2_pdf over an array of finite positive arguments."""
-    d = _integer("d", d, 1, DomainError)
+    d = _integer("d", d, 1)
     s = np.asarray(s, dtype=np.float64)
     if not np.all(np.isfinite(s)) or np.any(s <= 0.0):
-        raise DomainError("chi2_pdf requires finite s > 0")
+        raise ContractViolation("chi2_pdf requires finite s > 0")
     half_d = 0.5 * d
     return np.exp(
         (half_d - 1.0) * np.log(s)
@@ -97,7 +97,7 @@ def gaussian_quantile_grid(n: int) -> np.ndarray:
     Cached per n and its type (so True misses 1's entry and is refused),
     and the returned array is read-only.
     """
-    n = _integer("n", n, 1, DomainError)
+    n = _integer("n", n, 1)
     grid = special.ndtri((np.arange(n) + 0.5) / n)
     grid.flags.writeable = False
     return grid

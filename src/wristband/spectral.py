@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .errors import DomainError, UnsupportedDimension, _integer, _real
+from .errors import ContractViolation, _integer, _real
 from .pairwise import KernelConfig, LossValueGrad
 from .specfun import chi2_pdf_array, log_gamma, scaled_bessel_i
 from .wristband_map import WristbandBatch, wristband_forward
@@ -69,12 +69,10 @@ def angular_eigenvalues(d: int, beta: float, alpha: float) -> tuple[float, float
     (d >= 313 at beta = 8 and alpha = sqrt(1/12)); the loss would then
     divide by a zero eigenvalue, so that is refused.
     """
-    d = _integer("d", d, None, DomainError)
-    if d < 2:
-        raise UnsupportedDimension(f"the spectral path requires d >= 2, got {d}")
+    d = _integer("d", d, 2)
     c = 2.0 * beta * alpha * alpha
     if not (c > 0.0 and math.isfinite(c)):
-        raise DomainError(f"need 2*beta*alpha^2 > 0, got {c}")
+        raise ContractViolation(f"need 2*beta*alpha^2 > 0, got {c}")
     nu = 0.5 * (d - 2)
     log_pref = log_gamma(nu + 1.0) + nu * math.log(2.0 / c)
     lams = []
@@ -82,7 +80,7 @@ def angular_eigenvalues(d: int, beta: float, alpha: float) -> tuple[float, float
         ib = scaled_bessel_i(nu + ell, c)
         lam = math.exp(log_pref + math.log(ib)) if ib > 0.0 else 0.0
         if lam == 0.0:
-            raise UnsupportedDimension(
+            raise ContractViolation(
                 f"the degree-{ell} angular eigenvalue underflows at d={d}, "
                 f"beta={beta!r}, alpha={alpha!r}"
             )
@@ -97,7 +95,7 @@ def radial_cosine_coeffs(beta: float, modes: int) -> np.ndarray:
     for k >= 1, in the unnormalized basis cos(k pi t).  The factor 2 is
     the conversion from the orthonormal basis sqrt(2) cos(k pi t).
     """
-    beta, modes = _real("beta", beta, 0.0, True, DomainError), _integer("modes", modes, 1, DomainError)
+    beta, modes = _real("beta", beta, 0.0, True), _integer("modes", modes, 1)
     k = np.arange(modes, dtype=np.float64)
     a = 2.0 * math.sqrt(math.pi / beta) * np.exp(-(math.pi**2) * k * k / (4.0 * beta))
     a[0] = math.sqrt(math.pi / beta)
@@ -114,7 +112,7 @@ def spectral_coefficients(d: int, cfg: KernelConfig) -> SpectralCoeffs:
     V-statistic with no per-point row sums to reduce.
     """
     if cfg.reduction != "global":
-        raise DomainError(f"the spectral path has global reduction only, got {cfg.reduction!r}")
+        raise ContractViolation(f"the spectral path has global reduction only, got {cfg.reduction!r}")
     lam0, lam1 = angular_eigenvalues(d, cfg.beta, cfg.alpha)
     a = radial_cosine_coeffs(cfg.beta, cfg.modes)
     a.flags.writeable = False
@@ -128,7 +126,7 @@ def _summarize(wb: WristbandBatch, modes: int):
     a summary costs 2N transcendental calls instead of 2KN; the rounding
     error grows about linearly in k (below 1e-13 absolute at K = 64).
     """
-    modes = _integer("modes", modes, 1, DomainError)
+    modes = _integer("modes", modes, 1)
     n, d = wb.u.shape
     cosmat = np.empty((modes, n))
     sinmat = np.empty((modes, n))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, UnsupportedDimension
+from .errors import ContractViolation
 from .specfun import chi2_cdf_array, chi2_pdf_array
 
 __all__ = [
@@ -58,7 +58,7 @@ def validate_point_batch(x, min_n: int = 1, min_d: int = 2) -> np.ndarray:
     if n < min_n:
         raise ContractViolation(f"point batch needs at least {min_n} rows, got {n}")
     if d < min_d:
-        raise UnsupportedDimension(f"point batch needs dimension >= {min_d}, got {d}")
+        raise ContractViolation(f"point batch needs dimension >= {min_d}, got {d}")
     if not np.all(np.isfinite(x)):
         raise ContractViolation("point batch contains non-finite entries")
     return x

@@ -27,7 +27,7 @@ from wristband.calibration import (
     calibrate_null,
     standardized_wristband_loss,
 )
-from wristband.errors import ContractViolation, FormatError, UnsupportedDimension
+from wristband.errors import ContractViolation, FormatError
 from wristband.generators import RngStream, gaussian_batch, x_batch
 from wristband.pairwise import DEFAULT_TILE, KernelConfig, _cotangents, pairwise_repulsion_loss
 from wristband.parity import finite_difference_check
@@ -383,7 +383,7 @@ def test_standardized_loss_validates_the_batch(small_table):
     for bad in (np.ones(64 * 4), np.full((64, 4), np.nan), np.ones((1, 4))):
         with pytest.raises(ContractViolation):
             standardized_wristband_loss(bad, small_table)
-    with pytest.raises(UnsupportedDimension):
+    with pytest.raises(ContractViolation):
         standardized_wristband_loss(np.ones((64, 1)), small_table)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from wristband.errors import ContractViolation, DomainError
+from wristband.errors import ContractViolation
 from wristband.generators import (
     PARITY_KINDS,
     RngStream,
@@ -158,7 +158,7 @@ class TestParityBatches:
             parity_batch("student_t", 9, 5, RngStream(6, "p"))
 
     def test_unknown_kind(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractViolation):
             parity_batch("spiral", 100, 4, RngStream(7, "p"))
 
 

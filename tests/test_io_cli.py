@@ -330,8 +330,10 @@ SUBCOMMAND_ARGV = {
 
 def test_every_subcommand_is_listed(capsys):
     assert run(["--help"]) == 0
-    listed = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1)
+    usage = capsys.readouterr().out
+    listed = re.search(r"\{([a-z,]+)\}", usage).group(1)
     assert sorted(listed.split(",")) == sorted(SUBCOMMAND_ARGV)
+    assert "--replay REPORT" in usage
 
 
 @pytest.mark.parametrize("sub", SUBCOMMAND_ARGV)
@@ -507,18 +509,42 @@ class TestCli:
             docs.append(json.dumps(doc, sort_keys=True))
         assert docs[0] == docs[1]
 
-    def test_replay_matches(self, tmp_path):
+    def test_replay_matches(self, tmp_path, capsys):
         out = tmp_path / "g.wbpc"
         rpt = tmp_path / "g.json"
         assert run(["gen", "--kind", "two-mode", "--n", "32", "--d", "4",
                     "--seed", "2", "--out", str(out), "--report", str(rpt)]) == 0
-        assert run(["--replay", str(rpt)]) == 0
+        # `--replay PATH` and `--replay=PATH` are one input to the parser.
+        for argv in (["--replay", str(rpt)], [f"--replay={rpt}"]):
+            capsys.readouterr()
+            assert run(argv) == 0
+            assert capsys.readouterr().out.endswith("replay: report matches\n")
 
-    @pytest.mark.parametrize("argv", [["--replay"], ["--replay", "a.json", "b.json"]],
-                             ids=["no-file", "two-files"])
+    @pytest.mark.parametrize("argv", [["--replay"], ["--replay", "a.json", "b.json"], [],
+                                      ["--replay", "a.json", "selftest"],
+                                      ["selftest", "--replay", "a.json"]],
+                             ids=["no-file", "two-files", "nothing", "with-subcommand",
+                                  "after-subcommand"])
     def test_replay_usage_exits_2(self, argv, capsys):
+        # argparse reports every usage error, and a replay runs no subcommand.
         assert run(argv) == 2
-        assert capsys.readouterr().err == "usage: wristband --replay REPORT.json\n"
+        assert capsys.readouterr().err.startswith("usage: wristband ")
+
+    def test_replay_never_replays_a_replay(self, tmp_path, capsys):
+        # A report whose recorded argv is itself a replay (of this very report):
+        # the rerun refuses it, so the replay ends with exit 1 and no recursion.
+        rpt = tmp_path / "g.json"
+        assert run(["gen", "--kind", "gaussian", "--n", "8", "--d", "2",
+                    "--out", str(tmp_path / "g.wbpc"), "--report", str(rpt)]) == 0
+        for argv in (["--replay", str(rpt)], [f"--replay={rpt}"]):
+            doc = json.loads(rpt.read_text())
+            doc["argv"] = argv
+            rpt.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run(["--replay", str(rpt)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "replay: rerun exited with 1\n"
+            assert err == "error: a report's argv must run a subcommand, not --replay\n"
 
     def test_replay_of_a_failing_rerun_exits_1(self, tmp_path, capsys):
         # A rerun that fails (its input is gone: exit 1) or no longer parses

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wristband import pairwise
-from wristband.errors import ContractViolation, DomainError
+from wristband.errors import ContractViolation
 from wristband.pairwise import (
     ALPHA_UNIFORM_STD,
     DEFAULT_TILE,
@@ -116,18 +116,18 @@ class TestKernels:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractViolation):
             KernelConfig(beta=0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractViolation):
             KernelConfig(alpha=-1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractViolation):
             KernelConfig(eps=0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractViolation):
             KernelConfig(reduction="rowwise")
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractViolation):
             KernelConfig(weights=(1.0, -0.1, 1.0))
         for modes in (0, 2.5, 6.0, True, "6", None):
-            with pytest.raises(DomainError, match="modes"):
+            with pytest.raises(ContractViolation, match="modes"):
                 KernelConfig(modes=modes)
         assert KernelConfig(modes=np.int64(3)).modes == 3
         # A boolean or a string is not a real, so it could not be written back.
@@ -136,7 +136,7 @@ class TestConfig:
                              ("weights", (1.0, True, 1.0)), ("weights", (1.0, 0.1, "1.0")),
                              ("weights", (None, 0.1, 1.0)), ("beta", 10**400),
                              ("weights", (1.0, 0.1, 10**400)), ("weights", None)):
-            with pytest.raises(DomainError, match=field):
+            with pytest.raises(ContractViolation, match=field):
                 KernelConfig(**{field: value})
 
     def test_reals_are_stored_as_python_floats(self):

@@ -1,10 +1,10 @@
-"""Every entry point that takes a count, a seed or a real refuses a bad one with a typed error.
+"""Every refused argument is a `ContractViolation`, whichever entry point checks it.
 
 A float, a boolean, a string or None where an integer belongs, and a
 boolean, a string, None, NaN or an integer beyond the range of a double
-where a real belongs, must raise the named `WristbandError` subclass: never
-truncate (a seed of 1.5 drawing seed 1's batches), never fail later as a
-bare TypeError or OverflowError.  The other refusals of the library are
+where a real belongs, must raise `ContractViolation`: never truncate (a
+seed of 1.5 drawing seed 1's batches), never fail later as a bare
+TypeError or OverflowError.  The other refusals of the library are
 tabulated with the words their messages must contain.
 """
 
@@ -17,10 +17,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wristband import calibration, evaluation
+from wristband import calibration, errors, evaluation
 from wristband.baselines import sample_projections, sliced_w2_loss
 from wristband.calibration import calibrate_null
-from wristband.errors import ContractViolation, DomainError, WristbandError
+from wristband.errors import ContractViolation, FormatError, OptimizationFailure, WristbandError
 from wristband.evaluation import barycentric_reference, barycentric_z_score
 from wristband.generators import RngStream, gaussian_batch, parity_batch, rac_batch, x_batch
 from wristband.optimize import AdamState, OptimizeConfig, adam_step
@@ -63,109 +63,116 @@ def _batch():
     return gaussian_batch(8, 3, RngStream(2))
 
 
-# (entry point and argument, call with the bad value, error class)
+# (entry point and argument, call with the bad value)
 INTEGER_SLOTS = [
-    ("RngStream.seed", lambda v: RngStream(v), ContractViolation),
-    ("calibrate_null.n", lambda v: calibrate_null(v, 3, CFG, 4, 1), ContractViolation),
-    ("calibrate_null.dim", lambda v: calibrate_null(16, v, CFG, 4, 1), ContractViolation),
-    ("calibrate_null.reps", lambda v: calibrate_null(16, 3, CFG, v, 1), ContractViolation),
-    ("calibrate_null.seed", lambda v: calibrate_null(16, 3, CFG, 4, v), ContractViolation),
-    ("CalibrationTable.n", lambda v: replace(_table(), n=v), ContractViolation),
-    ("CalibrationTable.reps", lambda v: replace(_table(), reps=v), ContractViolation),
-    ("CalibrationTable.seed", lambda v: replace(_table(), seed=v), ContractViolation),
-    ("gaussian_batch.n", lambda v: gaussian_batch(v, 3, RngStream(1)), ContractViolation),
-    ("gaussian_batch.d", lambda v: gaussian_batch(8, v, RngStream(1)), ContractViolation),
-    ("x_batch.n", lambda v: x_batch(v, 3, RngStream(1)), ContractViolation),
-    ("x_batch.d", lambda v: x_batch(8, v, RngStream(1)), ContractViolation),
-    ("rac_batch.n", lambda v: rac_batch(v, 3, RngStream(1)), ContractViolation),
-    ("rac_batch.d", lambda v: rac_batch(8, v, RngStream(1)), ContractViolation),
-    ("parity_batch.n", lambda v: parity_batch("ring", v, 3, RngStream(1)), ContractViolation),
-    ("parity_batch.d", lambda v: parity_batch("ring", 32, v, RngStream(1)), ContractViolation),
-    ("barycentric_reference.n", lambda v: barycentric_reference(v, 2, 2, RngStream(1)),
-     ContractViolation),
-    ("barycentric_reference.d", lambda v: barycentric_reference(8, v, 2, RngStream(1)),
-     ContractViolation),
-    ("barycentric_reference.num_batches", lambda v: barycentric_reference(8, 2, v, RngStream(1)),
-     ContractViolation),
+    ("RngStream.seed", lambda v: RngStream(v)),
+    ("calibrate_null.n", lambda v: calibrate_null(v, 3, CFG, 4, 1)),
+    ("calibrate_null.dim", lambda v: calibrate_null(16, v, CFG, 4, 1)),
+    ("calibrate_null.reps", lambda v: calibrate_null(16, 3, CFG, v, 1)),
+    ("calibrate_null.seed", lambda v: calibrate_null(16, 3, CFG, 4, v)),
+    ("CalibrationTable.n", lambda v: replace(_table(), n=v)),
+    ("CalibrationTable.reps", lambda v: replace(_table(), reps=v)),
+    ("CalibrationTable.seed", lambda v: replace(_table(), seed=v)),
+    ("gaussian_batch.n", lambda v: gaussian_batch(v, 3, RngStream(1))),
+    ("gaussian_batch.d", lambda v: gaussian_batch(8, v, RngStream(1))),
+    ("x_batch.n", lambda v: x_batch(v, 3, RngStream(1))),
+    ("x_batch.d", lambda v: x_batch(8, v, RngStream(1))),
+    ("rac_batch.n", lambda v: rac_batch(v, 3, RngStream(1))),
+    ("rac_batch.d", lambda v: rac_batch(8, v, RngStream(1))),
+    ("parity_batch.n", lambda v: parity_batch("ring", v, 3, RngStream(1))),
+    ("parity_batch.d", lambda v: parity_batch("ring", 32, v, RngStream(1))),
+    ("barycentric_reference.n", lambda v: barycentric_reference(v, 2, 2, RngStream(1))),
+    ("barycentric_reference.d", lambda v: barycentric_reference(8, v, 2, RngStream(1))),
+    ("barycentric_reference.num_batches", lambda v: barycentric_reference(8, 2, v, RngStream(1))),
     ("barycentric_z_score.null_batches",
-     lambda v: barycentric_z_score(_reference(), _reference(), v, RngStream(3)),
-     ContractViolation),
-    ("timing_sweep.repetitions", lambda v: timing_sweep([3], [8], 2, v, CFG), ContractViolation),
-    ("pairwise_repulsion_loss.tile", lambda v: pairwise_repulsion_loss(_batch(), CFG, v),
-     ContractViolation),
+     lambda v: barycentric_z_score(_reference(), _reference(), v, RngStream(3))),
+    ("timing_sweep.repetitions", lambda v: timing_sweep([3], [8], 2, v, CFG)),
+    ("pairwise_repulsion_loss.tile", lambda v: pairwise_repulsion_loss(_batch(), CFG, v)),
     ("pairwise_value_from_wristband.tile",
-     lambda v: pairwise_value_from_wristband(wristband_forward(_batch()), CFG, v), ContractViolation),
+     lambda v: pairwise_value_from_wristband(wristband_forward(_batch()), CFG, v)),
     # The projection count behind a sliced-w2 call, refused where it is drawn.
     ("sliced_w2_loss.projections",
-     lambda v: sliced_w2_loss(_batch(), sample_projections(3, v, RngStream(4))), ContractViolation),
-    ("OptimizeConfig.steps", lambda v: OptimizeConfig(steps=v), ContractViolation),
-    ("OptimizeConfig.seed", lambda v: OptimizeConfig(seed=v), ContractViolation),
-    ("KernelConfig.modes", lambda v: KernelConfig(modes=v), DomainError),
-    ("radial_neumann_kernel.images", lambda v: radial_neumann_kernel(0.5, 0.25, 8.0, v), DomainError),
-    ("chi2_cdf_array.d", lambda v: chi2_cdf_array(v, np.ones(2)), DomainError),
-    ("chi2_pdf_array.d", lambda v: chi2_pdf_array(v, np.ones(2)), DomainError),
-    ("gaussian_quantile_grid.n", lambda v: gaussian_quantile_grid(v), DomainError),
-    ("radial_cosine_coeffs.modes", lambda v: radial_cosine_coeffs(8.0, v), DomainError),
-    ("spectral_summary.modes", lambda v: spectral_summary(wristband_forward(_batch()), v), DomainError),
-    ("angular_eigenvalues.d", lambda v: angular_eigenvalues(v, 8.0, 1.0), DomainError),
+     lambda v: sliced_w2_loss(_batch(), sample_projections(3, v, RngStream(4)))),
+    ("OptimizeConfig.steps", lambda v: OptimizeConfig(steps=v)),
+    ("OptimizeConfig.seed", lambda v: OptimizeConfig(seed=v)),
+    ("KernelConfig.modes", lambda v: KernelConfig(modes=v)),
+    ("radial_neumann_kernel.images", lambda v: radial_neumann_kernel(0.5, 0.25, 8.0, v)),
+    ("chi2_cdf_array.d", lambda v: chi2_cdf_array(v, np.ones(2))),
+    ("chi2_pdf_array.d", lambda v: chi2_pdf_array(v, np.ones(2))),
+    ("gaussian_quantile_grid.n", lambda v: gaussian_quantile_grid(v)),
+    ("radial_cosine_coeffs.modes", lambda v: radial_cosine_coeffs(8.0, v)),
+    ("spectral_summary.modes", lambda v: spectral_summary(wristband_forward(_batch()), v)),
+    ("angular_eigenvalues.d", lambda v: angular_eigenvalues(v, 8.0, 1.0)),
 ]
 
 REAL_SLOTS = [
-    ("KernelConfig.beta", lambda v: KernelConfig(beta=v), DomainError),
-    ("KernelConfig.alpha", lambda v: KernelConfig(alpha=v), DomainError),
-    ("KernelConfig.eps", lambda v: KernelConfig(eps=v), DomainError),
-    ("KernelConfig.weights", lambda v: KernelConfig(weights=(1.0, v, 1.0)), DomainError),
-    ("OptimizeConfig.lr", lambda v: OptimizeConfig(lr=v), ContractViolation),
-    ("adam_step.lr", lambda v: adam_step(np.ones((2, 2)), np.ones((2, 2)), AdamState.zeros((2, 2)), v),
-     ContractViolation),
-    ("CalibrationTable.mu_rep", lambda v: replace(_table(), mu_rep=v), ContractViolation),
-    ("CalibrationTable.sd_numerator", lambda v: replace(_table(), sd_numerator=v), ContractViolation),
-    ("log_gamma.a", lambda v: log_gamma(v), DomainError),
-    ("scaled_bessel_i.nu", lambda v: scaled_bessel_i(v, 1.0), DomainError),
-    ("scaled_bessel_i.c", lambda v: scaled_bessel_i(1.0, v), DomainError),
-    ("chi2_cdf.s", lambda v: chi2_cdf(3, v), DomainError),
-    ("chi2_pdf.s", lambda v: chi2_pdf(3, v), DomainError),
-    ("radial_cosine_coeffs.beta", lambda v: radial_cosine_coeffs(v, 4), DomainError),
+    ("KernelConfig.beta", lambda v: KernelConfig(beta=v)),
+    ("KernelConfig.alpha", lambda v: KernelConfig(alpha=v)),
+    ("KernelConfig.eps", lambda v: KernelConfig(eps=v)),
+    ("KernelConfig.weights", lambda v: KernelConfig(weights=(1.0, v, 1.0))),
+    ("OptimizeConfig.lr", lambda v: OptimizeConfig(lr=v)),
+    ("adam_step.lr", lambda v: adam_step(np.ones((2, 2)), np.ones((2, 2)), AdamState.zeros((2, 2)), v)),
+    ("CalibrationTable.mu_rep", lambda v: replace(_table(), mu_rep=v)),
+    ("CalibrationTable.sd_numerator", lambda v: replace(_table(), sd_numerator=v)),
+    ("log_gamma.a", lambda v: log_gamma(v)),
+    ("scaled_bessel_i.nu", lambda v: scaled_bessel_i(v, 1.0)),
+    ("scaled_bessel_i.c", lambda v: scaled_bessel_i(1.0, v)),
+    ("chi2_cdf.s", lambda v: chi2_cdf(3, v)),
+    ("chi2_pdf.s", lambda v: chi2_pdf(3, v)),
+    ("radial_cosine_coeffs.beta", lambda v: radial_cosine_coeffs(v, 4)),
 ]
 
-CASES = [pytest.param(call, value, error, id=f"{name}-{label}")
+CASES = [pytest.param(call, value, id=f"{name}-{label}")
          for slots, bad in ((INTEGER_SLOTS, BAD_INTEGERS), (REAL_SLOTS, BAD_REALS))
-         for name, call, error in slots
+         for name, call in slots
          for label, value in bad.items()]
 
 
-@pytest.mark.parametrize("call, value, error", CASES)
-def test_bad_number_is_refused_with_a_typed_error(call, value, error):
-    with pytest.raises(error):
+@pytest.mark.parametrize("call, value", CASES)
+def test_bad_number_is_refused_with_a_typed_error(call, value):
+    with pytest.raises(ContractViolation):
         call(value)
 
 
-# (entry point and refusal, call, error class, text the message contains)
+# (entry point and refusal, call, text the message contains).  One rule is one class at
+# every entry point: the first three groups each name one rule that several modules check.
 REFUSALS = [
-    ("OptimizeConfig.loss-unknown", lambda: OptimizeConfig(loss="adam"), ContractViolation,
-     "loss must be one of"),
+    # d = 1: every entry point that takes a dimension or a batch needs d >= 2.
+    ("wristband_forward.d-1", lambda: wristband_forward(np.ones((4, 1))),
+     "point batch needs dimension >= 2, got 1"),
+    ("angular_eigenvalues.d-1", lambda: angular_eigenvalues(1, 8.0, 1.0), "d must be >= 2, got 1"),
+    ("calibrate_null.dim-1", lambda: calibrate_null(16, 1, CFG, 4, 1), "dim must be >= 2, got 1"),
+    ("barycentric_reference.d-1", lambda: barycentric_reference(256, 1, 64, RngStream(1)),
+     "d must be >= 2, got 1"),
+    ("x_batch.d-1", lambda: x_batch(8, 1, RngStream(1)), "d must be >= 2, got 1"),
+    # A non-positive real where a positive one belongs.
+    ("KernelConfig.beta-zero", lambda: KernelConfig(beta=0), "beta must be a finite real > 0.0, got 0"),
+    ("OptimizeConfig.lr-zero", lambda: OptimizeConfig(lr=0), "lr must be a finite real > 0.0, got 0"),
+    # A name that is not one of the choices.
+    ("parity_batch.kind-unknown", lambda: parity_batch("nope", 8, 3, RngStream(1)),
+     "unknown parity batch kind 'nope'; expected one of"),
+    ("KernelConfig.reduction-unknown", lambda: KernelConfig(reduction="nope"),
+     "reduction must be one of ('global', 'per_point'), got 'nope'"),
+    ("OptimizeConfig.loss-unknown", lambda: OptimizeConfig(loss="adam"), "loss must be one of"),
     ("OptimizeConfig.schedule-unknown", lambda: OptimizeConfig(schedule="linear"),
-     ContractViolation, "schedule must be one of"),
+     "schedule must be one of"),
+    # Rules of a single entry point.
     ("wristband_backward.wb-shape",
      lambda: wristband_backward(_batch(), wristband_forward(_batch()[:4]), np.zeros((8, 3)),
                                 np.zeros(8)),
-     ContractViolation, "wristband batch does not match"),
-    ("angular_eigenvalues.beta-negative", lambda: angular_eigenvalues(3, -1.0, 1.0), DomainError,
+     "wristband batch does not match"),
+    ("angular_eigenvalues.beta-negative", lambda: angular_eigenvalues(3, -1.0, 1.0),
      "need 2*beta*alpha^2 > 0, got -2.0"),
     # At beta 1e6 every pair kernel underflows: the repulsion has sd 0.0 exactly, and the
     # table refuses it without a warning (the suite runs RuntimeWarnings as errors).
     ("calibrate_null.degenerate-null", lambda: calibrate_null(8, 2, KernelConfig(beta=1e6), 2, 0),
-     ContractViolation, "calibration table sd_rep must be a finite real > 0.0, got 0.0"),
-    ("barycentric_reference.d-1", lambda: barycentric_reference(256, 1, 64, RngStream(1)),
-     ContractViolation, "d must be >= 2, got 1"),
-    ("calibrate_null.dim-1", lambda: calibrate_null(16, 1, CFG, 4, 1), ContractViolation,
-     "dim must be >= 2, got 1"),
+     "calibration table sd_rep must be a finite real > 0.0, got 0.0"),
 ]
 
 
-@pytest.mark.parametrize("call, error, match", [pytest.param(*row[1:], id=row[0]) for row in REFUSALS])
-def test_refusal_is_typed_and_named(call, error, match):
-    with pytest.raises(error, match=re.escape(match)):
+@pytest.mark.parametrize("call, match", [pytest.param(*row[1:], id=row[0]) for row in REFUSALS])
+def test_refusal_is_typed_and_named(call, match):
+    with pytest.raises(ContractViolation, match=re.escape(match)):
         call()
 
 
@@ -192,8 +199,10 @@ def test_null_distances_of_zero_variance_are_refused(monkeypatch):
 
 
 def test_every_error_class_is_a_wristband_error():
-    assert all(issubclass(error, WristbandError)
-               for _, _, error, *_ in INTEGER_SLOTS + REAL_SLOTS + REFUSALS)
+    # One class per source of a refusal: a bad argument, a malformed file, a diverged run.
+    classes = {v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)}
+    assert classes == {WristbandError, ContractViolation, FormatError, OptimizationFailure}
+    assert all(issubclass(error, WristbandError) for error in classes)
 
 
 def test_numpy_numbers_are_accepted_as_python_numbers():

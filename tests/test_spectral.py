@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wristband.calibration import calibrate_null
-from wristband.errors import DomainError, UnsupportedDimension
+from wristband.errors import ContractViolation
 from wristband.pairwise import KernelConfig
 from wristband.parity import finite_difference_check
 from wristband.specfun import chi2_pdf_array, scaled_bessel_i
@@ -51,7 +51,7 @@ class TestAngularEigenvalues:
             assert abs(est.mean() - ref) < 3.0 * se
 
     def test_unsupported_dimension(self):
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(ContractViolation):
             angular_eigenvalues(1, 8.0, 1.0)
 
     def test_circle_eigenvalues_are_scaled_bessel(self):
@@ -76,9 +76,9 @@ class TestAngularEigenvalues:
         assert lam0 > lam1 > 0.0
         x = np.random.default_rng(17).normal(size=(6, 312))
         assert math.isfinite(spectral_loss(x, cfg).value)
-        with pytest.raises(UnsupportedDimension, match=r"d=313, beta=8\.0, alpha=0\.288"):
+        with pytest.raises(ContractViolation, match=r"d=313, beta=8\.0, alpha=0\.288"):
             angular_eigenvalues(313, cfg.beta, cfg.alpha)
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(ContractViolation):
             spectral_loss(np.random.default_rng(17).normal(size=(6, 313)), cfg)
 
 
@@ -97,9 +97,9 @@ class TestRadialCoeffs:
         assert np.all(np.diff(a[1:]) < 0.0)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractViolation):
             radial_cosine_coeffs(-1.0, 4)
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractViolation):
             radial_cosine_coeffs(8.0, 0)
 
 
@@ -249,7 +249,7 @@ class TestSpectralLoss:
 
     def test_d2_refused(self):
         # The spectral path runs from d = 2; d = 1 has no sphere to expand on.
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(ContractViolation):
             spectral_loss(np.ones((8, 1)), KernelConfig())
 
     def test_per_point_reduction_refused(self):
@@ -260,7 +260,7 @@ class TestSpectralLoss:
         for call in (lambda: spectral_loss(x, cfg),
                      lambda: spectral_value_from_wristband(wristband_forward(x), cfg),
                      lambda: calibrate_null(16, 4, cfg, 4, seed=1, loss_path="spectral")):
-            with pytest.raises(DomainError, match="global reduction only"):
+            with pytest.raises(ContractViolation, match="global reduction only"):
                 call()
 
     def test_monotone_spectrum(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wristband import wristband_map
-from wristband.errors import ContractViolation, UnsupportedDimension
+from wristband.errors import ContractViolation
 from wristband.pairwise import KernelConfig, _pairwise_value_grad, pairwise_repulsion_loss
 from wristband.specfun import chi2_cdf
 from wristband.spectral import _spectral_value_grad, spectral_loss
@@ -132,7 +132,7 @@ def test_shape_contracts():
         wristband_backward(x, wb, np.ones((3, 3)), np.ones(4))
     with pytest.raises(ContractViolation):
         wristband_backward(x, wb, np.ones((4, 3)), np.ones(5))
-    with pytest.raises(UnsupportedDimension):
+    with pytest.raises(ContractViolation):
         wristband_forward(np.ones((4, 1)))
     with pytest.raises(ContractViolation):
         wristband_forward(np.array([[1.0, np.nan]]))
@@ -142,7 +142,7 @@ BAD_BATCHES = [
     (np.ones(4), ContractViolation),  # 1-D
     (np.ones((2, 2, 2)), ContractViolation),  # 3-D
     (np.empty((0, 3)), ContractViolation),  # no rows
-    (np.ones((4, 1)), UnsupportedDimension),  # d = 1
+    (np.ones((4, 1)), ContractViolation),  # d = 1
     (np.array([[1.0, np.nan], [1.0, 2.0]]), ContractViolation),
     (np.array([[1.0, 2.0], [np.inf, 2.0]]), ContractViolation),
 ]
