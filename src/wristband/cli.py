@@ -7,8 +7,9 @@ argv, the working directory as ``cwd``, the parsed flags once as
 ``config``, the metrics, the SHA-256 of the file --out wrote under
 ``outputs``, and wall-clock data under ``timing``.  A report holds each
 fact once: metrics are only what the run computed or read from an input
-file, never a flag (that is ``config``) or a code constant (that is
-``tool_version``).  Everything but ``timing`` is reproducible, and
+file, never a flag (that is ``config``) or a code constant.  Everything
+but ``timing`` is reproducible against the checkout that wrote the
+report (``tool_version`` is only the package version string), and
 ``wristband --replay report.json`` checks all of it: it re-executes the
 recorded argv in the recorded ``cwd``, with its output files moved into
 a temporary directory, and compares the canonical JSON text of every
@@ -117,14 +118,24 @@ def _cmd_calibrate(args) -> tuple[int, dict, dict]:
     return 0, metrics, {}
 
 
+def _start_problem(args) -> str | None:
+    """What is wrong with optimize's start flags, or None if the start is --in alone or
+    --kind with --n and --d."""
+    flags = {"--kind": args.kind, "--n": args.n, "--d": args.d}
+    given = [flag for flag, value in flags.items() if value is not None]
+    if args.infile is not None and given:
+        return f"optimize: --in takes no {', '.join(given)}"
+    if args.infile is None and len(given) < len(flags):
+        missing = ", ".join(flag for flag in flags if flag not in given)
+        return f"optimize: give --in, or --kind with --n and --d (missing {missing})"
+    return None
+
+
 def _cmd_optimize(args) -> tuple[int, dict, dict]:
-    start = (args.kind, args.n, args.d)
-    if args.infile is not None and start == (None, None, None):
+    if args.infile is not None:
         initial = read_batch(args.infile)
-    elif args.infile is None and None not in start:
-        initial = _generate(args.kind, args.n, args.d, args.seed)
     else:
-        raise WristbandError("optimize needs either --in or --kind with --n and --d, not both")
+        initial = _generate(args.kind, args.n, args.d, args.seed)
     table = None
     if args.calib is not None:
         with open(args.calib, "rb") as fh:
@@ -382,6 +393,8 @@ def _run(argv, out_dir: str | None = None, report: str | None = None) -> int:
         args = parser.parse_args(argv)
         if (args.subcommand is None) == (args.replay is None):
             parser.error("give either a subcommand or --replay REPORT")
+        if args.subcommand == "optimize" and (problem := _start_problem(args)):
+            parser.error(problem)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0

@@ -15,6 +15,8 @@ int or float.
 import math
 import numbers
 
+__all__ = ["WristbandError", "ContractViolation", "FormatError", "OptimizationFailure"]
+
 
 class WristbandError(Exception):
     """Base class for all package-specific errors."""

@@ -33,7 +33,8 @@ __all__ = [
 
 RAC_SCORE_EPS = 1e-12
 
-# Free constants of the parity generators; a run report's `tool_version` pins them.
+# Free constants of the parity generators.  No run report records them, so a report
+# reproduces against the checkout that wrote it, not against its `tool_version`.
 PARITY_CONSTANTS = {
     "mixture5_mean_scale": math.sqrt(2.0),  # component means ~ N(0, 2I), drawn once
     "mixture5_components": 5,

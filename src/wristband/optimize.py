@@ -183,7 +183,10 @@ def optimize_point_cloud(initial, opt_cfg: OptimizeConfig, kernel_cfg: KernelCon
 
     Returns (final_batch, trajectory), where trajectory is a list of
     (step, loss_value) pairs sampled every `log_stride` steps plus the
-    final step.  A non-finite loss aborts with the failing step index.
+    final step.  A non-finite loss aborts with an `OptimizationFailure` at
+    that step, and so does a refusal of the batch from step 1 on, when the
+    batch is the optimizer's own and the run has diverged; at step 0 the
+    refusal is the caller's `ContractViolation`.
 
     The call owns its N x d working set: the batch it updates, Adam's m
     and v and, on the wristband losses, the two buffers of
@@ -197,7 +200,12 @@ def optimize_point_cloud(initial, opt_cfg: OptimizeConfig, kernel_cfg: KernelCon
     trajectory: list[tuple[int, float]] = []
 
     for step in range(opt_cfg.steps):
-        lvg: LossValueGrad = loss_fn(x, step)
+        try:
+            lvg: LossValueGrad = loss_fn(x, step)
+        except ContractViolation as exc:
+            if step == 0:
+                raise
+            raise OptimizationFailure(f"batch refused at step {step}: {exc}", step) from exc
         if not math.isfinite(lvg.value) or not np.all(np.isfinite(lvg.grad)):
             raise OptimizationFailure(
                 f"non-finite loss or gradient at step {step} (loss={lvg.value!r})", step

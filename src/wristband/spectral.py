@@ -26,8 +26,8 @@ from scipy.linalg.blas import dgemm
 
 from .errors import ContractViolation, _integer, _real
 from .pairwise import KernelConfig, LossValueGrad
-from .specfun import chi2_pdf_array, log_gamma, scaled_bessel_i
-from .wristband_map import WristbandBatch, wristband_forward
+from .specfun import log_gamma, scaled_bessel_i
+from .wristband_map import WristbandBatch, _radial_pullback, wristband_forward
 
 __all__ = [
     "SpectralCoeffs",
@@ -184,13 +184,14 @@ def _spectral_value_grad(x: np.ndarray, wb: WristbandBatch, cfg: KernelConfig, s
         g_x = x (2 f(s) g_t - (u . g_u) / s) + (C diag(1/|x|))^T F + 1 row^T,
 
     with u . g_u = sum_k cos(k pi t_i) f_k <c1_k, u_i> from the (N, K)
-    projections that g_t needs anyway.  The first term is one scaled
-    copy; the other two are one BLAS product with beta = 1 of the
-    stacked (K + 1, N) and (K + 1, d) matrices, so no N x d cotangent is
-    formed.  Floored points get a zero coefficient and a zero 1/|x|, so
-    they receive `row` alone.  The value comes from the same summary,
-    energy and log as `spectral_value_from_wristband`, so the two agree
-    exactly.
+    projections that g_t needs anyway.  The first term is the map's
+    `_radial_pullback`, which writes it to out and returns |x|; the other
+    two are one BLAS product with beta = 1 of the stacked (K + 1, N) and
+    (K + 1, d) matrices, so no N x d cotangent is formed.  A floored
+    point's |x| is inf, so its 1/|x| is 0 and, with the zero row the
+    pullback writes, it receives `row` alone.  The value comes from the
+    same summary, energy and log as `spectral_value_from_wristband`, so
+    the two agree exactly.
     """
     n, d = wb.u.shape
     coeffs = spectral_coefficients(d, cfg)
@@ -210,18 +211,12 @@ def _spectral_value_grad(x: np.ndarray, wb: WristbandBatch, cfg: KernelConfig, s
     g_t = (-2.0 * pref / n) * dedt
     g_t += grad_t
     f = (2.0 * math.sqrt(d) * coeffs.lambda1 * pref / n) * coeffs.a  # (K,)
-    u_dot_gu = np.einsum("ik,k,ki->i", proj, f, cosmat)
-    coef = 2.0 * g_t * chi2_pdf_array(d, wb.s) - u_dot_gu / wb.s
-    inv_norm = 1.0 / np.sqrt(wb.s)
-    if np.any(wb.norm_floored):
-        coef[wb.norm_floored] = 0.0
-        inv_norm[wb.norm_floored] = 0.0
+    norm = _radial_pullback(x, wb, g_t, np.einsum("ik,k,ki->i", proj, f, cosmat), out)
 
     left, right = np.empty((cfg.modes + 1, n)), np.empty((cfg.modes + 1, d))
-    np.multiply(cosmat, inv_norm, out=left[:-1])
+    np.multiply(cosmat, 1.0 / norm, out=left[:-1])
     np.multiply(f[:, None], c1, out=right[:-1])
     left[-1], right[-1] = 1.0, row
-    np.multiply(x, coef[:, None], out=out)
     dgemm(1.0, right.T, left.T, beta=1.0, c=out.T, overwrite_c=True, trans_b=True)
     return value
 

@@ -15,7 +15,10 @@ The adjoint pulls cotangents (g_u, g_t) back to the raw points as
     g_x = (I - u u^T) g_u / |x| + 2 f(s) g_t x,   f the chi-squared density,
 
 evaluated as g_u / |x| + x (2 f(s) g_t - (u . g_u) / |x|^2): one row
-dot, two batch scalings and one add.
+dot, two batch scalings and one add.  The second term, with the rule
+for floored points, is written once, in `_radial_pullback`; both
+repulsion paths pull back through it, the pairwise pass by way of
+`_backward` and the spectral pass with its own rank-K first term.
 
 Far in the tail the radius saturates: t rounds to exactly 1.0 (d=8 at
 norm 34, where the chi-squared density is 1.5e-244; the density
@@ -136,13 +139,26 @@ def _backward(x: np.ndarray, wb: WristbandBatch, grad_u, grad_t,
     """`wristband_backward` of a validated batch with cotangents of matching shapes.
 
     Evaluates the algebraic form of the module docstring into `out` (a
-    fresh array when not given), which may be grad_u or wb.u, both read
-    before it is written, but must not overlap x.
+    fresh array when not given), which may be wb.u, read before it is
+    written, but must overlap neither grad_u nor x.
     """
-    coef = 2.0 * grad_t * chi2_pdf_array(wb.dim, wb.s) - np.einsum("ij,ij->i", wb.u, grad_u) / wb.s
-    tmp = x * coef[:, None]
-    gx = np.divide(grad_u, np.sqrt(wb.s)[:, None], out=out)
-    gx += tmp
+    if out is None:
+        out = np.empty_like(x)
+    norm = _radial_pullback(x, wb, grad_t, np.einsum("ij,ij->i", wb.u, grad_u), out)
+    out += grad_u / norm[:, None]
+    return out
+
+
+def _radial_pullback(x: np.ndarray, wb: WristbandBatch, grad_t, u_dot_gu, out: np.ndarray):
+    """Write x (2 f(s) grad_t - u_dot_gu / s), u_dot_gu the (N,) row dot u . g_u, to
+    `out` and return |x|: the adjoint but its g_u / |x| term, which the caller adds.
+
+    Floored points get a zero row and a norm of inf, so a zero g_u / |x| too.
+    """
+    coef = 2.0 * grad_t * chi2_pdf_array(wb.dim, wb.s) - u_dot_gu / wb.s
+    np.multiply(x, coef[:, None], out=out)
+    norm = np.sqrt(wb.s)
     if np.any(wb.norm_floored):
-        gx[wb.norm_floored] = 0.0
-    return gx
+        out[wb.norm_floored] = 0.0
+        norm[wb.norm_floored] = np.inf
+    return norm

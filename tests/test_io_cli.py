@@ -417,14 +417,24 @@ class TestCli:
         z = read_report(score_report)["metrics"]["z"]
         assert np.isfinite(z)
 
-    @pytest.mark.parametrize("start", [["--kind", "x", "--n", "99", "--d", "7"], ["--n", "99"]],
-                             ids=["kind-n-d", "n"])
-    def test_optimize_refuses_in_with_generator_flags(self, tmp_path, capsys, start):
+    @pytest.mark.parametrize("start, problem", [
+        (["--in", "RAW", "--kind", "x", "--n", "99", "--d", "7"],
+         "optimize: --in takes no --kind, --n, --d"),
+        (["--in", "RAW", "--n", "99"], "optimize: --in takes no --n"),
+        (["--kind", "gaussian", "--n", "8"],
+         "optimize: give --in, or --kind with --n and --d (missing --d)"),
+        ([], "optimize: give --in, or --kind with --n and --d (missing --kind, --n, --d)"),
+    ], ids=["kind-n-d", "n", "kind-n", "none"])
+    def test_optimize_refuses_in_with_generator_flags(self, tmp_path, capsys, start, problem):
+        # The start rule is a usage error: argparse's exit 2, with the usage
+        # line and the flag that is wrong or missing.
         raw, out = tmp_path / "raw.wbpc", tmp_path / "opt.wbpc"
         write_batch(raw, gaussian_batch(16, 3, RngStream(0, "raw")))
-        assert run(["optimize", "--loss", "mmd", "--in", str(raw), *start, "--steps", "2",
-                    "--out", str(out), "--report", str(tmp_path / "r.json")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        start = [str(raw) if arg == "RAW" else arg for arg in start]
+        assert run(["optimize", "--loss", "mmd", *start, "--steps", "2",
+                    "--out", str(out), "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wristband ") and err.endswith(f"error: {problem}\n")
         assert not out.exists() and not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("loss", ["mmd", "sliced-w2"])

@@ -264,14 +264,35 @@ class TestOptimizePointCloud:
 
     def test_divergence_reports_step(self):
         # Adam moves a coordinate by about lr per step, so lr 1e300 sends the
-        # first step's points past overflow and the loss at step 1 is NaN.  The
-        # overflow warnings on the way are silenced so that the abort is reached.
+        # first step's points past overflow.  The baselines' loss at step 1 is
+        # then non-finite; on the wristband losses the moment covariance
+        # overflows and the eigensolver refuses it, which is the same
+        # divergence and is reported as one, with the refusal chained.  The
+        # overflow warnings on the way are silenced so that the abort is
+        # reached.
         initial = gaussian_batch(16, 3, RngStream(15, "init"))
-        opt = OptimizeConfig(loss="mmd", steps=50, lr=1e300, seed=16)
-        with np.errstate(all="ignore"), pytest.raises(OptimizationFailure) as exc:
-            optimize_point_cloud(initial, opt, KernelConfig(), None)
-        assert exc.value.step == 1
-        assert str(exc.value) == "non-finite loss or gradient at step 1 (loss=nan)"
+        cfg = KernelConfig(beta=8.0, alpha=1.0)
+        pairwise = calibrate_null(16, 3, cfg, reps=8, seed=1)
+        refused = "batch refused at step 1: matrix contains non-finite entries"
+        for loss, table, message in [
+            ("mmd", None, "non-finite loss or gradient at step 1 (loss=nan)"),
+            ("sliced_w2", None, "non-finite loss or gradient at step 1 (loss=inf)"),
+            ("wristband_pairwise", pairwise, refused),
+            ("wristband_spectral", calibrate_null(16, 3, cfg, reps=8, seed=1,
+                                                  loss_path="spectral"), refused),
+        ]:
+            opt = OptimizeConfig(loss=loss, steps=50, lr=1e300, seed=16)
+            with np.errstate(all="ignore"), pytest.raises(OptimizationFailure) as exc:
+                optimize_point_cloud(initial, opt, cfg, table)
+            assert exc.value.step == 1 and str(exc.value) == message, loss
+            assert isinstance(exc.value.__cause__, ContractViolation) == (message == refused)
+        # At step 0 the batch is still the caller's: a start whose moment
+        # covariance overflows is a bad argument, not a diverged run.
+        opt = OptimizeConfig(loss="wristband_pairwise", steps=5, seed=16)
+        with np.errstate(all="ignore"), pytest.raises(ContractViolation) as exc:
+            optimize_point_cloud(1e300 * initial, opt, cfg, pairwise)
+        assert type(exc.value) is ContractViolation
+        assert str(exc.value) == "matrix contains non-finite entries"
 
     def test_cosine_schedule_runs(self):
         initial = gaussian_batch(16, 3, RngStream(17, "init"))

@@ -232,8 +232,10 @@ class TestSpectralLoss:
         # t-cotangent and writes the pulled-back gradient directly, with an
         # extra t-cotangent and a row added.  It must give the same bytes as
         # the map adjoint written out with a rank-K direction cotangent
-        # C^T F, and its own part must scale linearly.
+        # C^T F, and its own part must scale linearly.  Row 3 is floored (its
+        # norm is below NORM_FLOOR but not 0) and gets the row alone.
         x = np.random.default_rng(32).standard_t(4, size=(300, 6))
+        x[3] *= 1e-14
         wb = wristband_forward(x)
         cfg = KernelConfig(beta=8.0, alpha=math.sqrt(1.0 / 12.0), modes=6)
         extra_t, row = np.random.default_rng(33).normal(size=300), np.arange(6.0)
@@ -244,6 +246,7 @@ class TestSpectralLoss:
             grad = np.empty_like(x)
             assert _spectral_value_grad(x, wb, cfg, scale, extra_t, row, grad) == value
             assert grad.tobytes() == want.tobytes()
+            assert np.array_equal(grad[3], row)
             assert _spectral_value_grad(x, wb, cfg, scale, zero_t, zero_row, grad) == value
             assert np.max(np.abs(grad - scale * unit)) <= 1e-15 * np.max(np.abs(scale * unit))
 
@@ -296,7 +299,8 @@ def written_out_spectral(x, wb, cfg, scale, extra_t, row):
         g_x = x (2 f(s) g_t - (u . g_u) / s) + [C diag(1/|x|); 1]^T [F; row]
 
     with the direction cotangent g_u = C^T F (C the K x N cosine modes,
-    F_k = f_k c1_k) and u . g_u = sum_k cos_k f_k <c1_k, u>."""
+    F_k = f_k c1_k) and u . g_u = sum_k cos_k f_k <c1_k, u>.  A floored
+    point's coefficient and 1/|x| are 0, so it receives the row alone."""
     n, d = x.shape
     coeffs = spectral_coefficients(d, cfg)
     summary, cosmat, sinmat = _summarize(wb, cfg.modes)
@@ -311,7 +315,9 @@ def written_out_spectral(x, wb, cfg, scale, extra_t, row):
     g_t = (-2.0 * pref / n) * dedt + extra_t
     f = (2.0 * math.sqrt(d) * coeffs.lambda1 * pref / n) * coeffs.a
     coef = 2.0 * g_t * chi2_pdf_array(d, wb.s) - np.einsum("ik,k,ki->i", proj, f, cosmat) / wb.s
-    modes = np.vstack([cosmat * (1.0 / np.sqrt(wb.s)), np.ones(n)])
+    coef[wb.norm_floored] = 0.0
+    inv_norm = np.where(wb.norm_floored, 0.0, 1.0 / np.sqrt(wb.s))
+    modes = np.vstack([cosmat * inv_norm, np.ones(n)])
     grad = x * coef[:, None]
     grad += modes.T @ np.vstack([f[:, None] * c1, row])
     return spectral_value_from_wristband(wb, cfg), grad
