@@ -84,15 +84,19 @@ def _generate(kind: str, n: int, d: int, seed: int) -> np.ndarray:
     return parity_batch(_library_name(kind), n, d, stream)
 
 
-def _parse_weights(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("weights must be w_rep,w_rad,w_mom")
-    return tuple(parts)
+def _parse_list(text: str, convert=int, form="comma-separated integers", count=0) -> list:
+    """A comma-separated flag value, or an ArgumentTypeError naming `form`.
 
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",")]
+    argparse prints that error's message after the flag; for any other
+    error it would print this function's name.
+    """
+    parts = text.split(",")
+    try:
+        if count in (0, len(parts)):
+            return [convert(p) for p in parts]
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
 
 
 def _cmd_gen(args) -> tuple[int, dict, dict]:
@@ -286,8 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=kernel.eps)
     p.add_argument("--reduction", choices=tuple(_cli_name(r) for r in REDUCTIONS),
                    default=_cli_name(kernel.reduction))
-    p.add_argument("--weights", type=_parse_weights, default=kernel.weights,
-                   help="w_rep,w_rad,w_mom")
+    p.add_argument("--weights", default=kernel.weights, help="w_rep,w_rad,w_mom",
+                   type=lambda v: _parse_list(v, float, "three reals w_rep,w_rad,w_mom", 3))
     p.add_argument("--modes", type=int, default=kernel.modes)
     p.add_argument("--reps", type=int, default=4096)
     p.add_argument("--seed", type=int, default=0)
@@ -323,8 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("parity", help="spectral-vs-pairwise parity and timing")
-    p.add_argument("--dims", type=_parse_int_list, default=[16, 64])
-    p.add_argument("--ns", type=_parse_int_list, default=[1024])
+    p.add_argument("--dims", type=_parse_list, default=[16, 64])
+    p.add_argument("--ns", type=_parse_list, default=[1024])
     p.add_argument("--modes", type=int, default=3)
     p.add_argument("--reps", type=int, default=5, help="seeds per generator")
     p.add_argument("--timing-reps", dest="timing_reps", type=int, default=3)

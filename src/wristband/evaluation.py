@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractViolation, _integer
 from .generators import RngStream, gaussian_batch
@@ -58,6 +57,10 @@ def hungarian_assign(cost) -> Assignment:
         raise ContractViolation(f"cost matrix must be square, got shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ContractViolation("cost matrix contains non-finite entries")
+    # Imported on first use: scipy.optimize is slow to load, and of the CLI
+    # commands only `score` solves an assignment.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty(cost.shape[0], dtype=np.int64)
     perm[rows] = cols

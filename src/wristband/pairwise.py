@@ -89,7 +89,7 @@ batch: it pulls those (u, t) cotangents back through the map's adjoint
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -154,10 +154,9 @@ class KernelConfig:
         object.__setattr__(self, "modes", _integer("modes", self.modes, 1))
 
     @classmethod
-    def direct_benchmark(cls, **overrides) -> "KernelConfig":
+    def direct_benchmark(cls) -> "KernelConfig":
         """Defaults for direct point-cloud optimization runs."""
-        cfg = cls(beta=64.0, alpha=0.8, reduction="global")
-        return replace(cfg, **overrides) if overrides else cfg
+        return cls(beta=64.0, alpha=0.8, reduction="global")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KernelConfig":

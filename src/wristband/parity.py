@@ -78,15 +78,15 @@ def finite_difference_check(loss_fn, batch, h_scale: float = 1e-5) -> FDReport:
     )
 
 
-def gradient_cosine(batch, cfg: KernelConfig, modes: int) -> tuple[float, float, float]:
+def gradient_cosine(batch, cfg: KernelConfig) -> tuple[float, float, float]:
     """Loss values of both repulsion paths and the cosine of their gradients.
 
     Returns (pairwise_value, spectral_value, cosine of the flattened
-    input gradients), with the spectral path truncated to `modes`
+    input gradients), with the spectral path truncated to `cfg.modes`
     radial cosine modes.
     """
     pw = pairwise_repulsion_loss(batch, cfg)
-    sp = spectral_loss(batch, replace(cfg, modes=modes))
+    sp = spectral_loss(batch, cfg)
     return pw.value, sp.value, _cosine(pw.grad, sp.grad)
 
 
@@ -101,7 +101,7 @@ def parity_suite(d: int, n: int, modes: int, seeds, cfg: KernelConfig) -> dict:
         for seed in seeds:
             stream = RngStream(seed, f"parity/{kind}/d{d}/n{n}")
             batch = parity_batch(kind, n, d, stream)
-            pv, sv, cos = gradient_cosine(batch, cfg, modes)
+            pv, sv, cos = gradient_cosine(batch, replace(cfg, modes=modes))
             rows.append({"kind": kind, "seed": seed, "pairwise_value": pv,
                          "spectral_value": sv, "cosine": cos})
     cosines = np.array([r["cosine"] for r in rows])

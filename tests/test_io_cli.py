@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import subprocess
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -283,9 +285,20 @@ class TestCliSpellings:
         argv = ["calibrate", "--n", "16", "--d", "3", "--reps", "2", "--out", str(out), "--weights"]
         assert run(argv + ["1,0.5,1"]) == 0
         assert CalibrationTable.from_json(out.read_text()).cfg.weights == (1.0, 0.5, 1.0)
-        capsys.readouterr()
-        assert run(argv + ["1,2"]) == 2
-        assert "weights must be w_rep,w_rad,w_mom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["parity", "--dims", "x"],
+         "argument --dims: expected comma-separated integers, got 'x'"),
+        (["calibrate", "--n", "8", "--d", "3", "--weights", "1,x,1", "--out", "t.json"],
+         "argument --weights: expected three reals w_rep,w_rad,w_mom, got '1,x,1'"),
+        (["calibrate", "--n", "8", "--d", "3", "--weights", "1,2", "--out", "t.json"],
+         "argument --weights: expected three reals w_rep,w_rad,w_mom, got '1,2'"),
+    ])
+    def test_malformed_list_flags_name_their_format(self, tmp_path, monkeypatch, capsys, argv,
+                                                     message):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        assert capsys.readouterr().err.endswith(f" error: {message}\n")
 
     def test_optimize_flags(self, capsys):
         assert run(["optimize", "--help"]) == 0
@@ -334,6 +347,13 @@ def test_every_subcommand_is_listed(capsys):
     listed = re.search(r"\{([a-z,]+)\}", usage).group(1)
     assert sorted(listed.split(",")) == sorted(SUBCOMMAND_ARGV)
     assert "--replay REPORT" in usage
+
+
+def test_cli_import_leaves_the_assignment_solver_unloaded():
+    # Only `score` solves an assignment, so the other commands never load scipy.optimize.
+    code = "import sys, wristband.cli; sys.exit('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("sub", SUBCOMMAND_ARGV)

@@ -2,7 +2,7 @@ import inspect
 import json
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -152,8 +152,7 @@ class TestConfig:
         assert KernelConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_direct_benchmark_defaults(self):
-        cfg = KernelConfig.direct_benchmark()
-        assert cfg.beta == 64.0 and cfg.alpha == 0.8 and cfg.reduction == "global"
+        assert KernelConfig.direct_benchmark() == KernelConfig(beta=64.0, alpha=0.8)
 
 
 class TestRepulsionLoss:
@@ -269,7 +268,7 @@ class TestRepulsionLoss:
         # reduction at beta=64: TestFusedGlobalPass.)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(24, 5))
-        cfg = KernelConfig.direct_benchmark(reduction="per_point")
+        cfg = replace(KernelConfig.direct_benchmark(), reduction="per_point")
         report = finite_difference_check(lambda b: pairwise_repulsion_loss(b, cfg), x)
         assert report.rel_l2_error <= 1e-5
         assert report.cosine >= 0.99999

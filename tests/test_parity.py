@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from wristband.parity import (
     parity_suite,
     timing_sweep,
 )
+from wristband.spectral import spectral_loss
 
 
 CFG = KernelConfig(beta=8.0, alpha=1.0)
@@ -48,15 +51,21 @@ class TestFiniteDifference:
 class TestGradientCosine:
     def test_identical_points_parallel_gradients(self):
         x = np.tile([1.0, 2.0, 2.0, 0.5], (16, 1))
-        pv, sv, cos = gradient_cosine(x, CFG, modes=3)
+        pv, sv, cos = gradient_cosine(x, replace(CFG, modes=3))
         assert cos == pytest.approx(1.0, abs=1e-6)
+
+    def test_spectral_value_reads_modes_from_config(self):
+        x = parity_batch("two_mode", 64, 4, RngStream(2, "modes"))
+        for k in (2, 9):
+            cfg = replace(CFG, modes=k)
+            assert gradient_cosine(x, cfg)[1] == spectral_loss(x, cfg).value
 
     def test_cosine_increases_with_modes(self):
         # More radial modes means less truncation: the cosine trend over
         # K in {2, 3, 6, 12} must be upward on fixed batches.
         rng_stream = RngStream(5, "trend")
         x = parity_batch("mixture5", 256, 8, rng_stream)
-        cosines = [gradient_cosine(x, CFG, modes=k)[2] for k in (2, 3, 6, 12)]
+        cosines = [gradient_cosine(x, replace(CFG, modes=k))[2] for k in (2, 3, 6, 12)]
         assert cosines[-1] > cosines[0]
         assert all(b >= a - 5e-3 for a, b in zip(cosines, cosines[1:]))
 
@@ -67,7 +76,7 @@ class TestGradientCosine:
         # near-noise and decorrelate, and at large angular coupling the
         # discarded degrees >= 2 dominate.)
         x = parity_batch("two_mode", 512, 8, RngStream(6, "vals"))
-        pv, sv, cos = gradient_cosine(x, KernelConfig(beta=8.0, alpha=0.15), modes=6)
+        pv, sv, cos = gradient_cosine(x, KernelConfig(beta=8.0, alpha=0.15, modes=6))
         assert cos > 0.95
 
 
