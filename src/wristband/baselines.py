@@ -54,7 +54,7 @@ def mmd_loss(batch) -> LossValueGrad:
 
 def sample_projections(d: int, count: int, stream: RngStream) -> np.ndarray:
     """count random unit directions in R^d from the given stream."""
-    dirs = stream.normal_matrix(_integer("projection count", count, 1), d)
+    dirs = stream.normal_matrix(_integer("projection count", count, 1), _integer("d", d, 1))
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 

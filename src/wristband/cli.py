@@ -182,6 +182,9 @@ def _cmd_score(args) -> tuple[int, dict, dict]:
 def _cmd_parity(args) -> tuple[int, dict, dict]:
     cfg = KernelConfig(beta=args.beta, alpha=args.alpha)
     seeds = list(range(args.reps))
+    # Timed first, so that a bad count is refused before the parity work; printed last.
+    timing_rows = timing_sweep(args.dims, args.ns, args.modes, args.timing_reps, cfg,
+                               seed=args.seed)
     rows = []
     for d in args.dims:
         for n in args.ns:
@@ -192,8 +195,6 @@ def _cmd_parity(args) -> tuple[int, dict, dict]:
                 f"parity: d={d} n={n} K={args.modes} mean_cos={suite['mean_cosine']:.4f} "
                 f"min_cos={suite['min_cosine']:.4f} value_corr={suite['value_correlation']:.6f}"
             )
-    timing_rows = timing_sweep(args.dims, args.ns, args.modes, args.timing_reps, cfg,
-                               seed=args.seed)
     for row in timing_rows:
         print(
             f"timing: d={row['d']} n={row['n']} pairwise={row['pairwise_ms']:.2f}ms "

@@ -7,6 +7,7 @@ reproduces the trajectory bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,10 +26,9 @@ from .generators import RngStream
 from .pairwise import KernelConfig, LossValueGrad
 from .wristband_map import validate_point_batch
 
-__all__ = ["LOSS_KINDS", "SCHEDULES", "AdamState", "OptimizeConfig", "adam_step",
-           "optimize_point_cloud"]
+__all__ = ["LOSS_KINDS", "SCHEDULES", "OptimizeConfig", "adam_step", "optimize_point_cloud"]
 
-LOSS_KINDS = ("wristband_pairwise", "wristband_spectral", "mmd", "sliced_w2")
+LOSS_KINDS = tuple(f"wristband_{path}" for path in LOSS_PATHS) + ("mmd", "sliced_w2")
 SCHEDULES = ("constant", "cosine")
 
 # Adam's decay rates and denominator offset (the usual defaults).
@@ -39,19 +39,6 @@ ADAM_EPS = 1e-8
 # Elements per block of the in-place Adam update: 256 KiB per array, so a
 # block of x, g, m, v and the two scratch buffers stays in L2 cache.
 ADAM_BLOCK = 32768
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """First/second moment accumulators and the step counter."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int
-
-    @classmethod
-    def zeros(cls, shape) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape), step=0)
 
 
 @dataclass(frozen=True)
@@ -75,29 +62,8 @@ class OptimizeConfig:
             raise ContractViolation(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
 
 
-def adam_step(params, grads, state: AdamState, lr: float):
-    """One bias-corrected Adam update; returns (new_params, new_state).
-
-    lr is read as `OptimizeConfig.lr` is: a finite real > 0.
-    """
-    lr = _real("lr", lr, 0.0, True)
-    params = np.array(params, dtype=np.float64, order="C")
-    grads = np.asarray(grads, dtype=np.float64)
-    if not (params.shape == grads.shape == state.m.shape == state.v.shape):
-        raise ContractViolation(
-            f"shape mismatch: params {params.shape}, grads {grads.shape}, "
-            f"state m {state.m.shape}, v {state.v.shape}"
-        )
-    if state.step < 0:
-        raise ContractViolation(f"Adam step counter must be >= 0, got {state.step}")
-    m = np.array(state.m, dtype=np.float64, order="C")
-    v = np.array(state.v, dtype=np.float64, order="C")
-    _adam_update(params, grads, m, v, state.step + 1, lr)
-    return params, AdamState(m=m, v=v, step=state.step + 1)
-
-
-def _adam_update(x, g, m, v, t: int, lr: float):
-    """Adam step t applied in place to the C-contiguous arrays x, m and v.
+def adam_step(x, g, m, v, t: int, lr: float) -> None:
+    """Adam step t applied in place to the batch x and the moments m and v.
 
     Works through blocks of ADAM_BLOCK elements with two scratch buffers,
     in the elementwise operation order of
@@ -106,8 +72,26 @@ def _adam_update(x, g, m, v, t: int, lr: float):
         x = x - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
 
     with b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, so the result is
-    bit-identical to that whole-array formula.
+    bit-identical to that whole-array formula.  t is an integer >= 1 and
+    lr a finite real > 0; x, m and v are writeable, C-contiguous float64
+    arrays of g's shape, and no two of the four arrays overlap.  A bad
+    argument is refused before anything is written.
     """
+    t = _integer("t", t, 1)
+    lr = _real("lr", lr, 0.0, True)
+    g = np.asarray(g, dtype=np.float64)
+    arrays = {"x": x, "m": m, "v": v}
+    for name, a in arrays.items():
+        if not isinstance(a, np.ndarray) or a.dtype != np.float64:
+            raise ContractViolation(
+                f"{name} must be a float64 array, got {getattr(a, 'dtype', type(a).__name__)}")
+        if a.shape != g.shape:
+            raise ContractViolation(f"{name} has shape {a.shape}, but g has shape {g.shape}")
+        if not (a.flags.c_contiguous and a.flags.writeable):
+            raise ContractViolation(f"{name} must be a writeable, C-contiguous array")
+    for (p, a), (q, b) in itertools.combinations({**arrays, "g": g}.items(), 2):
+        if np.shares_memory(a, b):
+            raise ContractViolation(f"{p} and {q} overlap")
     x, m, v = x.reshape(-1), m.reshape(-1), v.reshape(-1)
     g = g.reshape(-1)
     c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
@@ -215,5 +199,5 @@ def optimize_point_cloud(initial, opt_cfg: OptimizeConfig, kernel_cfg: KernelCon
         lr = opt_cfg.lr
         if opt_cfg.schedule == "cosine":
             lr = opt_cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / opt_cfg.steps))
-        _adam_update(x, lvg.grad, m, v, step + 1, lr)
+        adam_step(x, lvg.grad, m, v, step + 1, lr)
     return x, trajectory

@@ -183,6 +183,7 @@ def angular_kernel(u, u2, cfg: KernelConfig):
 
 def radial_image_kernel(t, t2, beta: float):
     """Three-image reflected kernel on [0, 1]: real point plus its mirrors at 0 and 1."""
+    beta = _real("beta", beta, 0.0, True)
     t = np.asarray(t, dtype=np.float64)
     t2 = np.asarray(t2, dtype=np.float64)
     return (
@@ -199,7 +200,7 @@ def radial_neumann_kernel(t, t2, beta: float, images: int = 10):
     moderate beta a handful of images already reproduces the infinite
     reflection to machine precision.
     """
-    images = _integer("images", images, 1)
+    beta, images = _real("beta", beta, 0.0, True), _integer("images", images, 1)
     t = np.asarray(t, dtype=np.float64)
     t2 = np.asarray(t2, dtype=np.float64)
     total = np.zeros(np.broadcast(t, t2).shape)

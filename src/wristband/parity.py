@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolation, _integer
+from .errors import ContractViolation, _integer, _real
 from .generators import PARITY_KINDS, RngStream, parity_batch
 from .pairwise import KernelConfig, pairwise_repulsion_loss
 from .spectral import spectral_loss
@@ -56,6 +56,7 @@ def finite_difference_check(loss_fn, batch, h_scale: float = 1e-5) -> FDReport:
     (N <= 64); the cost is 2 N d loss evaluations.
     """
     x = validate_point_batch(batch)
+    h_scale = _real("h_scale", h_scale, 0.0, True)
     if x.shape[0] > 64:
         raise ContractViolation(f"FD check is restricted to N <= 64, got N={x.shape[0]}")
     analytic = loss_fn(x).grad
@@ -93,9 +94,14 @@ def gradient_cosine(batch, cfg: KernelConfig) -> tuple[float, float, float]:
 def parity_suite(d: int, n: int, modes: int, seeds, cfg: KernelConfig) -> dict:
     """Gradient parity over the structured generators x seeds at one (d, n).
 
-    Reports mean/min gradient cosine and the Pearson correlation between
-    the two paths' loss values across all evaluated batches.
+    `modes` replaces `cfg.modes` on the spectral path.  Reports mean/min
+    gradient cosine and the Pearson correlation between the two paths'
+    loss values across all evaluated batches; `seeds` names at least one
+    seed.
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ContractViolation("parity_suite needs at least one seed")
     rows = []
     for kind in PARITY_KINDS:
         for seed in seeds:
@@ -123,9 +129,10 @@ def timing_sweep(dims, batch_sizes, modes: int, repetitions: int, cfg: KernelCon
                  seed: int = 0) -> list[dict]:
     """Median forward+backward wall time per (d, N, path) with warm-up.
 
-    One Gaussian batch per cell; WARMUP_CALLS untimed calls precede the
-    timed ones for each path.  A path's cell is timed until it has
-    `repetitions` calls and has run for MIN_CELL_SECONDS.
+    `modes` replaces `cfg.modes` on the spectral path.  One Gaussian batch
+    per cell; WARMUP_CALLS untimed calls precede the timed ones for each
+    path.  A path's cell is timed until it has `repetitions` calls and
+    has run for MIN_CELL_SECONDS.
     """
     repetitions = _integer("repetitions", repetitions, 1)
     results = []

@@ -70,6 +70,7 @@ def angular_eigenvalues(d: int, beta: float, alpha: float) -> tuple[float, float
     divide by a zero eigenvalue, so that is refused.
     """
     d = _integer("d", d, 2)
+    beta, alpha = _real("beta", beta), _real("alpha", alpha)
     c = 2.0 * beta * alpha * alpha
     if not (c > 0.0 and math.isfinite(c)):
         raise ContractViolation(f"need 2*beta*alpha^2 > 0, got {c}")

@@ -499,6 +499,17 @@ class TestCli:
         assert rows[0]["d"] == 4
         assert "timing_rows" in rpt["timing"]
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--reps", "parity_suite needs at least one seed"),
+        ("--timing-reps", "repetitions must be >= 1, got 0"),
+    ])
+    def test_parity_refuses_a_zero_count_before_any_row(self, capsys, flag, message):
+        argv = ["parity", "--dims", "4", "--ns", "64", "--reps", "2", "--timing-reps", "1"]
+        argv[argv.index(flag) + 1] = "0"
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {message}\n" and "parity:" not in out
+
     def test_usage_errors_exit_2(self):
         assert run(["gen", "--kind", "nope", "--n", "8", "--d", "2",
                     "--out", "/tmp/x"]) == 2

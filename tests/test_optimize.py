@@ -8,58 +8,58 @@ from wristband.calibration import calibrate_null, standardized_wristband_loss
 from wristband.errors import ContractViolation, OptimizationFailure
 from wristband.generators import RngStream, gaussian_batch, parity_batch, x_batch
 from wristband.baselines import mmd_loss
-from wristband.optimize import (
-    AdamState,
-    OptimizeConfig,
-    _adam_update,
-    adam_step,
-    optimize_point_cloud,
-)
+from wristband import optimize
+from wristband.optimize import OptimizeConfig, adam_step, optimize_point_cloud
 from wristband.pairwise import KernelConfig
+
+
+def _adam_run(x, grads, lrs):
+    """x after one in-place adam_step per (gradient, rate), from zero moments."""
+    x = np.array(x, dtype=np.float64)
+    m, v = np.zeros_like(x), np.zeros_like(x)
+    for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
+        assert adam_step(x, g, m, v, t, lr) is None
+    return x
+
+
+def _rates(opt):
+    """The rate of each of opt's steps under its schedule."""
+    if opt.schedule == "constant":
+        return [opt.lr] * opt.steps
+    return [opt.lr * 0.5 * (1.0 + math.cos(math.pi * step / opt.steps))
+            for step in range(opt.steps)]
 
 
 class TestAdamStep:
     def test_zero_gradient_keeps_params(self):
-        p = np.ones((4, 3))
-        state = AdamState.zeros(p.shape)
-        p2, state2 = adam_step(p, np.zeros_like(p), state, lr=0.1)
-        assert np.array_equal(p2, p)
-        assert state2.step == 1
+        p, m, v = np.ones((4, 3)), np.zeros((4, 3)), np.zeros((4, 3))
+        adam_step(p, np.zeros_like(p), m, v, 1, lr=0.1)
+        assert np.all(p == 1.0) and np.all(m == 0.0) and np.all(v == 0.0)
 
     def test_first_step_magnitude(self):
         # With bias correction, the first update is lr * g/|g| = lr
         # elementwise (up to the eps guard).
-        p = np.zeros((2, 2))
-        g = np.full((2, 2), 3.7)
-        p2, _ = adam_step(p, g, AdamState.zeros(p.shape), lr=0.05)
+        p2 = _adam_run(np.zeros((2, 2)), [np.full((2, 2), 3.7)], [0.05])
         assert np.allclose(np.abs(p2), 0.05, rtol=1e-6)
 
     def test_shape_contract(self):
         with pytest.raises(ContractViolation):
-            adam_step(np.ones((2, 2)), np.ones((3, 2)), AdamState.zeros((2, 2)), 0.1)
+            adam_step(np.ones((2, 2)), np.ones((3, 2)), np.zeros((2, 2)), np.zeros((2, 2)), 1, 0.1)
 
     def test_state_contract(self):
         p = np.ones((4, 3))
         with pytest.raises(ContractViolation):
             # a (1, d) second moment would silently broadcast
-            adam_step(p, p, AdamState(m=np.zeros((4, 3)), v=np.zeros((1, 3)), step=0), 0.1)
+            adam_step(p, p.copy(), np.zeros((4, 3)), np.zeros((1, 3)), 1, 0.1)
         with pytest.raises(ContractViolation):
-            # step -1 would divide by 1 - beta^0 = 0
-            adam_step(p, p, AdamState(m=np.zeros((4, 3)), v=np.zeros((4, 3)), step=-1), 0.1)
+            # step 0 would divide by 1 - beta^0 = 0
+            adam_step(p, p.copy(), np.zeros((4, 3)), np.zeros((4, 3)), 0, 0.1)
 
     def test_trajectory_reproducible(self):
         rng = np.random.default_rng(0)
         p = rng.normal(size=(8, 3))
         gs = [rng.normal(size=(8, 3)) for _ in range(20)]
-
-        def run():
-            q = p.copy()
-            st = AdamState.zeros(q.shape)
-            for g in gs:
-                q, st = adam_step(q, g, st, 0.01)
-            return q
-
-        assert np.array_equal(run(), run())
+        assert np.array_equal(_adam_run(p, gs, [0.01] * 20), _adam_run(p, gs, [0.01] * 20))
 
 
 def _whole_array_adam(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -77,43 +77,54 @@ class TestInPlaceAdam:
     @pytest.mark.parametrize("shape", [(4096, 64), (1000, 33), (7, 3)])
     @pytest.mark.parametrize("schedule", ["constant", "cosine"])
     def test_blocked_update_equals_adam_step_loop(self, shape, schedule):
+        # The blocked in-place loop against the whole-array formula, byte for byte.
         rng = np.random.default_rng(shape[0] + shape[1])
         steps = 4
         x = rng.normal(size=shape)
         m, v = np.zeros(shape), np.zeros(shape)
         ref, ref_m, ref_v = x.copy(), m.copy(), v.copy()
-        q, st = x.copy(), AdamState.zeros(shape)
-        for step in range(steps):
+        lrs = _rates(OptimizeConfig(steps=steps, lr=0.05, schedule=schedule))
+        for step, lr in enumerate(lrs):
             g = rng.standard_t(3, size=shape)
-            lr = 0.05
-            if schedule == "cosine":
-                lr = 0.05 * 0.5 * (1.0 + math.cos(math.pi * step / steps))
-            _adam_update(x, g, m, v, step + 1, lr)
-            q, st = adam_step(q, g, st, lr)
+            adam_step(x, g, m, v, step + 1, lr)
             ref, ref_m, ref_v = _whole_array_adam(ref, g, ref_m, ref_v, step + 1, lr)
-            for got in (x, q):
-                assert got.tobytes() == ref.tobytes()
-            assert m.tobytes() == st.m.tobytes() == ref_m.tobytes()
-            assert v.tobytes() == st.v.tobytes() == ref_v.tobytes()
+            assert x.tobytes() == ref.tobytes()
+            assert m.tobytes() == ref_m.tobytes()
+            assert v.tobytes() == ref_v.tobytes()
 
     def test_adam_step_leaves_its_inputs_alone(self):
-        p = np.ones((5, 2))
-        state = AdamState(m=np.full((5, 2), 0.5), v=np.full((5, 2), 0.25), step=3)
-        adam_step(p, np.full((5, 2), 2.0), state, 0.1)
-        assert np.all(p == 1.0) and np.all(state.m == 0.5) and np.all(state.v == 0.25)
+        # A step writes x, m and v, never g; a refused step writes nothing.
+        p, g = np.ones((5, 2)), np.full((5, 2), 2.0)
+        m, v = np.full((5, 2), 0.5), np.full((5, 2), 0.25)
+        with pytest.raises(ContractViolation, match="m and v overlap"):
+            adam_step(p, g, m, m, 4, 0.1)
+        with pytest.raises(ContractViolation, match="lr must be"):
+            adam_step(p, g, m, v, 4, -0.1)
+        assert np.all(p == 1.0) and np.all(m == 0.5) and np.all(v == 0.25)
+        adam_step(p, g, m, v, 4, 0.1)
+        assert np.all(g == 2.0) and np.all(p < 1.0)
 
     @pytest.mark.parametrize("schedule", ["constant", "cosine"])
     def test_optimizer_equals_adam_step_loop(self, schedule):
         initial = x_batch(48, 3, RngStream(21, "init"))
         opt = OptimizeConfig(loss="mmd", steps=12, lr=0.05, schedule=schedule, seed=22)
         final, _ = optimize_point_cloud(initial, opt, KernelConfig(), None)
-        q, st = initial.copy(), AdamState.zeros(initial.shape)
-        for step in range(opt.steps):
-            lr = opt.lr
-            if schedule == "cosine":
-                lr = opt.lr * 0.5 * (1.0 + math.cos(math.pi * step / opt.steps))
-            q, st = adam_step(q, mmd_loss(q).grad, st, lr)
+        q, m, v = initial.copy(), np.zeros_like(initial), np.zeros_like(initial)
+        for step, lr in enumerate(_rates(opt)):
+            adam_step(q, mmd_loss(q).grad, m, v, step + 1, lr)
         assert final.tobytes() == q.tobytes()
+
+    def test_optimizer_calls_adam_step_once_per_step(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[4])
+            return adam_step(*args)
+
+        monkeypatch.setattr(optimize, "adam_step", spy)
+        opt = OptimizeConfig(loss="mmd", steps=7, lr=0.05, seed=22)
+        optimize_point_cloud(x_batch(16, 3, RngStream(21, "init")), opt, KernelConfig(), None)
+        assert calls == list(range(1, opt.steps + 1))
 
     # The optimizer's buffered step against the public loss, which makes
     # fresh arrays, on both paths; 2048 x 64 buffers are 1 MiB each.
@@ -132,17 +143,14 @@ class TestInPlaceAdam:
         opt = OptimizeConfig(loss=f"wristband_{path}", steps=6, lr=0.05, schedule=schedule,
                              seed=25, log_stride=1)
         final, trajectory = optimize_point_cloud(initial, opt, cfg, table)
-        q, st = initial.copy(), AdamState.zeros(initial.shape)
+        q, m, v = initial.copy(), np.zeros_like(initial), np.zeros_like(initial)
         values = []
-        for step in range(opt.steps):
-            lr = opt.lr
-            if schedule == "cosine":
-                lr = opt.lr * 0.5 * (1.0 + math.cos(math.pi * step / opt.steps))
+        for step, lr in enumerate(_rates(opt)):
             lvg = standardized_wristband_loss(q, table)
             values.append(lvg.value)
-            q, st = adam_step(q, lvg.grad, st, lr)
+            adam_step(q, lvg.grad, m, v, step + 1, lr)
         assert final.tobytes() == q.tobytes()
-        assert [v for _, v in trajectory] == values
+        assert [value for _, value in trajectory] == values
 
 
 class TestSettingsContract:

@@ -18,19 +18,20 @@ import numpy as np
 import pytest
 
 from wristband import calibration, errors, evaluation
-from wristband.baselines import sample_projections, sliced_w2_loss
+from wristband.baselines import mmd_loss, sample_projections, sliced_w2_loss
 from wristband.calibration import calibrate_null
 from wristband.errors import ContractViolation, FormatError, OptimizationFailure, WristbandError
 from wristband.evaluation import barycentric_reference, barycentric_z_score
 from wristband.generators import RngStream, gaussian_batch, parity_batch, rac_batch, x_batch
-from wristband.optimize import AdamState, OptimizeConfig, adam_step
+from wristband.optimize import OptimizeConfig, adam_step
 from wristband.pairwise import (
     KernelConfig,
     pairwise_repulsion_loss,
     pairwise_value_from_wristband,
+    radial_image_kernel,
     radial_neumann_kernel,
 )
-from wristband.parity import timing_sweep
+from wristband.parity import finite_difference_check, parity_suite, timing_sweep
 from wristband.specfun import (
     chi2_cdf,
     chi2_cdf_array,
@@ -63,6 +64,13 @@ def _batch():
     return gaussian_batch(8, 3, RngStream(2))
 
 
+def _adam(t=1, lr=0.1, **arrays):
+    """adam_step on fresh 2 x 2 arrays, but for the ones given."""
+    fresh = {"x": np.zeros((2, 2)), "g": np.ones((2, 2)), "m": np.zeros((2, 2)),
+             "v": np.zeros((2, 2))}
+    return adam_step(**{**fresh, **arrays}, t=t, lr=lr)
+
+
 # (entry point and argument, call with the bad value)
 INTEGER_SLOTS = [
     ("RngStream.seed", lambda v: RngStream(v)),
@@ -93,6 +101,8 @@ INTEGER_SLOTS = [
     # The projection count behind a sliced-w2 call, refused where it is drawn.
     ("sliced_w2_loss.projections",
      lambda v: sliced_w2_loss(_batch(), sample_projections(3, v, RngStream(4)))),
+    ("sample_projections.d", lambda v: sample_projections(v, 3, RngStream(4))),
+    ("adam_step.t", lambda v: _adam(t=v)),
     ("OptimizeConfig.steps", lambda v: OptimizeConfig(steps=v)),
     ("OptimizeConfig.seed", lambda v: OptimizeConfig(seed=v)),
     ("KernelConfig.modes", lambda v: KernelConfig(modes=v)),
@@ -111,7 +121,7 @@ REAL_SLOTS = [
     ("KernelConfig.eps", lambda v: KernelConfig(eps=v)),
     ("KernelConfig.weights", lambda v: KernelConfig(weights=(1.0, v, 1.0))),
     ("OptimizeConfig.lr", lambda v: OptimizeConfig(lr=v)),
-    ("adam_step.lr", lambda v: adam_step(np.ones((2, 2)), np.ones((2, 2)), AdamState.zeros((2, 2)), v)),
+    ("adam_step.lr", lambda v: _adam(lr=v)),
     ("CalibrationTable.mu_rep", lambda v: replace(_table(), mu_rep=v)),
     ("CalibrationTable.sd_numerator", lambda v: replace(_table(), sd_numerator=v)),
     ("log_gamma.a", lambda v: log_gamma(v)),
@@ -120,6 +130,12 @@ REAL_SLOTS = [
     ("chi2_cdf.s", lambda v: chi2_cdf(3, v)),
     ("chi2_pdf.s", lambda v: chi2_pdf(3, v)),
     ("radial_cosine_coeffs.beta", lambda v: radial_cosine_coeffs(v, 4)),
+    ("angular_eigenvalues.beta", lambda v: angular_eigenvalues(4, v, 1.0)),
+    ("angular_eigenvalues.alpha", lambda v: angular_eigenvalues(4, 8.0, v)),
+    ("radial_image_kernel.beta", lambda v: radial_image_kernel(0.2, 0.3, v)),
+    ("radial_neumann_kernel.beta", lambda v: radial_neumann_kernel(0.2, 0.3, v)),
+    ("finite_difference_check.h_scale",
+     lambda v: finite_difference_check(mmd_loss, _batch(), h_scale=v)),
 ]
 
 CASES = [pytest.param(call, value, id=f"{name}-{label}")
@@ -148,6 +164,11 @@ REFUSALS = [
     # A non-positive real where a positive one belongs.
     ("KernelConfig.beta-zero", lambda: KernelConfig(beta=0), "beta must be a finite real > 0.0, got 0"),
     ("OptimizeConfig.lr-zero", lambda: OptimizeConfig(lr=0), "lr must be a finite real > 0.0, got 0"),
+    ("radial_neumann_kernel.beta-negative", lambda: radial_neumann_kernel(0.2, 0.3, -1.0),
+     "beta must be a finite real > 0.0, got -1.0"),
+    ("finite_difference_check.h_scale-zero",
+     lambda: finite_difference_check(mmd_loss, _batch(), h_scale=0.0),
+     "h_scale must be a finite real > 0.0, got 0.0"),
     # A name that is not one of the choices.
     ("parity_batch.kind-unknown", lambda: parity_batch("nope", 8, 3, RngStream(1)),
      "unknown parity batch kind 'nope'; expected one of"),
@@ -167,6 +188,21 @@ REFUSALS = [
     # table refuses it without a warning (the suite runs RuntimeWarnings as errors).
     ("calibrate_null.degenerate-null", lambda: calibrate_null(8, 2, KernelConfig(beta=1e6), 2, 0),
      "calibration table sd_rep must be a finite real > 0.0, got 0.0"),
+    ("parity_suite.seeds-empty", lambda: parity_suite(4, 64, 3, [], CFG),
+     "parity_suite needs at least one seed"),
+    # adam_step writes x, m and v in place: each is a float64, writeable, C-contiguous array
+    # of g's shape, and no two of the four overlap.
+    ("adam_step.shape", lambda: _adam(g=np.ones((3, 2))),
+     "x has shape (2, 2), but g has shape (3, 2)"),
+    ("adam_step.x-strided", lambda: _adam(x=np.zeros((4, 2))[::2]),
+     "x must be a writeable, C-contiguous array"),
+    ("adam_step.m-float32", lambda: _adam(m=np.zeros((2, 2), np.float32)),
+     "m must be a float64 array, got float32"),
+    ("adam_step.v-read-only", lambda: _adam(v=np.frombuffer(bytes(32)).reshape(2, 2)),
+     "v must be a writeable, C-contiguous array"),
+    ("adam_step.m-is-v", lambda: _adam(m=(z := np.zeros((2, 2))), v=z), "m and v overlap"),
+    ("adam_step.g-overlaps-x", lambda: _adam(x=(b := np.zeros((3, 2)))[:2], g=b[1:]),
+     "x and g overlap"),
 ]
 
 

@@ -4,9 +4,12 @@ The outputs cover calibration tables for the pairwise path under both
 reductions and for the spectral path (global reduction, its only one);
 pairwise values and gradients at tiles 7, 16 and 128, in the two-base and
 three-image bases, at d = 3, 10 and 64; a standardized step on each path;
-a 40-step optimize at the direct-benchmark setting (512 x 10); a 20-step
-sliced-w2 optimize (64 x 5, fresh projections each step); and a
-barycentric reference with a z-score.  "Bytes unchanged" between two
+an optimize on every loss: a 40-step wristband-pairwise run at the
+direct-benchmark setting (512 x 10) and a 20-step sliced-w2 run (64 x 5,
+fresh projections each step) under the constant schedule, and under the
+cosine schedule a 20-step mmd run (64 x 5) and 10-step wristband-spectral
+and per-point wristband-pairwise runs from a heavy-tailed 512 x 8 start
+against the cached tables; and a barycentric reference with a z-score.  "Bytes unchanged" between two
 checkouts is then one `diff` of two runs, each importing the package from
 the checkout under test:
 
@@ -34,7 +37,7 @@ import numpy as np
 
 from wristband.calibration import calibrate_null, standardized_wristband_loss
 from wristband.evaluation import barycentric_reference, barycentric_z_score
-from wristband.generators import RngStream, gaussian_batch, rac_batch, x_batch
+from wristband.generators import RngStream, gaussian_batch, parity_batch, rac_batch, x_batch
 from wristband.optimize import OptimizeConfig, optimize_point_cloud
 from wristband.pairwise import (
     ALPHA_UNIFORM_STD,
@@ -113,6 +116,22 @@ def _optimize_sliced_w2() -> str:
     return _sha(final, np.array(trajectory))
 
 
+def _optimize_mmd() -> str:
+    raw = x_batch(64, 5, RngStream(25, "digests/mmd"))
+    opt = OptimizeConfig(loss="mmd", steps=20, lr=0.05, schedule="cosine", seed=9, log_stride=5)
+    final, trajectory = optimize_point_cloud(raw, opt, KernelConfig())
+    return _sha(final, np.array(trajectory))
+
+
+def _optimize_wristband(loss_path: str, reduction: str) -> str:
+    table = _table(loss_path, reduction)
+    raw = parity_batch("student_t", 512, 8, RngStream(27, "digests/wristband"))
+    opt = OptimizeConfig(loss=f"wristband_{loss_path}", steps=10, lr=0.05, schedule="cosine",
+                         seed=9, log_stride=5)
+    final, trajectory = optimize_point_cloud(raw, opt, table.cfg, table)
+    return _sha(final, np.array(trajectory))
+
+
 def _barycentric() -> str:
     stream = RngStream(21, "digests/barycentric")
     ref = barycentric_reference(256, 10, 4, stream.child("ref"))
@@ -136,6 +155,10 @@ def entries() -> dict[str, Callable[[], str]]:
         out[f"standardized.{path}"] = functools.partial(_standardized, path)
     out["optimize.direct_benchmark.512x10.steps40"] = _optimize
     out["optimize.sliced_w2.64x5.steps20"] = _optimize_sliced_w2
+    out["optimize.mmd.64x5.steps20.cosine"] = _optimize_mmd
+    for path, reduction in (("spectral", "global"), ("pairwise", "per_point")):
+        out[f"optimize.wristband_{path}.{reduction}.512x8.steps10.cosine"] = functools.partial(
+            _optimize_wristband, path, reduction)
     out["evaluation.barycentric"] = _barycentric
     return out
 
