@@ -42,7 +42,7 @@ from .calibration import (
     calibrate_null,
     standardized_wristband_loss,
 )
-from .errors import FormatError, WristbandError
+from .errors import FormatError, WristbandError, _integer
 from .evaluation import barycentric_reference, barycentric_z_score
 from .generators import (
     PARITY_KINDS,
@@ -181,20 +181,20 @@ def _cmd_score(args) -> tuple[int, dict, dict]:
 
 def _cmd_parity(args) -> tuple[int, dict, dict]:
     cfg = KernelConfig(beta=args.beta, alpha=args.alpha)
-    seeds = list(range(args.reps))
-    # Timed first, so that a bad count is refused before the parity work; printed last.
-    timing_rows = timing_sweep(args.dims, args.ns, args.modes, args.timing_reps, cfg,
-                               seed=args.seed)
+    # Both counts are refused before any work; the seed count by the first parity_suite.
+    _integer("repetitions", args.timing_reps, 1)
     rows = []
     for d in args.dims:
         for n in args.ns:
-            suite = parity_suite(d, n, args.modes, seeds, cfg)
+            suite = parity_suite(d, n, args.modes, range(args.reps), cfg)
             rows.append({k: suite[k] for k in
                          ("d", "n", "mean_cosine", "min_cosine", "value_correlation")})
             print(
                 f"parity: d={d} n={n} K={args.modes} mean_cos={suite['mean_cosine']:.4f} "
                 f"min_cos={suite['min_cosine']:.4f} value_corr={suite['value_correlation']:.6f}"
             )
+    timing_rows = timing_sweep(args.dims, args.ns, args.modes, args.timing_reps, cfg,
+                               seed=args.seed)
     for row in timing_rows:
         print(
             f"timing: d={row['d']} n={row['n']} pairwise={row['pairwise_ms']:.2f}ms "

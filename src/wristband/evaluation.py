@@ -12,14 +12,16 @@ of the reference's shape.
 Assignment solves go through scipy's `linear_sum_assignment`, Crouse's
 exact shortest-augmenting-path solver; exactness is cross-checked
 against a brute-force oracle in the tests.  To choose a matching the
-solver sees squared distances in Gram form (one matmul) after Kuhn's
-initial reduction (row minima, then column minima, subtracted), which
-leaves the optimal matchings unchanged and shortens the solver's
-augmenting-path searches.  Reported costs and midpoints come from the
-explicit differences of the matched pairs, so they are exact.  Only a
-near-tie, two matchings within rounding of each other, can resolve
-differently than on explicit differences, and then to an equally cheap
-matching.
+solver sees the squared-distance matrix after Kuhn's initial reduction
+(row minima, then column minima, subtracted), which leaves the optimal
+matchings unchanged and shortens the solver's augmenting-path searches.
+That matrix is built from one matmul of the centered batches and the
+column norms; the row norms are constant along a row, so the row
+reduction would remove them exactly, and they are never formed.
+Reported costs and midpoints come from the explicit differences of the
+matched pairs, so they are exact.  Only a near-tie, two matchings within
+rounding of each other, can resolve differently than on explicit
+differences, and then to an equally cheap matching.
 """
 
 from __future__ import annotations
@@ -61,43 +63,32 @@ def hungarian_assign(cost) -> Assignment:
     # commands only `score` solves an assignment.
     from scipy.optimize import linear_sum_assignment
 
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(cost.shape[0], dtype=np.int64)
-    perm[rows] = cols
-    return Assignment(perm=perm, cost=float(cost[rows, cols].sum()))
-
-
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances |a_i - b_j|^2 in Gram form, for choosing a matching.
-
-    Both batches are centered on m = mean(a) first, so the rounding
-    error scales with their spread rather than their common offset: at
-    most about 2 d eps (|a_i - m|^2 + |b_j - m|^2) per entry (pinned in
-    the property tests).  Matchings whose total costs differ by less
-    than that can swap, so a near-tie may resolve to a different but
-    equally cheap matching than explicit differences would.  Callers
-    recompute the matched costs from explicit differences.
-    """
-    mean = a.mean(axis=0)
-    a, b = a - mean, b - mean
-    sq = a @ (-2.0 * b).T  # every later pass is in place: one N x N allocation
-    sq += np.einsum("ij,ij->i", a, a)[:, None]
-    sq += np.einsum("ij,ij->i", b, b)[None, :]
-    return np.maximum(sq, 0.0, out=sq)
+    rows, cols = linear_sum_assignment(cost)  # rows is arange(n) for a square matrix
+    return Assignment(perm=cols, cost=float(cost[rows, cols].sum()))
 
 
 def _matching(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """An optimal matching perm of rows of `a` to rows of `b`, on squared distances.
 
-    The Gram-form matrix of `_sq_dists` gets Kuhn's initial reduction:
-    each row's minimum is subtracted, then each column's minimum of the
-    result.  Subtracting a constant from a row or a column adds the same
-    constant to every permutation's cost, so the optimal matchings are
-    unchanged; the solver gets a matrix >= 0 with a zero in every row
-    and column, and its augmenting-path searches end sooner.  Both
-    passes work in place on the matrix `_sq_dists` just made.
+    The solver gets Kuhn's initial reduction of |a_i - b_j|^2: each row's
+    minimum is subtracted, then each column's minimum of the result.
+    Subtracting a constant from a row or a column adds the same constant
+    to every permutation's cost, so the optimal matchings are unchanged;
+    the solver gets a matrix >= 0 with a zero in every row and column,
+    and its augmenting-path searches end sooner.  The row reduction
+    removes each row's |a_i - m|^2 exactly, so the matrix starts as
+    -2 <a_i - m, b_j - m> + |b_j - m|^2 with m = mean(a): centering makes
+    the rounding error scale with the batches' spread rather than their
+    common offset (bounded in the property tests).  Matchings whose
+    total costs differ by less than that can swap, so a near-tie may
+    resolve to a different but equally cheap matching than explicit
+    differences would.  Dropping the column norms too would keep the
+    optimal matchings but give the solver a slower matrix at low d.
     """
-    cost = _sq_dists(a, b)
+    mean = a.mean(axis=0)
+    a, b = a - mean, b - mean
+    cost = a @ (-2.0 * b).T  # every later pass is in place: one N x N allocation
+    cost += np.einsum("ij,ij->i", b, b)
     cost -= cost.min(axis=1, keepdims=True)
     cost -= cost.min(axis=0)
     return hungarian_assign(cost).perm
@@ -106,12 +97,12 @@ def _matching(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def w2_exact(a, b) -> float:
     """Exact equal-weight W2 distance between two same-shape batches.
 
-    The matching is solved by `_matching` on the Kuhn-reduced Gram-form
-    cost matrix; the reported cost comes from the explicit differences
-    of the matched pairs, so a batch against a permutation of itself
-    gives exactly 0.0.
-    At a near-tie the matching may differ from the explicit-difference
-    one, with a cost equal to within rounding.
+    The matching is solved by `_matching` on the Kuhn-reduced
+    squared-distance matrix; the reported cost comes from the explicit
+    differences of the matched pairs, so a batch against a permutation
+    of itself gives exactly 0.0.  At a near-tie the matching may differ
+    from the explicit-difference one, with a cost equal to within
+    rounding.
     """
     a = validate_point_batch(a)
     b = validate_point_batch(b)

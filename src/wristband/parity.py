@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -22,8 +23,8 @@ __all__ = [
     "timing_sweep",
 ]
 
-# A timed cell runs for at least this long: a fast call gets hundreds of
-# repetitions, not a few that one pre-emption of the process can move.
+# A timed cell's calls take at least this long in all: a fast call gets
+# hundreds of repetitions, not a few that one pre-emption can move.
 MIN_CELL_SECONDS = 0.2
 
 # Untimed calls per path and cell before timing starts (first-call costs).
@@ -130,31 +131,35 @@ def timing_sweep(dims, batch_sizes, modes: int, repetitions: int, cfg: KernelCon
     """Median forward+backward wall time per (d, N, path) with warm-up.
 
     `modes` replaces `cfg.modes` on the spectral path.  One Gaussian batch
-    per cell; WARMUP_CALLS untimed calls precede the timed ones for each
-    path.  A path's cell is timed until it has `repetitions` calls and
-    has run for MIN_CELL_SECONDS.
+    per (d, N); WARMUP_CALLS untimed calls per (N, path) cell precede the
+    timed ones.  The cells of one d are timed round-robin, one call per
+    cell per round, and a cell leaves the rotation once it has
+    `repetitions` calls taking MIN_CELL_SECONDS in all: load from other
+    processes then falls on the cells of a ratio alike, not on one
+    cell's whole stretch.
     """
     repetitions = _integer("repetitions", repetitions, 1)
+    sp_cfg = replace(cfg, modes=modes)
     results = []
     for d in dims:
-        sp_cfg = replace(cfg, modes=modes)
+        calls = {}
         for n in batch_sizes:
-            stream = RngStream(seed, f"timing/d{d}/n{n}")
-            batch = stream.normal_matrix(n, d)
-            times = {"pairwise": [], "spectral": []}
-            for name, fn in (
-                ("pairwise", lambda b: pairwise_repulsion_loss(b, cfg)),
-                ("spectral", lambda b: spectral_loss(b, sp_cfg)),
-            ):
-                for _ in range(WARMUP_CALLS):
-                    fn(batch)
-                start = time.perf_counter()
-                while len(times[name]) < repetitions or time.perf_counter() - start < MIN_CELL_SECONDS:
-                    t0 = time.perf_counter()
-                    fn(batch)
-                    times[name].append(time.perf_counter() - t0)
-            pw_ms = float(np.median(times["pairwise"])) * 1e3
-            sp_ms = float(np.median(times["spectral"])) * 1e3
+            batch = RngStream(seed, f"timing/d{d}/n{n}").normal_matrix(n, d)
+            calls[n, "pairwise"] = functools.partial(pairwise_repulsion_loss, batch, cfg)
+            calls[n, "spectral"] = functools.partial(spectral_loss, batch, sp_cfg)
+        for call in calls.values():
+            for _ in range(WARMUP_CALLS):
+                call()
+        times = {cell: [] for cell in calls}
+        while pending := [cell for cell, t in times.items()
+                          if len(t) < repetitions or sum(t) < MIN_CELL_SECONDS]:
+            for cell in pending:
+                t0 = time.perf_counter()
+                calls[cell]()
+                times[cell].append(time.perf_counter() - t0)
+        for n in batch_sizes:
+            pw_ms = float(np.median(times[n, "pairwise"])) * 1e3
+            sp_ms = float(np.median(times[n, "spectral"])) * 1e3
             results.append({
                 "d": d,
                 "n": n,

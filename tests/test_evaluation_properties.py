@@ -1,9 +1,10 @@
 """Property tests of the evaluation layer against explicit-difference oracles.
 
-The solver sees squared distances in Gram form; these tests check that
-matrix entrywise against explicit differences, and check the matchings,
-W2 values and reference batches built on it against oracles that use
-explicit differences and scipy's `linear_sum_assignment` directly.
+The solver sees Kuhn-reduced squared distances built from one matmul;
+these tests check that matrix entrywise against the Kuhn-reduced
+explicit differences, and check the matchings, W2 values and reference
+batches built on it against oracles that use explicit differences and
+scipy's `linear_sum_assignment` directly.
 Batches carry a common offset (translating both) and a relative shift
 (moving `a` away from `b`), each up to 1e6, and optionally duplicated
 rows.  Examples are derandomized, so the suite sees the same cases on
@@ -21,9 +22,7 @@ from scipy.optimize import linear_sum_assignment
 
 from wristband.evaluation import (
     _matching,
-    _sq_dists,
     barycentric_reference,
-    hungarian_assign,
     w2_exact,
 )
 from wristband.generators import RngStream, gaussian_batch
@@ -60,52 +59,8 @@ def oracle_w2(a, b):
     return math.sqrt(cost[rows, cols].sum() / a.shape[0])
 
 
-@PROPERTY_SETTINGS
-@given(batch_pairs())
-def test_gram_matrix_matches_explicit_differences(pair):
-    """|G_ij - E_ij| <= 2 (d + 4) eps (|a_i - m|^2 + |b_j - m|^2), m = mean(a).
-
-    A length-d dot product errs by at most d eps/2 times the product of
-    the norms, so the three Gram terms err by at most d eps S, with
-    S = |a_i - m|^2 + |b_j - m|^2, and the explicit sum (E <= 2 S) by as
-    much again.  The final additions and the centering add a few eps S.
-    """
-    a, b = pair
-    d = a.shape[1]
-    m = a.mean(axis=0)
-    scale = ((a - m) ** 2).sum(axis=1)[:, None] + ((b - m) ** 2).sum(axis=1)[None, :]
-    err = np.abs(_sq_dists(a, b) - explicit_sq_dists(a, b))
-    assert np.all(err <= 2.0 * (d + 4) * EPS * scale)
-
-
-@PROPERTY_SETTINGS
-@given(batch_pairs(max_shift=1e2, duplicates=False))
-def test_matching_equals_explicit_difference_matching(pair):
-    """Without duplicate rows the Gram matching is the explicit one.
-
-    The relative shift stops at 1e2: beyond that the explicit matrix
-    itself rounds at eps * shift^2 per entry, and its own matching is
-    decided by rounding.  The W2 property below covers larger shifts.
-    """
-    a, b = pair
-    _, cols = linear_sum_assignment(explicit_sq_dists(a, b))
-    assert np.array_equal(hungarian_assign(_sq_dists(a, b)).perm, cols)
-
-
-@PROPERTY_SETTINGS
-@given(batch_pairs(max_shift=1e2, duplicates=False))
-def test_reduced_matching_equals_explicit_difference_matching(pair):
-    """Kuhn's row and column reduction keeps the explicit matching."""
-    a, b = pair
-    _, cols = linear_sum_assignment(explicit_sq_dists(a, b))
-    assert np.array_equal(_matching(a, b), cols)
-
-
-@PROPERTY_SETTINGS
-@given(batch_pairs())
-def test_solver_sees_a_reduced_matrix(pair):
-    """The matrix handed to the solver is >= 0 with a zero in every row and column."""
-    a, b = pair
+def solver_matrix(a, b):
+    """The cost matrix `_matching(a, b)` hands the solver."""
     seen = []
 
     def spy(cost):
@@ -116,6 +71,58 @@ def test_solver_sees_a_reduced_matrix(pair):
         mp.setattr(scipy.optimize, "linear_sum_assignment", spy)
         _matching(a, b)
     (cost,) = seen
+    return cost
+
+
+def kuhn_reduced(cost):
+    cost = cost - cost.min(axis=1, keepdims=True)
+    return cost - cost.min(axis=0)
+
+
+@PROPERTY_SETTINGS
+@given(batch_pairs())
+def test_solver_matrix_matches_reduced_explicit_differences(pair):
+    """|C_ij - R_ij| <= 2 K (T_i + max_k T_k), K = 2 (d + 4) eps, m = mean(a).
+
+    R is the Kuhn reduction of the explicit matrix E, and C the matrix
+    the solver sees.  Before its reductions C_ij equals E_ij - |a_i - m|^2
+    to within K S_ij, S_ij = |a_i - m|^2 + |b_j - m|^2, counting the
+    rounding of E as well: a length-d dot product errs by at most d eps/2
+    times the product of the norms, and the centering and additions add
+    a few eps S.  The row norm is constant along row i, so the row
+    reduction removes it exactly and errs by at most 2 K T_i, with
+    T_i = max_j S_ij; the column reduction adds at most the largest of
+    those errors in the column.
+    """
+    a, b = pair
+    d = a.shape[1]
+    m = a.mean(axis=0)
+    scale = ((a - m) ** 2).sum(axis=1)[:, None] + ((b - m) ** 2).sum(axis=1)[None, :]
+    row_scale = scale.max(axis=1, keepdims=True)
+    bound = 2.0 * 2.0 * (d + 4) * EPS * (row_scale + row_scale.max())
+    err = np.abs(solver_matrix(a, b) - kuhn_reduced(explicit_sq_dists(a, b)))
+    assert np.all(err <= bound)
+
+
+@PROPERTY_SETTINGS
+@given(batch_pairs(max_shift=1e2, duplicates=False))
+def test_reduced_matching_equals_explicit_difference_matching(pair):
+    """Without duplicate rows the solver's matching is the explicit one.
+
+    The relative shift stops at 1e2: beyond that the explicit matrix
+    itself rounds at eps * shift^2 per entry, and its own matching is
+    decided by rounding.  The W2 property below covers larger shifts.
+    """
+    a, b = pair
+    _, cols = linear_sum_assignment(explicit_sq_dists(a, b))
+    assert np.array_equal(_matching(a, b), cols)
+
+
+@PROPERTY_SETTINGS
+@given(batch_pairs())
+def test_solver_sees_a_reduced_matrix(pair):
+    """The matrix handed to the solver is >= 0 with a zero in every row and column."""
+    cost = solver_matrix(*pair)
     assert np.all(cost >= 0.0)
     assert np.all(cost.min(axis=0) == 0.0)
     assert np.all(cost.min(axis=1) == 0.0)

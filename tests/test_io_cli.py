@@ -503,7 +503,11 @@ class TestCli:
         ("--reps", "parity_suite needs at least one seed"),
         ("--timing-reps", "repetitions must be >= 1, got 0"),
     ])
-    def test_parity_refuses_a_zero_count_before_any_row(self, capsys, flag, message):
+    def test_parity_refuses_a_zero_count_before_any_row(self, capsys, monkeypatch, flag, message):
+        def no_timing(*args, **kwargs):
+            raise AssertionError("timing_sweep ran before the refusal")
+
+        monkeypatch.setattr(cli, "timing_sweep", no_timing)
         argv = ["parity", "--dims", "4", "--ns", "64", "--reps", "2", "--timing-reps", "1"]
         argv[argv.index(flag) + 1] = "0"
         assert run(argv) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wristband.errors import ContractViolation
+from wristband import parity
 from wristband.generators import RngStream, parity_batch
 from wristband.pairwise import KernelConfig, pairwise_repulsion_loss
 from wristband.parity import (
@@ -103,3 +104,15 @@ class TestTimingSweep:
     def test_repetitions_contract(self):
         with pytest.raises(ContractViolation):
             timing_sweep([4], [32], modes=3, repetitions=0, cfg=CFG)
+
+    def test_cells_of_one_d_are_timed_round_robin(self, monkeypatch):
+        """After one warm-up call each, every round calls each unfinished cell once."""
+        order = []
+        monkeypatch.setattr(parity, "MIN_CELL_SECONDS", 0.0)
+        monkeypatch.setattr(parity, "pairwise_repulsion_loss",
+                            lambda b, cfg: order.append((len(b), "pairwise")))
+        monkeypatch.setattr(parity, "spectral_loss", lambda b, cfg: order.append((len(b), "spectral")))
+        rows = timing_sweep([4], [32, 64], modes=3, repetitions=3, cfg=CFG)
+        cells = [(32, "pairwise"), (32, "spectral"), (64, "pairwise"), (64, "spectral")]
+        assert order == cells * (parity.WARMUP_CALLS + 3)
+        assert [row["n"] for row in rows] == [32, 64]

@@ -9,13 +9,16 @@ direct-benchmark setting (512 x 10) and a 20-step sliced-w2 run (64 x 5,
 fresh projections each step) under the constant schedule, and under the
 cosine schedule a 20-step mmd run (64 x 5) and 10-step wristband-spectral
 and per-point wristband-pairwise runs from a heavy-tailed 512 x 8 start
-against the cached tables; and a barycentric reference with a z-score.  "Bytes unchanged" between two
-checkouts is then one `diff` of two runs, each importing the package from
-the checkout under test:
+against the cached tables; and a barycentric reference with a z-score.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/digests.py > new.txt
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=../old/src python tools/digests.py > old.txt
-    diff old.txt new.txt
+The output opens with `#` lines that state the facts which decide the
+bits: the numpy and scipy versions and, for each OpenBLAS copy loaded,
+its version, the core its dynamic dispatch chose and its thread count.
+`tools/digests_golden.txt` is this output under one BLAS thread, and
+`tests/test_digests.py` checks the package against it:
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+        PYTHONPATH=src python tools/digests.py > tools/digests_golden.txt
 
 `python tools/digests.py NAME...` prints only the named outputs.  A
 digest hashes the shape and float64 bytes of every array and number
@@ -27,6 +30,7 @@ does not move when only the file encoding does.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import sys
@@ -34,6 +38,8 @@ from collections.abc import Callable
 from dataclasses import astuple, replace
 
 import numpy as np
+import scipy
+import scipy.linalg  # loads scipy's OpenBLAS copy, so that the header names it
 
 from wristband.calibration import calibrate_null, standardized_wristband_loss
 from wristband.evaluation import barycentric_reference, barycentric_z_score
@@ -139,6 +145,31 @@ def _barycentric() -> str:
     return _sha(ref, z)
 
 
+def _openblas_call(lib, name: str):
+    """The OpenBLAS function `name` under whichever symbol prefix this build uses."""
+    for symbol in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}", f"openblas_{name}64_",
+                   f"openblas_{name}"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            return fn
+    raise LookupError(f"no OpenBLAS {name} symbol")
+
+
+def header() -> list[str]:
+    """The `#` lines of the facts that decide the bits of this process's outputs."""
+    lines = [f"# numpy {np.__version__}", f"# scipy {scipy.__version__}"]
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        config, core, threads = (_openblas_call(lib, name) for name in
+                                 ("get_config", "get_corename", "get_num_threads"))
+        config.restype = core.restype = ctypes.c_char_p
+        version = config().decode().split()[1]
+        lines.append(f"# openblas {version} core {core().decode()} threads {threads()}")
+    return lines
+
+
 def entries() -> dict[str, Callable[[], str]]:
     """Every output's name and the function that computes its digest."""
     out: dict[str, Callable[[], str]] = {}
@@ -169,6 +200,7 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"unknown outputs: {' '.join(unknown)}", file=sys.stderr)
         return 2
+    print("\n".join(header()), flush=True)
     for name in argv or table:
         print(f"{name} {table[name]()}", flush=True)
     return 0
